@@ -132,8 +132,9 @@ def _cmd_calibrate(scenario: Scenario, fh) -> int:
     phase_map = calibrate_phase_map(context, z, scenario.phase_grid)
     writer = _csv_writer(fh)
     writer.writerow(["z_m", "phi_rad", "beta1_rad"])
-    for (zz, phi) in sorted(phase_map.entries):
-        writer.writerow([_fmt(zz), _fmt(phi), _fmt(phase_map.entries[(zz, phi)])])
+    for i in range(scenario.phase_grid):
+        phi = i * phase_map.grid_resolution
+        writer.writerow([_fmt(z), _fmt(phi), _fmt(phase_map.beta1_at(z, phi))])
     return EXIT_OK
 
 
@@ -143,6 +144,16 @@ def _build_plan(scenario: Scenario):
     context = scenario.context()
     amplitude = context.injected_amplitude()
     if scenario.goal.direction == "backward":
+        # A stall needs the opposing injection to hold the superposed
+        # amplitude |A - a| at or below the trigger threshold.
+        rtc = scenario.rtc
+        if abs(rtc.nominal_amplitude - amplitude) > rtc.trigger_threshold:
+            raise InfeasiblePlanError(
+                f"injected amplitude {amplitude!r} V cannot stall a "
+                f"{rtc.nominal_amplitude!r} V oscillation: |A - a| exceeds the "
+                f"{rtc.trigger_threshold!r} V trigger threshold",
+                constraint="|nominal_amplitude - amplitude| <= trigger_threshold",
+            )
         return plan_backward(
             scenario.goal,
             scenario.attack.burst_duration,

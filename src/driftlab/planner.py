@@ -18,25 +18,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rtc import (
+    FULL_CONVERGENCE_FACTOR,
     InjectionBurst,
     PlanError,
     RtcConfig,
     RtcState,
     TickEvent,
-    apply_phase_advance_with_events,
+    _apply_phase_advance,
+    _step,
+    _with_injection,
     initial_state,
     measure_drift,
     run_uniform_train,
-    step_with_events,
-    with_injection,
 )
 from .signals import TWO_PI, Sinusoid, superpose, wrap_phase
 
 DIRECTION_FORWARD = "forward"
 DIRECTION_BACKWARD = "backward"
-
-# Above this burst count plans are simulated through the closed-form train.
-FAST_PATH_THRESHOLD = 2000
 
 
 class InfeasiblePlanError(ValueError):
@@ -275,16 +273,15 @@ class PhaseMap:
     """Calibrated (distance, excitation phase) -> injected phase table.
 
     Shifting the excitation phase shifts the injected phase by the same
-    amount, so each distance needs just one measured anchor; the listed grid
-    entries are generated from it.
+    amount, so each distance needs just one measured anchor and the value at
+    any grid point follows from it.
     """
 
-    entries: dict
     grid_resolution: float
     anchors: dict = field(default_factory=dict)   # z -> (phi_anchor, beta1_anchor)
 
     def __post_init__(self):
-        for (z, phi), beta1 in self.entries.items():
+        for z, (phi, beta1) in self.anchors.items():
             if not 0.0 <= beta1 < TWO_PI:
                 raise ValueError(f"beta1 {beta1} at ({z}, {phi}) not in [0, 2*pi)")
 
@@ -340,12 +337,7 @@ def calibrate_phase_map(
     offset = 0.0 if curvature <= 0.0 else 0.5 * (y0 - y2) / curvature
     phi_star = wrap_phase(phis[i_min] + offset * step)
     beta1_star = wrap_phase(osc.phase + math.pi)
-    anchors = {z: (phi_star, beta1_star)}
-    entries = {
-        (z, float(phi)): wrap_phase(beta1_star + (float(phi) - phi_star))
-        for phi in phis
-    }
-    return PhaseMap(entries=entries, grid_resolution=step, anchors=anchors)
+    return PhaseMap(grid_resolution=step, anchors={z: (phi_star, beta1_star)})
 
 
 @dataclass(frozen=True)
@@ -385,25 +377,26 @@ def simulate_plan(
 
     Bursts whose phase leads the oscillation by less than pi are dispatched
     to the phase-advance mechanism; all others act through plain waveform
-    superposition (the stall mechanism).  Long uniform forward trains go
-    through the closed-form fast path.
+    superposition (the stall mechanism).  A uniform forward train of fully
+    converging bursts that starts phase-aligned, whatever its length, goes
+    through the closed-form ``run_uniform_train``; every other plan runs
+    burst by burst.  Tick events are built only with ``collect_ticks``.
     """
     if state is None:
         state = initial_state(config)
     start_wall = state.wall_time
     start_rtc = state.rtc_time
     start_counter = state.counter
-    events: list[TickEvent] = []
+    events: Optional[list[TickEvent]] = [] if collect_ticks else None
+    prediction_error = 0.0
 
-    fast = (
+    if (
         _is_uniform_forward(plan)
-        and len(plan.bursts) >= FAST_PATH_THRESHOLD
         and plan.bursts.duration
-        >= 5.0 * config.convergence_time_constant
+        >= FULL_CONVERGENCE_FACTOR * config.convergence_time_constant
         and abs(wrap_phase(plan.bursts.phase0 - state.osc_phase) - plan.phase_step_delta)
         < 1e-9
-    )
-    if fast:
+    ):
         train: BurstTrain = plan.bursts
         result = run_uniform_train(
             state,
@@ -416,10 +409,10 @@ def simulate_plan(
             collect_ticks=collect_ticks,
         )
         state = result.state
-        events.extend(result.ticks)
+        if collect_ticks:
+            events.extend(result.ticks)
     else:
         step_delta = plan.phase_step_delta
-        prediction_error = 0.0
         for burst in plan.bursts:
             beta1 = burst.signal.phase
             delta = wrap_phase(beta1 - state.osc_phase)
@@ -430,31 +423,23 @@ def simulate_plan(
             gap = wrap_phase(delta - planned)
             prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
             if 1e-12 < delta < math.pi - 1e-12:
-                state, ev = apply_phase_advance_with_events(state, config, burst)
-                events.extend(ev)
+                state = _apply_phase_advance(state, config, burst, events)
             else:
                 if burst.start > state.wall_time:
-                    state, ev = step_with_events(state, config, burst.start)
-                    events.extend(ev)
-                state, ev = with_injection(state, config, burst.signal)
-                events.extend(ev)
-                state, ev = step_with_events(state, config, burst.end)
-                events.extend(ev)
-                state, ev = with_injection(state, config, None)
-                events.extend(ev)
+                    state = _step(state, config, burst.start, events)
+                state = _with_injection(state, config, burst.signal, events)
+                state = _step(state, config, burst.end, events)
+                state = _with_injection(state, config, None, events)
 
     if until is not None and until > state.wall_time:
-        state, ev = step_with_events(state, config, until)
-        events.extend(ev)
+        state = _step(state, config, until, events)
 
     ticks_emitted = round((state.rtc_time - start_rtc) / config.tick_period)
     crossings = ticks_emitted * config.divider_reload + (start_counter - state.counter)
-    if not collect_ticks:
-        events = []
     return PlanRun(
         state=state,
-        ticks=events,
+        ticks=events or [],
         drift=measure_drift(state) - (start_rtc - start_wall),
         crossings_counted=crossings,
-        phase_prediction_error=0.0 if fast else prediction_error,
+        phase_prediction_error=prediction_error,
     )

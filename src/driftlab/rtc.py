@@ -5,7 +5,9 @@ injection status the waveform is a single sinusoid, and the times at which it
 crosses the edge-trigger threshold upward have a closed form.  The divider
 decrements once per upward crossing and emits one tick (resetting itself)
 each time it reaches zero, so time never needs to be sampled -- the engine
-advances from event to event.
+advances from event to event.  A stretch costs the same however many ticks it
+holds: the RTC time advances by whole ticks in one multiply, and tick events
+are built only when the caller asks for them.
 
 Two injection mechanisms exist, matching the two drift directions:
 
@@ -19,7 +21,9 @@ Phase convergence during a burst follows first-order relaxation toward the
 injected phase with a configurable time constant; a burst lasting at least
 five time constants is treated as fully converged and the oscillator phase
 snaps exactly onto the injected phase, which keeps long-run drift accounting
-exact.
+exact.  One inverter, ``_burst_crossing_time``, recovers crossing times
+during a burst: once the offset has settled they have the closed form, and
+only a crossing inside the relaxation stretch needs a bracketed solve.
 """
 
 from __future__ import annotations
@@ -155,29 +159,121 @@ def _crossing_time(n: int, freq: float, phase: float, theta_star: float) -> floa
     return (theta_star - phase + TWO_PI * n) / (TWO_PI * freq)
 
 
+def _freeze_due(config: RtcConfig, t: float, last_edge: float) -> bool:
+    """Whether the freeze watchdog latches at ``t`` after an edge at ``last_edge``."""
+    return config.freeze_timeout is not None and t - last_edge >= config.freeze_timeout
+
+
+def _burst_phase_path(delta: float, tau: float, duration: float) -> float:
+    """Residual phase gap left after a burst of the given duration."""
+    if duration >= FULL_CONVERGENCE_FACTOR * tau:
+        return 0.0
+    return delta * math.exp(-duration / tau)
+
+
+def _burst_crossing_time(
+    n: int,
+    theta_star: float,
+    freq: float,
+    p0: float,
+    delta: float,
+    tau: float,
+    t0: float,
+    duration: float,
+) -> float:
+    """Time at which ``2 pi f t + offset(t)`` reaches crossing ``n`` in a burst.
+
+    The offset relaxes from ``p0`` toward ``p0 + delta`` from ``t0`` on and
+    sits at ``p0 + delta`` from five time constants on.  A crossing there has
+    the closed form; one earlier, or anywhere in a burst too short to
+    converge, is bisected inside ``[t0, t0 + min(duration, 5 tau)]`` until
+    the bracket stops shrinking.
+    """
+    settled = t0 + min(duration, FULL_CONVERGENCE_FACTOR * tau)
+    t = _crossing_time(n, freq, p0 + delta, theta_star)
+    if t >= settled:
+        return t
+    target = theta_star + TWO_PI * n
+    lo, hi = t0, settled
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        gap = _burst_phase_path(delta, tau, mid - t0)
+        if TWO_PI * freq * mid + (p0 + (delta - gap)) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _consume_crossings(
-    counter: int,
-    reload: int,
-    rtc_time: float,
-    tick_period: float,
+    state: RtcState,
+    config: RtcConfig,
     count: int,
     tick_time_fn,
     events: Optional[list],
 ) -> tuple[int, float]:
-    """Route ``count`` crossings through the divider, logging tick events.
+    """Route ``count`` crossings through the divider: new counter, RTC time.
 
-    ``tick_time_fn(j)`` maps the 1-based crossing ordinal within this batch
-    to its wall time; it is only called for crossings that produce a tick.
+    The RTC time advances by whole ticks in one multiply, so no rounding
+    error builds up tick by tick.  Tick events are appended to ``events``
+    unless it is None; ``tick_time_fn(j)`` maps the 1-based crossing ordinal
+    within this batch to its wall time.
     """
+    counter, reload = state.counter, config.divider_reload
     if count < counter:
-        return counter - count, rtc_time
+        return counter - count, state.rtc_time
     ticks = (count - counter) // reload + 1
-    for i in range(ticks):
-        rtc_time += tick_period
-        if events is not None:
-            events.append(TickEvent(tick_time_fn(counter + i * reload), rtc_time))
+    if events is not None:
+        events.extend(
+            TickEvent(tick_time_fn(counter + i * reload),
+                      state.rtc_time + (i + 1) * config.tick_period)
+            for i in range(ticks)
+        )
     new_counter = counter - count + ticks * reload
-    return new_counter, rtc_time
+    return new_counter, state.rtc_time + ticks * config.tick_period
+
+
+def _step(
+    state: RtcState, config: RtcConfig, until: float, events: Optional[list]
+) -> RtcState:
+    if until <= state.wall_time:
+        raise ValueError(f"until ({until}) must exceed wall_time ({state.wall_time})")
+    if state.frozen:
+        return replace(state, wall_time=until)
+
+    freq = config.nominal_freq
+    wave = _active_waveform(state, config)
+    thr = config.trigger_threshold
+
+    if wave.amplitude <= thr:
+        # No crossings at all in this stretch; only the freeze watchdog runs.
+        frozen = _freeze_due(config, until, state.last_edge_time)
+        return replace(state, wall_time=until, frozen=frozen)
+
+    theta_star = math.asin(thr / wave.amplitude)
+    n0 = _crossing_index(state.wall_time, freq, wave.phase, theta_star)
+    n1 = _crossing_index(until, freq, wave.phase, theta_star)
+    count = n1 - n0
+    if count <= 0:
+        return replace(state, wall_time=until)
+
+    first = _crossing_time(n0 + 1, freq, wave.phase, theta_star)
+    if _freeze_due(config, first, state.last_edge_time):
+        return replace(state, wall_time=until, frozen=True)
+
+    counter, rtc_time = _consume_crossings(
+        state, config, count,
+        lambda j: _crossing_time(n0 + j, freq, wave.phase, theta_star), events,
+    )
+    last_edge = _crossing_time(n1, freq, wave.phase, theta_star)
+    return replace(
+        state,
+        wall_time=until,
+        counter=counter,
+        rtc_time=rtc_time,
+        last_edge_time=last_edge,
+    )
 
 
 def step_with_events(
@@ -187,64 +283,43 @@ def step_with_events(
 
     Returns the new state and the divider ticks emitted on the way.
     """
-    if until <= state.wall_time:
-        raise ValueError(f"until ({until}) must exceed wall_time ({state.wall_time})")
     events: list[TickEvent] = []
-    if state.frozen:
-        return replace(state, wall_time=until), events
-
-    freq = config.nominal_freq
-    wave = _active_waveform(state, config)
-    thr = config.trigger_threshold
-
-    if wave.amplitude <= thr:
-        # No crossings at all in this stretch; only the freeze watchdog runs.
-        frozen = state.frozen
-        if (
-            config.freeze_timeout is not None
-            and until - state.last_edge_time >= config.freeze_timeout
-        ):
-            frozen = True
-        return replace(state, wall_time=until, frozen=frozen), events
-
-    theta_star = math.asin(thr / wave.amplitude)
-    n0 = _crossing_index(state.wall_time, freq, wave.phase, theta_star)
-    n1 = _crossing_index(until, freq, wave.phase, theta_star)
-    count = n1 - n0
-    if count <= 0:
-        return replace(state, wall_time=until), events
-
-    first = _crossing_time(n0 + 1, freq, wave.phase, theta_star)
-    if (
-        config.freeze_timeout is not None
-        and first - state.last_edge_time >= config.freeze_timeout
-    ):
-        return replace(state, wall_time=until, frozen=True), events
-
-    counter, rtc_time = _consume_crossings(
-        state.counter,
-        config.divider_reload,
-        state.rtc_time,
-        config.tick_period,
-        count,
-        lambda j: _crossing_time(n0 + j, freq, wave.phase, theta_star),
-        events,
-    )
-    last_edge = _crossing_time(n1, freq, wave.phase, theta_star)
-    return (
-        replace(
-            state,
-            wall_time=until,
-            counter=counter,
-            rtc_time=rtc_time,
-            last_edge_time=last_edge,
-        ),
-        events,
-    )
+    return _step(state, config, until, events), events
 
 
 def step(state: RtcState, config: RtcConfig, until: float) -> RtcState:
-    return step_with_events(state, config, until)[0]
+    return _step(state, config, until, None)
+
+
+def _with_injection(
+    state: RtcState,
+    config: RtcConfig,
+    signal: Optional[Sinusoid],
+    events: Optional[list],
+) -> RtcState:
+    if signal is not None and signal.frequency != config.nominal_freq:
+        raise PlanError(
+            f"injection at {signal.frequency} Hz does not match the oscillator "
+            f"({config.nominal_freq} Hz)"
+        )
+    if state.frozen:
+        return replace(state, injection=signal)
+
+    t = state.wall_time
+    before = _active_waveform(state, config)
+    new_state = replace(state, injection=signal)
+    after = _active_waveform(new_state, config)
+    thr = config.trigger_threshold
+    v_before = before.value_at(t)
+    v_after = after.value_at(t)
+    if v_before <= thr < v_after:
+        if _freeze_due(config, t, state.last_edge_time):
+            return replace(new_state, frozen=True)
+        counter, rtc_time = _consume_crossings(state, config, 1, lambda j: t, events)
+        new_state = replace(
+            new_state, counter=counter, rtc_time=rtc_time, last_edge_time=t
+        )
+    return new_state
 
 
 def with_injection(
@@ -256,60 +331,13 @@ def with_injection(
     that jump itself rises through the trigger threshold the comparator sees
     an edge, which is counted here.
     """
-    if signal is not None and signal.frequency != config.nominal_freq:
-        raise PlanError(
-            f"injection at {signal.frequency} Hz does not match the oscillator "
-            f"({config.nominal_freq} Hz)"
-        )
     events: list[TickEvent] = []
-    if state.frozen:
-        return replace(state, injection=signal), events
-
-    t = state.wall_time
-    before = _active_waveform(state, config)
-    new_state = replace(state, injection=signal)
-    after = _active_waveform(new_state, config)
-    thr = config.trigger_threshold
-    v_before = before.value_at(t)
-    v_after = after.value_at(t)
-    if v_before <= thr < v_after:
-        if (
-            config.freeze_timeout is not None
-            and t - state.last_edge_time >= config.freeze_timeout
-        ):
-            return replace(new_state, frozen=True), events
-        counter, rtc_time = _consume_crossings(
-            new_state.counter,
-            config.divider_reload,
-            new_state.rtc_time,
-            config.tick_period,
-            1,
-            lambda j: t,
-            events,
-        )
-        new_state = replace(
-            new_state, counter=counter, rtc_time=rtc_time, last_edge_time=t
-        )
-    return new_state, events
+    return _with_injection(state, config, signal, events), events
 
 
-def _burst_phase_path(delta: float, tau: float, duration: float) -> float:
-    """Residual phase gap left after a burst of the given duration."""
-    if duration >= FULL_CONVERGENCE_FACTOR * tau:
-        return 0.0
-    return delta * math.exp(-duration / tau)
-
-
-def apply_phase_advance_with_events(
-    state: RtcState, config: RtcConfig, burst: InjectionBurst
-) -> tuple[RtcState, list[TickEvent]]:
-    """Run one phase-dragging burst, counting crossings exactly.
-
-    The total phase (carrier plus offset) increases monotonically through the
-    burst, so the crossing count depends only on its endpoint value; crossing
-    times inside the burst are recovered by inverting the relaxation path,
-    which is only needed for the rare crossings that produce a tick.
-    """
+def _apply_phase_advance(
+    state: RtcState, config: RtcConfig, burst: InjectionBurst, events: Optional[list]
+) -> RtcState:
     if burst.signal.frequency != config.nominal_freq:
         raise PlanError(
             f"burst at {burst.signal.frequency} Hz does not match the oscillator "
@@ -319,11 +347,10 @@ def apply_phase_advance_with_events(
         raise PlanError(
             f"burst starts at {burst.start} s before wall time {state.wall_time} s"
         )
-    events: list[TickEvent] = []
     if burst.start > state.wall_time:
-        state, events = step_with_events(state, config, burst.start)
+        state = _step(state, config, burst.start, events)
     if state.frozen:
-        return replace(state, wall_time=burst.start + burst.duration), events
+        return replace(state, wall_time=burst.start + burst.duration)
 
     beta1 = burst.signal.phase
     beta2 = state.osc_phase
@@ -332,8 +359,7 @@ def apply_phase_advance_with_events(
     te = burst.start + burst.duration
     if delta <= 1e-12 or TWO_PI - delta <= 1e-12:
         # Already aligned: the burst only holds the phase where it is.
-        new_state, more = step_with_events(state, config, te)
-        return new_state, events + more
+        return _step(state, config, te, events)
 
     if delta >= math.pi:
         raise PlanError(
@@ -354,70 +380,49 @@ def apply_phase_advance_with_events(
     amp = state.osc_amplitude
 
     if amp <= thr:
-        frozen = state.frozen
-        if (
-            config.freeze_timeout is not None
-            and te - state.last_edge_time >= config.freeze_timeout
-        ):
-            frozen = True
-        return (
-            replace(state, wall_time=te, osc_phase=final_phase, frozen=frozen),
-            events,
-        )
+        frozen = _freeze_due(config, te, state.last_edge_time)
+        return replace(state, wall_time=te, osc_phase=final_phase, frozen=frozen)
 
     theta_star = math.asin(thr / amp)
-
-    def phase_at(t: float) -> float:
-        # Unwrapped phase offset along the relaxation path.
-        if t >= te:
-            return end_unwrapped
-        gap = _burst_phase_path(delta, tau, t - t0)
-        return beta2 + (delta - gap)
-
     n0 = _crossing_index(t0, freq, beta2, theta_star)
     n1 = _crossing_index(te, freq, end_unwrapped, theta_star)
     count = n1 - n0
     new_state = replace(state, wall_time=te, osc_phase=final_phase)
     if count <= 0:
-        return new_state, events
+        return new_state
 
     def crossing_time(n: int) -> float:
-        target = theta_star + TWO_PI * n
-        lo, hi = t0, te
-        if TWO_PI * freq * t0 + beta2 >= target:
-            return t0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if TWO_PI * freq * mid + phase_at(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _burst_crossing_time(
+            n, theta_star, freq, beta2, delta, tau, t0, burst.duration
+        )
 
-    first = crossing_time(n0 + 1)
-    if (
-        config.freeze_timeout is not None
-        and first - state.last_edge_time >= config.freeze_timeout
-    ):
-        return replace(new_state, frozen=True), events
+    if _freeze_due(config, crossing_time(n0 + 1), state.last_edge_time):
+        return replace(new_state, frozen=True)
 
     counter, rtc_time = _consume_crossings(
-        state.counter,
-        config.divider_reload,
-        state.rtc_time,
-        config.tick_period,
-        count,
-        lambda j: crossing_time(n0 + j),
-        events,
+        state, config, count, lambda j: crossing_time(n0 + j), events
     )
-    new_state = replace(
-        new_state, counter=counter, rtc_time=rtc_time, last_edge_time=te
-    )
-    return new_state, events
+    return replace(new_state, counter=counter, rtc_time=rtc_time, last_edge_time=te)
+
+
+def apply_phase_advance_with_events(
+    state: RtcState, config: RtcConfig, burst: InjectionBurst
+) -> tuple[RtcState, list[TickEvent]]:
+    """Run one phase-dragging burst, counting crossings exactly.
+
+    The total phase (carrier plus offset) increases monotonically through the
+    burst, so the crossing count depends only on its endpoint value.  Crossing
+    times inside the burst, needed only for the first crossing (the freeze
+    watchdog) and for crossings that produce a tick, come from
+    ``_burst_crossing_time``: closed form once the offset has settled,
+    bracketed inside the relaxation stretch.
+    """
+    events: list[TickEvent] = []
+    return _apply_phase_advance(state, config, burst, events), events
 
 
 def apply_phase_advance(state: RtcState, config: RtcConfig, burst: InjectionBurst) -> RtcState:
-    return apply_phase_advance_with_events(state, config, burst)[0]
+    return _apply_phase_advance(state, config, burst, None)
 
 
 @dataclass(frozen=True)
@@ -444,8 +449,11 @@ def run_uniform_train(
     Each burst steps the injected phase ``delta`` ahead of the oscillation,
     so the phase offset grows by exactly ``count * delta`` over the train.
     Because the total phase is monotone through the whole train, the crossing
-    count follows from its endpoint values alone; per-tick times, when asked
-    for, are recovered by inverting the piecewise phase path.
+    count follows from its endpoint values alone.  Per-tick times, when asked
+    for, need no search over the train: the total phase at burst starts grows
+    by exactly ``2 pi f period + delta`` per burst, so the burst holding a
+    crossing follows by division, and ``_burst_crossing_time`` places the
+    crossing within it.
     """
     if not 0.0 < delta < math.pi:
         raise PlanError(f"phase step must lie in (0, pi), got {delta}")
@@ -462,9 +470,9 @@ def run_uniform_train(
         start = state.wall_time
     if start < state.wall_time:
         raise PlanError("train cannot start in the past")
-    events: list[TickEvent] = []
+    events: Optional[list[TickEvent]] = [] if collect_ticks else None
     if start > state.wall_time:
-        state, events = step_with_events(state, config, start)
+        state = _step(state, config, start, events)
 
     freq = config.nominal_freq
     thr = config.trigger_threshold
@@ -481,43 +489,19 @@ def run_uniform_train(
     n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
     total = n1 - n0
 
-    tick_fn = None
-    if collect_ticks:
+    phase0 = TWO_PI * freq * start + beta2
+    burst_gain = TWO_PI * freq * period + delta
 
-        def offset_at(t: float) -> float:
-            # Cumulative phase advance at time t along the train.
-            if t >= t_end:
-                return advanced
-            i = min(int((t - start) / period), count - 1)
-            elapsed = t - (start + i * period)
-            if elapsed >= duration:
-                return (i + 1) * delta
-            if elapsed >= FULL_CONVERGENCE_FACTOR * tau:
-                partly = delta
-            else:
-                partly = delta * (1.0 - math.exp(-elapsed / tau))
-            return i * delta + partly
+    def tick_time(j: int) -> float:
+        n = n0 + j
+        i = math.floor((theta_star + TWO_PI * n - phase0) / burst_gain)
+        i = min(max(i, 0), count - 1)
+        return _burst_crossing_time(
+            n, theta_star, freq, beta2 + i * delta, delta, tau,
+            start + i * period, duration,
+        )
 
-        def tick_fn(j: int) -> float:
-            target = theta_star + TWO_PI * (n0 + j)
-            lo, hi = start, t_end
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if TWO_PI * freq * mid + beta2 + offset_at(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-    counter, rtc_time = _consume_crossings(
-        state.counter,
-        config.divider_reload,
-        state.rtc_time,
-        config.tick_period,
-        total,
-        tick_fn if collect_ticks else (lambda j: t_end),
-        events if collect_ticks else None,
-    )
+    counter, rtc_time = _consume_crossings(state, config, total, tick_time, events)
     new_state = replace(
         state,
         wall_time=t_end,
@@ -527,5 +511,5 @@ def run_uniform_train(
         last_edge_time=t_end if total > 0 else state.last_edge_time,
     )
     return TrainResult(
-        state=new_state, crossings=total, ticks=events, phase_advanced=advanced
+        state=new_state, crossings=total, ticks=events or [], phase_advanced=advanced
     )

@@ -122,6 +122,19 @@ class TestPlanCommand:
         rc = main(["plan", "--config", path, "--out", str(tmp_path / "p.jsonl")])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_backward_amplitude_that_cannot_stall_exit_3(
+        self, command, config_path, tmp_path, capsys
+    ):
+        # On aluminum the injected amplitude is about 0.027 V, so the
+        # superposed amplitude |0.08 - 0.027| stays above the 0.04 V trigger.
+        path = config_path(overrides={"medium.name": "aluminum"})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "x.out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "amplitude" in err
+        assert "Traceback" not in err
+
     def test_forward_plan_counts(self, config_path, tmp_path):
         path = config_path(overrides={
             "goal": {"direction": "forward", "window_a_s": 1.0,

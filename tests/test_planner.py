@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from driftlab.chain import TransducerSpec, build_context
 from driftlab.crystal import CrystalSpec
 from driftlab.lamb import load_media
+from driftlab import planner
 from driftlab.planner import (
-    AttackPlan,
     BurstTrain,
     CalibrationError,
     DriftGoal,
     FreezeRiskError,
     InfeasiblePlanError,
+    PhaseMap,
     calibrate_phase_map,
     export_plan_jsonl,
     load_plan_jsonl,
@@ -22,7 +24,7 @@ from driftlab.planner import (
     plan_forward,
     simulate_plan,
 )
-from driftlab.rtc import RtcConfig, initial_state, step
+from driftlab.rtc import RtcConfig, initial_state, run_uniform_train, step
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
 F = 32768.0
@@ -148,23 +150,39 @@ class TestPlanForward:
         free = simulate_free(cfg, 1.0)
         assert run.crossings_counted - free == 12
 
-    def test_fast_path_agrees_with_loop(self):
+    def test_fast_path_agrees_with_loop(self, monkeypatch):
+        # Uniform forward trains of every length take the closed form; the
+        # per-burst loop over the same bursts is the reference.
+        trains = []
+
+        def spy(*args, **kwargs):
+            trains.append(kwargs["count"])
+            return run_uniform_train(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "run_uniform_train", spy)
         cfg = RtcConfig(divider_reload=32, mode="thirtytwo_bit")
-        goal = _forward_goal(2.0, 600.0)
-        plan = plan_forward(goal, 1.6e-5, math.pi / 2, amplitude=0.005)
-        assert plan.burst_count_k == 2400  # above the fast-path threshold
-        fast = simulate_plan(plan, cfg, until=2.0, collect_ticks=False)
-        # loop the same plan through the per-burst engine
-        small = AttackPlan(
-            bursts=list(plan.bursts),
-            burst_count_k=plan.burst_count_k,
-            single_duration_t1=plan.single_duration_t1,
-            pause_t2=plan.pause_t2,
-            phase_step_delta=None,  # disables the fast path
-        )
-        slow = simulate_plan(small, cfg, until=2.0, collect_ticks=False)
-        assert fast.crossings_counted == slow.crossings_counted
-        assert fast.state.rtc_time == slow.state.rtc_time
+        for window, cycles, k in ((1.0, 12.0, 48), (2.0, 600.0, 2400)):
+            trains.clear()
+            plan = plan_forward(_forward_goal(window, cycles), 1.6e-5,
+                                math.pi / 2, amplitude=0.005)
+            assert plan.burst_count_k == k
+            fast = simulate_plan(plan, cfg, until=window)
+            quiet = simulate_plan(plan, cfg, until=window, collect_ticks=False)
+            assert quiet.state == fast.state and quiet.ticks == []
+            # a plain burst list without a phase step runs burst by burst
+            loop_plan = replace(plan, bursts=list(plan.bursts),
+                                phase_step_delta=None)
+            slow = simulate_plan(loop_plan, cfg, until=window)
+            assert trains == [k, k]
+            assert fast.crossings_counted == slow.crossings_counted
+            assert fast.state.rtc_time == slow.state.rtc_time
+            assert len(fast.ticks) == len(slow.ticks) > 0
+            assert [t.rtc_time for t in fast.ticks] == [
+                (i + 1) * cfg.tick_period for i in range(len(fast.ticks))
+            ]
+            for a, b in zip(fast.ticks, slow.ticks):
+                assert a.rtc_time == b.rtc_time
+                assert abs(a.time - b.time) <= 1e-12
 
 
 def simulate_free(cfg, until):
@@ -224,8 +242,18 @@ class TestCalibration:
     def test_map_entries_span_grid(self, chain_context):
         z = chain_context.transducer.position
         phase_map = calibrate_phase_map(chain_context, z, 16)
-        assert len(phase_map.entries) == 16
-        assert phase_map.grid_resolution == pytest.approx(TWO_PI / 16)
+        grid_step = phase_map.grid_resolution
+        assert grid_step == pytest.approx(TWO_PI / 16)
+        betas = [phase_map.beta1_at(z, i * grid_step) for i in range(16)]
+        assert all(0.0 <= b < TWO_PI for b in betas)
+        # 16 distinct grid values, one grid step apart around the circle
+        assert len(set(betas)) == 16
+        for a, b in zip(betas, betas[1:] + betas[:1]):
+            assert wrap_phase(b - a) == pytest.approx(grid_step, abs=1e-12)
+
+    def test_anchor_phase_range_checked(self):
+        with pytest.raises(ValueError):
+            PhaseMap(grid_resolution=TWO_PI / 16, anchors={0.05: (0.0, TWO_PI)})
 
     def test_two_distances_differ_by_path_phase(self, chain_context):
         mode = chain_context.mode

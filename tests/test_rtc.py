@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from driftlab.rtc import (
     InjectionBurst,
@@ -117,6 +119,46 @@ class TestStep:
         assert measure_drift(initial_state(CAL)) == 0.0
 
 
+class TestLongHorizon:
+    # With phase 0 and a threshold of half the amplitude, one upward crossing
+    # falls 1/12 of a cycle into each oscillator cycle, so a free run to
+    # f * T = N + 100.25 cycles (N whole) crosses exactly N + 101 times.
+    DAYS_30 = 30 * 86400.0
+
+    @pytest.mark.parametrize("mode", ["calendar", "thirtytwo_bit"])
+    def test_thirty_day_free_run_exact(self, mode):
+        cfg = RtcConfig(mode=mode)
+        until = self.DAYS_30 + 100.25 / F
+        st = step(initial_state(cfg), cfg, until)
+        crossings = int(F) * 30 * 86400 + 101
+        ticks, rest = divmod(crossings, cfg.divider_reload)
+        assert st.wall_time == until
+        assert st.counter == cfg.divider_reload - rest
+        assert st.rtc_time == ticks * cfg.tick_period
+        assert not st.frozen
+
+    def test_inexact_tick_period_does_not_drift(self):
+        # 32 / 32000 s is not a binary64 number; 600 s hold 600,000 ticks.
+        cfg = RtcConfig(nominal_freq=32000.0, divider_reload=32,
+                        mode="thirtytwo_bit")
+        st = step(initial_state(cfg), cfg, 600.0)
+        want = 600_000 * cfg.tick_period
+        assert st.counter == cfg.divider_reload
+        assert abs(st.rtc_time - want) <= math.ulp(want)
+
+    def test_step_memory_independent_of_tick_count(self):
+        cfg = RtcConfig(mode="thirtytwo_bit")
+        st = initial_state(cfg)
+        tracemalloc.start()
+        try:
+            end = step(st, cfg, 600.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert end.rtc_time == 600.0
+        assert peak < 2**20
+
+
 class TestFreeze:
     def test_quiet_period_latches_freeze(self):
         cfg = RtcConfig(freeze_timeout=0.1)
@@ -198,6 +240,25 @@ class TestPhaseAdvance:
         attacked_next = more[0].time
         shifted = [t - delta / TWO_PI / F for t in free_edges]
         assert min(abs(attacked_next - t) for t in shifted) < 1e-12
+
+    def test_tick_inside_relaxation_solves_phase_path(self):
+        # With reload 1 every crossing is a tick.  The burst starts one time
+        # constant before a free-running crossing, so the dragged crossing
+        # falls while the offset is still relaxing toward delta.
+        cfg = RtcConfig(divider_reload=1)
+        tau = cfg.convergence_time_constant
+        delta = math.pi / 2
+        target = math.asin(0.5) + TWO_PI * 3
+        t0 = target / (TWO_PI * F) - tau
+        burst = InjectionBurst(t0, 1.6e-5, Sinusoid(0.005, F, delta))
+        _, events = apply_phase_advance_with_events(initial_state(cfg), cfg, burst)
+
+        def path(t):
+            return TWO_PI * F * t + delta * (1.0 - math.exp(-(t - t0) / tau)) - target
+
+        want = brentq(path, t0, t0 + 5 * tau, xtol=1e-18)
+        assert len(events) == 4
+        assert events[-1].time == pytest.approx(want, abs=1e-12)
 
     def test_k_bursts_gain_k_quarters(self):
         # k consecutive full-convergence bursts of pi/2 add k/4 extra cycles.
