@@ -18,6 +18,7 @@ import math
 from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def daubechies_lowpass(order: int) -> np.ndarray:
@@ -58,40 +59,47 @@ DEFAULT_LO = daubechies_lowpass(8)
 def _filters(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = lo[::-1].copy()
     hi[1::2] *= -1.0
+    if len(lo) % 2:
+        # a zero tap keeps the polyphase split even and the sums unchanged
+        lo, hi = np.append(lo, 0.0), np.append(hi, 0.0)
     return lo, hi
 
 
-def _wrapped_kernel(taps: np.ndarray, n: int) -> np.ndarray:
-    kernel = np.zeros(n)
-    for m, tap in enumerate(taps):
-        kernel[m % n] += tap
-    return kernel
+def _circular_windows(phase: np.ndarray, width: int, lead: int) -> np.ndarray:
+    """Row k holds phase[(k - lead + i) mod len(phase)] for i < width.
+
+    ``np.pad`` in wrap mode repeats the phase as often as needed, so phases
+    shorter than the window still see the periodized signal.
+    """
+    extended = np.pad(phase, (lead, width - 1 - lead), mode="wrap")
+    return sliding_window_view(extended, width)
 
 
 def _analysis_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Periodized filter bank: y[k] = sum_m f[m] x[(2k + 1 - m) mod n],
-    # i.e. circular convolution downsampled at odd indices.
-    n = len(x)
-    fx = np.fft.rfft(x)
-    conv_lo = np.fft.irfft(fx * np.fft.rfft(_wrapped_kernel(lo, n)), n)
-    conv_hi = np.fft.irfft(fx * np.fft.rfft(_wrapped_kernel(hi, n)), n)
-    return conv_lo[1::2], conv_hi[1::2]
+    # Periodized filter bank y[k] = sum_m f[m] x[(2k + 1 - m) mod n] in
+    # polyphase form: y[k] = sum_r f[2r] x_odd[k - r] + f[2r + 1] x_even[k - r],
+    # indices mod n/2.  Rows of each (2, width) tap matrix are (lo, hi),
+    # reversed to run along the windows.
+    width = len(lo) // 2
+    even_taps = np.array([lo[0::2], hi[0::2]])[:, ::-1]
+    odd_taps = np.array([lo[1::2], hi[1::2]])[:, ::-1]
+    a, d = (even_taps @ _circular_windows(x[1::2], width, width - 1).T
+            + odd_taps @ _circular_windows(x[0::2], width, width - 1).T)
+    return a, d
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Adjoint of the analysis step: circular correlation of the upsampled
-    # subbands with the same filters.
-    n = 2 * len(a)
-    up = np.zeros(n)
-    up[1::2] = a
-    dup = np.zeros(n)
-    dup[1::2] = d
-    out = np.fft.irfft(
-        np.fft.rfft(up) * np.conj(np.fft.rfft(_wrapped_kernel(lo, n)))
-        + np.fft.rfft(dup) * np.conj(np.fft.rfft(_wrapped_kernel(hi, n))),
-        n,
-    )
-    return out
+    # Adjoint of the analysis step: out[2i] = sum_r f[2r + 1] s[i + r] and
+    # out[2i + 1] = sum_r f[2r] s[i + r], summed over the subbands s = a, d
+    # with their filters f = lo, hi, indices mod n/2.  Column 0 of the product
+    # is the even output and column 1 the odd one, so the row-major reshape
+    # interleaves them.
+    width = len(lo) // 2
+    lo_taps = np.array([lo[1::2], lo[0::2]])
+    hi_taps = np.array([hi[1::2], hi[0::2]])
+    out = (_circular_windows(a, width, 0) @ lo_taps.T
+           + _circular_windows(d, width, 0) @ hi_taps.T)
+    return out.reshape(-1)
 
 
 def dwt(x: np.ndarray, levels: int, lo: np.ndarray = DEFAULT_LO):

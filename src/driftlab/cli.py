@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 
@@ -45,23 +46,45 @@ EXIT_NUMERIC = 4
 
 
 class _Output:
-    """Deterministic text sink: a file path or stdout."""
+    """Deterministic text sink: stdout, or a file that changes only on success.
+
+    A regular (or new) ``--out`` file is written through a temporary file
+    beside it, which replaces it when the subcommand returns and is removed
+    when it raises, so a refusal leaves an existing file as it was.  Every
+    subcommand returns EXIT_OK or raises.  Devices and pipes are written
+    directly.
+    """
 
     def __init__(self, path):
         self.path = path
 
     def __enter__(self):
+        self._fh = self._tmp = None
         if self.path is None or self.path == "-":
-            self._fh = sys.stdout
-            self._own = False
-        else:
+            return sys.stdout
+        target = os.path.realpath(self.path)
+        if os.path.exists(target) and not os.path.isfile(target):
             self._fh = open(self.path, "w", newline="", encoding="utf-8")
-            self._own = True
+            return self._fh
+        head, tail = os.path.split(target)
+        self._target = target
+        self._tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        try:
+            self._fh = open(self._tmp, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.path) from None
         return self._fh
 
-    def __exit__(self, *exc):
-        if self._own:
+    def __exit__(self, exc_type, exc, tb):
+        if self._fh is not None:
             self._fh.close()
+        if self._tmp is not None:
+            try:
+                if exc_type is None:
+                    os.replace(self._tmp, self._target)
+            finally:
+                if os.path.exists(self._tmp):
+                    os.unlink(self._tmp)
         return False
 
 

@@ -54,6 +54,15 @@ class _Checker:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(f"{path}.{key}", f"expected a number, got {value!r}")
             return None
+        # JSON admits NaN and +-Infinity, and every range test below is
+        # false against NaN.
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf if value > 0 else -math.inf
+        if not math.isfinite(number):
+            self.fail(f"{path}.{key}", f"must be a finite number, got {number}")
+            return None
         if minimum is not None and value < minimum:
             self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
             return None
@@ -63,7 +72,7 @@ class _Checker:
         if maximum is not None and value > maximum:
             self.fail(f"{path}.{key}", f"must be <= {maximum}, got {value}")
             return None
-        return float(value)
+        return number
 
     def integer(self, obj: dict, path: str, key: str, default=None,
                 minimum=None, maximum=None):

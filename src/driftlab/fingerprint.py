@@ -20,7 +20,6 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
 
 from . import _wavelet
 from .signals import TWO_PI, SampledTrace
@@ -109,13 +108,43 @@ def scale(trace: SampledTrace, a: float, b: float) -> SampledTrace:
     return SampledTrace(trace.sample_rate, scaled, trace.start_time)
 
 
+def _bandpass_taps(numtaps: int, lo: float, hi: float,
+                   sample_rate: float) -> np.ndarray:
+    """Hamming-windowed sinc band-pass on [lo, hi] Hz with unit gain at the
+    band centre (the window method, as in Oppenheim & Schafer, sec. 7.5)."""
+    nyquist = 0.5 * sample_rate
+    left, right = lo / nyquist, hi / nyquist
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    taps = right * np.sinc(right * m) - left * np.sinc(left * m)
+    taps *= np.hamming(numtaps)
+    return taps / np.sum(taps * np.cos(np.pi * m * 0.5 * (left + right)))
+
+
+def _smooth_length(target: int) -> int:
+    """Smallest 2^i 3^j 5^k >= target: a fast FFT size."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-target // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _bandpass(x: np.ndarray, sample_rate: float, f0: float, bandwidth: float,
               numtaps: int) -> np.ndarray:
-    lo = f0 - 0.5 * bandwidth
-    hi = f0 + 0.5 * bandwidth
-    taps = firwin(numtaps, [lo, hi], pass_zero=False, fs=sample_rate)
-    # Symmetric FIR applied centred: linear phase, zero net delay.
-    return fftconvolve(x, taps, mode="same")
+    taps = _bandpass_taps(numtaps, f0 - 0.5 * bandwidth, f0 + 0.5 * bandwidth,
+                          sample_rate)
+    # Full linear convolution by FFT, then its centred len(x) samples: the
+    # symmetric FIR applied with linear phase and zero net delay.
+    full = len(x) + numtaps - 1
+    size = _smooth_length(full)
+    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(taps, size), size)
+    start = (full - len(x)) // 2
+    return conv[start:start + len(x)]
 
 
 def denoise(

@@ -1,8 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import driftlab
 
 from driftlab.cli import main
 
@@ -30,6 +35,18 @@ BASE_CONFIG = {
     "clock_synth": {"ref_freq_hz": 25e6, "pll_mult": 36.0,
                     "multisynth_div": 27465.82},
 }
+
+
+def _numeric_paths(node, prefix=""):
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _numeric_paths(value, path + ".")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+NUMERIC_PATHS = list(_numeric_paths(BASE_CONFIG))
 
 
 @pytest.fixture
@@ -270,6 +287,28 @@ class TestValidationAndDeterminism:
         assert rc == 2
         assert "$.medium.name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", NUMERIC_PATHS)
+    def test_non_finite_number_rejected(self, field, value, config_path,
+                                        tmp_path, capsys):
+        # json.dumps writes NaN, Infinity and -Infinity, which json.load reads
+        path = config_path(overrides={field: value})
+        out = tmp_path / "x.csv"
+        assert main(["bp", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"$.{field}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_past_float_range_rejected(self, config_path, tmp_path,
+                                               capsys):
+        path = config_path(overrides={"medium.thickness_mm": 10 ** 400})
+        assert main(["bp", "--config", path,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "$.medium.thickness_mm: must be a finite number" in (
+            capsys.readouterr().err)
+
     def test_missing_schema_version_rejected(self, config_path, tmp_path):
         path = config_path(schema_version=99)
         assert main(["dispersion", "--config", path,
@@ -286,3 +325,36 @@ class TestValidationAndDeterminism:
         assert main([command, "--config", path, "--out", str(out1)]) == 0
         assert main([command, "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestOutputFile:
+    def test_refusal_keeps_existing_out_file(self, config_path, tmp_path,
+                                             capsys):
+        path = config_path(overrides={"medium.name": "aluminum"})
+        out = tmp_path / "sim.csv"
+        out.write_bytes(b"previous,run\n1,2\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert "cannot stall" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous,run\n1,2\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_success_replaces_out_file(self, config_path, tmp_path):
+        out = tmp_path / "bp.csv"
+        out.write_text("stale\n")
+        path = config_path()
+        assert main(["bp", "--config", path, "--out", str(out)]) == 0
+        assert _rows(out)[0][0] != "stale"
+        assert sorted(os.listdir(tmp_path)) == ["bp.csv", "scenario.json"]
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only; the package and its CLI use numpy.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+    code = ("import sys, driftlab, driftlab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

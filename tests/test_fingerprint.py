@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve, firwin
 
 from driftlab.fingerprint import (
+    BANDPASS_TAPS,
     CaptureConfig,
     DegenerateTraceError,
     SscProfile,
+    _bandpass,
+    _bandpass_taps,
     build_template_bank,
     classify,
     denoise,
@@ -21,6 +25,43 @@ from driftlab.fingerprint import (
     synthesize,
 )
 from driftlab.signals import SampledTrace, TWO_PI
+
+# classify() at the criterion-9 setting (6 MHz, 0.1 s, 15 dB, 200 kHz bands),
+# recorded with the earlier FFT-based wavelet filter bank and scipy.signal
+# band-pass: capture -> (label, confidences in library order).  The profile
+# captures use seed 100 + library index, the noise capture
+# default_rng(5).normal(size=600_000).
+GOLDEN_CONFIDENCES = {
+    "synthetic-01": ("synthetic-01", [
+        0.999780474879471, 0.9948325178785499, 0.9947251203788261,
+        0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0,
+        0.0, 0.0007331563303059735, 0.0,
+        0.011438299350289819, 0.01855976521462585, 0.030111455003911023,
+    ]),
+    "synthetic-08": ("synthetic-08", [
+        0.0, 0.0, 0.0,
+        0.0053925087511844895, 0.0036375087039227033, 0.004288657707834811,
+        0.9678750128622353, 0.999603404014964, 0.9644501850204316,
+        0.0, 0.0, 0.0,
+        0.014218493851008823, 0.019933149809828188, 0.03435924391121413,
+    ]),
+    "synthetic-15": ("synthetic-15", [
+        0.005506278299654836, 0.005596580155005874, 0.0053023675732921105,
+        0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0,
+        0.051446872463740426, 0.0, 0.0,
+        0.9464695509748031, 0.9607430541846858, 0.9979455574032146,
+    ]),
+    "noise": (None, [
+        0.005749269994402706, 0.0053842402793409525, 0.007445937470497772,
+        0.007747239189426328, 0.008564774452076405, 0.007355020134499028,
+        0.0, 0.0, 0.0,
+        0.0060113598085158974, 0.002627473129279912, 0.001833188833443628,
+        0.009157249002343826, 0.02056757551659246, 0.02905437854643496,
+    ]),
+}
+
 
 FAST_CFG = CaptureConfig(sample_rate=6e6, duration=0.01, snr_db=15.0,
                          bandwidth=2e5)
@@ -167,6 +208,52 @@ class TestDenoise:
             denoise(trace, 2.95e6, 2e5)
 
 
+class TestBandpass:
+    """The numpy band-pass against scipy.signal's window-method design and
+    FFT convolution, which it replaced."""
+
+    FS = 6e6
+
+    @pytest.fixture(scope="class")
+    def bands(self, library):
+        return sorted({p.f0 for p in library})
+
+    def test_taps_match_firwin_on_bundled_bands(self, bands):
+        assert len(bands) == 5
+        for f0 in bands:
+            lo, hi = f0 - 1e5, f0 + 1e5
+            taps = _bandpass_taps(BANDPASS_TAPS, lo, hi, self.FS)
+            ref = firwin(BANDPASS_TAPS, [lo, hi], pass_zero=False, fs=self.FS)
+            np.testing.assert_allclose(taps, ref, rtol=0, atol=1e-15)
+
+    @given(
+        numtaps=st.integers(min_value=0, max_value=512).map(lambda k: 2 * k + 1),
+        lo_frac=st.floats(min_value=1e-3, max_value=0.98),
+        share=st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_taps_match_firwin_on_drawn_bands(self, numtaps, lo_frac, share):
+        # band edges as fractions of Nyquist; the upper edge takes ``share``
+        # of the room between the lower edge and 0.999
+        nyquist = 0.5 * self.FS
+        lo = lo_frac * nyquist
+        hi = (lo_frac + (0.999 - lo_frac) * share) * nyquist
+        taps = _bandpass_taps(numtaps, lo, hi, self.FS)
+        ref = firwin(numtaps, [lo, hi], pass_zero=False, fs=self.FS)
+        np.testing.assert_allclose(taps, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 100, 256, 257, 258, 1000, 60000])
+    def test_filter_matches_fftconvolve_same(self, bands, n):
+        x = np.random.default_rng(n).normal(size=n)
+        for f0 in bands:
+            taps = firwin(BANDPASS_TAPS, [f0 - 1e5, f0 + 1e5], pass_zero=False,
+                          fs=self.FS)
+            ref = fftconvolve(x, taps, mode="same")
+            got = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestClassify:
     def test_closed_loop_label(self, library):
         bank = build_template_bank(library, FAST_CFG)
@@ -192,6 +279,24 @@ class TestClassify:
             trace = synthesize(src, FAST_CFG, seed=21)
             label, _ = classify(trace, pair, FAST_CFG, bank=bank)
             assert label == src.label
+
+    def test_golden_confidences(self, library):
+        cfg = CaptureConfig(sample_rate=6e6, duration=0.1, snr_db=15.0,
+                            bandwidth=2e5)
+        bank = build_template_bank(library, cfg)
+        index = {p.label: i for i, p in enumerate(library)}
+        for capture, (want_label, want) in GOLDEN_CONFIDENCES.items():
+            if capture == "noise":
+                rng = np.random.default_rng(5)
+                trace = SampledTrace(6e6, rng.normal(size=600_000))
+            else:
+                i = index[capture]
+                trace = synthesize(library[i], cfg, seed=100 + i)
+            label, confidences = classify(trace, library, cfg, bank=bank)
+            assert label == want_label
+            assert list(confidences) == [p.label for p in library]
+            for got, expected in zip(confidences.values(), want, strict=True):
+                assert abs(got - expected) <= 1e-12
 
     def test_empty_library_rejected(self):
         with pytest.raises(ValueError):

@@ -78,3 +78,73 @@ class TestThresholding:
         noisy = clean + 0.3 * rng.normal(size=4096)
         out = denoise(noisy, 4)
         assert np.std(out - clean) < 0.5 * np.std(noisy - clean)
+
+
+def _periodized_matrix(taps, n):
+    """Rows y[k] = sum_m taps[m] x[(2k + 1 - m) mod n], k < n/2: the odd rows
+    of the explicit n x n circulant of ``taps``, built entry by entry."""
+    rows = np.zeros((n // 2, n))
+    k = np.arange(n // 2)
+    for m, tap in enumerate(taps):
+        rows[k, (2 * k + 1 - m) % n] += tap
+    return rows
+
+
+def _dense_pair(n, lo=DEFAULT_LO):
+    hi = lo[::-1].copy()
+    hi[1::2] *= -1.0
+    return _periodized_matrix(lo, n), _periodized_matrix(hi, n)
+
+
+class TestAgainstDenseReference:
+    """The polyphase steps against dense periodized-convolution matrices:
+    analysis applies (L, H) level by level, synthesis their transposes.
+    Lengths 2, 8 and 16 give phases shorter than the 8-tap db8 phase
+    filters, so the circular extension wraps more than once; 100 is padded
+    to a multiple of 16."""
+
+    CASES = [(2, 1), (8, 3), (16, 4), (64, 4), (4096, 4), (100, 4)]
+
+    @pytest.mark.parametrize("n,levels", CASES)
+    def test_dwt_matches_dense(self, n, levels):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        ref = np.concatenate([x, np.full(-n % (1 << levels), x[-1])])
+        details = []
+        for _ in range(levels):
+            low, high = _dense_pair(len(ref))
+            ref, d = low @ ref, high @ ref
+            details.append(d)
+        a, got_details, n_orig = dwt(x, levels)
+        assert n_orig == n
+        np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12)
+        for got, want in zip(got_details, details, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,levels", CASES)
+    def test_idwt_matches_dense_adjoint(self, n, levels):
+        rng = np.random.default_rng(n + 1)
+        block = n + (-n % (1 << levels))
+        details = [rng.normal(size=block >> (j + 1)) for j in range(levels)]
+        a = rng.normal(size=block >> levels)
+        ref = a
+        for j in reversed(range(levels)):
+            low, high = _dense_pair(block >> j)
+            ref = low.T @ ref + high.T @ details[j]
+        got = idwt(a, details, n)
+        assert len(got) == n
+        np.testing.assert_allclose(got, ref[:n], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lo", [
+        daubechies_lowpass(1), daubechies_lowpass(3), np.array([0.3, 0.5, 0.2]),
+    ], ids=["db1", "db3", "odd-length"])
+    def test_other_filter_lengths(self, lo):
+        x = np.random.default_rng(len(lo)).normal(size=16)
+        low, high = _dense_pair(16, lo)
+        a, (d,), _ = dwt(x, 1, lo)
+        np.testing.assert_allclose(a, low @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d, high @ x, rtol=0, atol=1e-12)
+        y = np.random.default_rng(len(lo) + 1).normal(size=(2, 8))
+        np.testing.assert_allclose(idwt(y[0], [y[1]], 16, lo),
+                                   low.T @ y[0] + high.T @ y[1],
+                                   rtol=0, atol=1e-12)
