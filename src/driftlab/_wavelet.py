@@ -18,7 +18,6 @@ import math
 from math import comb
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def daubechies_lowpass(order: int) -> np.ndarray:
@@ -65,41 +64,35 @@ def _filters(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _circular_windows(phase: np.ndarray, width: int, lead: int) -> np.ndarray:
-    """Row k holds phase[(k - lead + i) mod len(phase)] for i < width.
-
-    ``np.pad`` in wrap mode repeats the phase as often as needed, so phases
-    shorter than the window still see the periodized signal.
-    """
-    extended = np.pad(phase, (lead, width - 1 - lead), mode="wrap")
-    return sliding_window_view(extended, width)
-
-
 def _analysis_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # Periodized filter bank y[k] = sum_m f[m] x[(2k + 1 - m) mod n] in
     # polyphase form: y[k] = sum_r f[2r] x_odd[k - r] + f[2r + 1] x_even[k - r],
-    # indices mod n/2.  Rows of each (2, width) tap matrix are (lo, hi),
-    # reversed to run along the windows.
-    width = len(lo) // 2
-    even_taps = np.array([lo[0::2], hi[0::2]])[:, ::-1]
-    odd_taps = np.array([lo[1::2], hi[1::2]])[:, ::-1]
-    a, d = (even_taps @ _circular_windows(x[1::2], width, width - 1).T
-            + odd_taps @ _circular_windows(x[0::2], width, width - 1).T)
+    # indices mod n/2.  Each phase gets a circular lead of width - 1 samples
+    # (``np.pad`` in wrap mode repeats phases shorter than that), so a "valid"
+    # convolution yields exactly n/2 outputs.
+    lead = len(lo) // 2 - 1
+    odd = np.pad(x[1::2], (lead, 0), mode="wrap")
+    even = np.pad(x[0::2], (lead, 0), mode="wrap")
+    a = np.convolve(odd, lo[0::2], "valid") + np.convolve(even, lo[1::2], "valid")
+    d = np.convolve(odd, hi[0::2], "valid") + np.convolve(even, hi[1::2], "valid")
     return a, d
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # Adjoint of the analysis step: out[2i] = sum_r f[2r + 1] s[i + r] and
     # out[2i + 1] = sum_r f[2r] s[i + r], summed over the subbands s = a, d
-    # with their filters f = lo, hi, indices mod n/2.  Column 0 of the product
-    # is the even output and column 1 the odd one, so the row-major reshape
-    # interleaves them.
-    width = len(lo) // 2
-    lo_taps = np.array([lo[1::2], lo[0::2]])
-    hi_taps = np.array([hi[1::2], hi[0::2]])
-    out = (_circular_windows(a, width, 0) @ lo_taps.T
-           + _circular_windows(d, width, 0) @ hi_taps.T)
-    return out.reshape(-1)
+    # with their filters f = lo, hi, indices mod n/2: a correlation, so the
+    # phase taps run reversed over a circular trail of width - 1 samples.
+    # One subband is extended at a time to keep the peak footprint low.
+    trail = len(lo) // 2 - 1
+    out = np.empty(2 * len(a))
+    s = np.pad(a, (0, trail), mode="wrap")
+    out[0::2] = np.convolve(s, lo[-1::-2], "valid")
+    out[1::2] = np.convolve(s, lo[-2::-2], "valid")
+    s = np.pad(d, (0, trail), mode="wrap")
+    out[0::2] += np.convolve(s, hi[-1::-2], "valid")
+    out[1::2] += np.convolve(s, hi[-2::-2], "valid")
+    return out
 
 
 def dwt(x: np.ndarray, levels: int, lo: np.ndarray = DEFAULT_LO):
@@ -133,7 +126,12 @@ def universal_threshold(detail_fine: np.ndarray, n: int) -> float:
 
 
 def soft_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(coeffs) * np.maximum(np.abs(coeffs) - threshold, 0.0)
+    # sign(c) * max(|c| - threshold, 0), built in one new array
+    out = np.abs(coeffs)
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(coeffs)
+    return out
 
 
 def denoise(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:

@@ -234,6 +234,11 @@ def _cmd_classify(scenario: Scenario, fh) -> int:
         path = source["file"]
         loader = load_trace_bin if str(path).endswith(".bin") else load_trace_csv
         trace = loader(path)
+        if trace.sample_rate != scenario.capture.sample_rate:
+            raise ConfigError([
+                f"$.fingerprint.sample_rate_hz: {scenario.capture.sample_rate} Hz, "
+                f"but {path} is sampled at {trace.sample_rate} Hz"
+            ])
     label, confidences = classify(
         trace, scenario.library, scenario.capture,
         threshold=scenario.confidence_threshold,

@@ -13,6 +13,7 @@ not proceed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -27,6 +28,9 @@ from .signals import TWO_PI, SampledTrace
 UNKNOWN_THRESHOLD = 0.6
 BANDPASS_TAPS = 257
 WAVELET_LEVELS = 4
+# Held zero-phase band responses: one per (band, FFT size), enough for the
+# five carriers of the bundled library with room to spare.
+_BAND_RESPONSES = 8
 
 
 class DegenerateTraceError(ValueError):
@@ -100,12 +104,19 @@ def scale(trace: SampledTrace, a: float, b: float) -> SampledTrace:
     if a <= 0.0 or b <= 0.0:
         raise ValueError("scaling bounds must be > 0")
     x = trace.samples
+    _require_finite(x, "trace")
     x_min = float(x.min())
     x_max = float(x.max())
     if x_max == x_min:
         raise DegenerateTraceError("constant trace cannot be scaled")
     scaled = -a + (x - x_min) / (x_max - x_min) * (b + a)
     return SampledTrace(trace.sample_rate, scaled, trace.start_time)
+
+
+def _require_finite(samples: np.ndarray, where: str) -> None:
+    if not np.isfinite(samples).all():
+        i = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise ValueError(f"{where}: sample {i} is {samples[i]}, not finite")
 
 
 def _bandpass_taps(numtaps: int, lo: float, hi: float,
@@ -134,17 +145,38 @@ def _smooth_length(target: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=_BAND_RESPONSES)
+def _band_response(numtaps: int, lo: float, hi: float, sample_rate: float,
+                   size: int) -> np.ndarray:
+    """Response on the rfft grid of ``size`` of the band-pass taps placed
+    circularly centred on index 0.  An odd-length symmetric FIR so placed is
+    zero-phase (type-I linear phase, Oppenheim & Schafer sec. 5.7): its DFT
+    is real up to rounding, and only the real part is kept."""
+    taps = _bandpass_taps(numtaps, lo, hi, sample_rate)
+    c = (numtaps - 1) // 2
+    h = np.zeros(size)
+    h[:c + 1] = taps[c:]
+    h[size - c:] = taps[:c]
+    response = np.fft.rfft(h).real.copy()
+    response.flags.writeable = False
+    return response
+
+
 def _bandpass(x: np.ndarray, sample_rate: float, f0: float, bandwidth: float,
-              numtaps: int) -> np.ndarray:
-    taps = _bandpass_taps(numtaps, f0 - 0.5 * bandwidth, f0 + 0.5 * bandwidth,
-                          sample_rate)
-    # Full linear convolution by FFT, then its centred len(x) samples: the
-    # symmetric FIR applied with linear phase and zero net delay.
-    full = len(x) + numtaps - 1
-    size = _smooth_length(full)
-    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(taps, size), size)
-    start = (full - len(x)) // 2
-    return conv[start:start + len(x)]
+              numtaps: int, spectrum: Optional[np.ndarray] = None) -> np.ndarray:
+    """The centred len(x) samples of the full linear convolution of ``x`` with
+    the band-pass taps: linear phase, zero net delay.  ``spectrum``, when
+    given, is ``np.fft.rfft(x, _smooth_length(len(x) + numtaps - 1))``."""
+    if numtaps % 2 == 0:
+        raise ValueError(f"numtaps must be odd for a zero-phase band-pass, "
+                         f"got {numtaps}")
+    # the full convolution fits, so the circular product does not wrap
+    size = _smooth_length(len(x) + numtaps - 1)
+    if spectrum is None:
+        spectrum = np.fft.rfft(x, size)
+    response = _band_response(numtaps, f0 - 0.5 * bandwidth,
+                              f0 + 0.5 * bandwidth, sample_rate, size)
+    return np.fft.irfft(spectrum * response, size)[:len(x)]
 
 
 def denoise(
@@ -154,14 +186,22 @@ def denoise(
     *,
     numtaps: int = BANDPASS_TAPS,
     wavelet_levels: int = WAVELET_LEVELS,
+    spectrum: Optional[np.ndarray] = None,
 ) -> SampledTrace:
-    """Band-pass around ``f0`` then wavelet-denoise the surviving band."""
+    """Band-pass around ``f0`` then wavelet-denoise the surviving band.
+
+    ``numtaps`` must be odd.  ``spectrum`` optionally supplies the rfft of
+    the samples at the 2-3-5-smooth length >= len(trace) + numtaps - 1, so
+    callers that filter one capture around several carriers transform it
+    once.
+    """
     nyquist = 0.5 * trace.sample_rate
     if f0 - 0.5 * bandwidth <= 0.0 or f0 + 0.5 * bandwidth >= nyquist:
         raise ValueError(
             f"band {f0} +/- {bandwidth / 2} Hz not inside (0, {nyquist}) Hz"
         )
-    filtered = _bandpass(trace.samples, trace.sample_rate, f0, bandwidth, numtaps)
+    filtered = _bandpass(trace.samples, trace.sample_rate, f0, bandwidth,
+                         numtaps, spectrum)
     cleaned = _wavelet.denoise(filtered, wavelet_levels)
     return SampledTrace(trace.sample_rate, cleaned, trace.start_time)
 
@@ -219,21 +259,32 @@ def classify(
     Iterates over the candidate carrier frequencies present in the library,
     denoises the capture around each one once, and scores every profile in
     its own band by spectral correlation against the synthetic template.
+    The scaled capture is transformed once and shared by every band.
     """
     if not library:
         raise ValueError("profile library is empty")
+    if trace.sample_rate != cfg.sample_rate:
+        raise ValueError(
+            f"trace sampled at {trace.sample_rate} Hz, capture settings "
+            f"expect {cfg.sample_rate} Hz"
+        )
+    scaled = scale(trace, cfg.scale_a, cfg.scale_b)
     if bank is None:
         bank = build_template_bank(library, cfg)
-    scaled = scale(trace, cfg.scale_a, cfg.scale_b)
+    spectrum = np.fft.rfft(scaled.samples,
+                           _smooth_length(len(scaled) + BANDPASS_TAPS - 1))
     confidences: dict[str, float] = {}
     by_f0: dict[float, list[SscProfile]] = {}
     for profile in library:
         by_f0.setdefault(profile.f0, []).append(profile)
     for f0, profiles in by_f0.items():
-        cleaned = denoise(scaled, f0, cfg.bandwidth)
-        spectrum = _band_spectrum(cleaned.samples, cfg.sample_rate, f0, cfg.bandwidth)
+        # nested, so each denoised band is freed before the next is made
+        band = _band_spectrum(
+            denoise(scaled, f0, cfg.bandwidth, spectrum=spectrum).samples,
+            cfg.sample_rate, f0, cfg.bandwidth,
+        )
         for profile in profiles:
-            confidences[profile.label] = _correlation(spectrum, bank[profile.label])
+            confidences[profile.label] = _correlation(band, bank[profile.label])
     best = max(confidences, key=lambda k: confidences[k])
     if confidences[best] < threshold:
         return None, confidences
@@ -281,6 +332,7 @@ def load_trace_bin(path) -> SampledTrace:
         samples = np.frombuffer(fh.read(8 * n), dtype="<f8")
         if len(samples) != n:
             raise ValueError(f"{path}: truncated trace")
+    _require_finite(samples, str(path))
     return SampledTrace(sample_rate, samples.copy(), start_time)
 
 
@@ -303,4 +355,5 @@ def load_trace_csv(path) -> SampledTrace:
         sample_rate, start_time = (float(x) for x in next(reader)[:2])
         next(reader)  # volts header
         samples = np.array([float(row[0]) for row in reader])
+    _require_finite(samples, str(path))
     return SampledTrace(sample_rate, samples, start_time)

@@ -291,13 +291,6 @@ class PhaseMap:
         phi_a, beta1_a = self.anchors[z]
         return wrap_phase(beta1_a + (phi - phi_a))
 
-    def excitation_for(self, z: float, beta1: float) -> float:
-        """Inverse lookup: excitation phase that induces ``beta1``."""
-        if z not in self.anchors:
-            raise KeyError(f"no calibration for z={z}")
-        phi_a, beta1_a = self.anchors[z]
-        return wrap_phase(phi_a + (beta1 - beta1_a))
-
 
 def calibrate_phase_map(
     context,

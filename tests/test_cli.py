@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import driftlab
 
 from driftlab.cli import main
+from driftlab.fingerprint import save_trace_bin, save_trace_csv
+from driftlab.signals import SampledTrace
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -207,6 +210,36 @@ class TestClassifyCommand:
         assert rows[-1] == ["synthetic-04", "", "result"]
         selected = [r for r in rows[1:-1] if r[2] == "true"]
         assert len(selected) == 1 and selected[0][0] == "synthetic-04"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_trace_refused(self, fmt, bad, config_path, tmp_path,
+                                      capsys):
+        samples = np.random.default_rng(0).normal(size=60000)
+        samples[321] = bad
+        trace = tmp_path / f"capture.{fmt}"
+        save = save_trace_csv if fmt == "csv" else save_trace_bin
+        save(SampledTrace(6e6, samples), trace)
+        out = tmp_path / "cls.csv"
+        out.write_bytes(b"earlier result\n")
+        path = config_path(overrides={"fingerprint.trace": {"file": str(trace)}})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"capture.{fmt}: sample 321 " in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"earlier result\n"
+
+    def test_sample_rate_mismatch_named(self, config_path, tmp_path, capsys):
+        trace = tmp_path / "capture.bin"
+        samples = np.random.default_rng(0).normal(size=30000)
+        save_trace_bin(SampledTrace(3e6, samples), trace)
+        path = config_path(overrides={"fingerprint.trace": {"file": str(trace)}})
+        rc = main(["classify", "--config", path, "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "$.fingerprint.sample_rate_hz" in err
+        assert "3000000.0 Hz" in err and "6000000.0 Hz" in err
+        assert "Traceback" not in err
 
 
 class TestBpCommand:

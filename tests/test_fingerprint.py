@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from driftlab.fingerprint import (
     CaptureConfig,
     DegenerateTraceError,
     SscProfile,
+    _band_response,
     _bandpass,
     _bandpass_taps,
+    _smooth_length,
     build_template_bank,
     classify,
     denoise,
@@ -154,6 +157,10 @@ class TestScale:
         with pytest.raises(DegenerateTraceError):
             scale(SampledTrace(10.0, np.ones(8)), 50.0, 50.0)
 
+    def test_non_finite_trace_rejected(self):
+        with pytest.raises(ValueError, match="sample 1 "):
+            scale(SampledTrace(10.0, np.array([0.0, math.nan, 1.0])), 50.0, 50.0)
+
     @given(
         c=st.floats(min_value=0.1, max_value=10.0),
         d=st.floats(min_value=-5.0, max_value=5.0),
@@ -207,6 +214,12 @@ class TestDenoise:
         with pytest.raises(ValueError):
             denoise(trace, 2.95e6, 2e5)
 
+    @pytest.mark.parametrize("numtaps", [2, 256])
+    def test_even_numtaps_rejected(self, numtaps):
+        trace = SampledTrace(6e6, np.random.default_rng(0).normal(size=1024))
+        with pytest.raises(ValueError, match="odd"):
+            denoise(trace, 5e5, 2e5, numtaps=numtaps)
+
 
 class TestBandpass:
     """The numpy band-pass against scipy.signal's window-method design and
@@ -252,6 +265,32 @@ class TestBandpass:
             got = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @given(
+        numtaps=st.integers(min_value=0, max_value=512).map(lambda k: 2 * k + 1),
+        n=st.integers(min_value=1, max_value=5000),
+        f0_frac=st.floats(min_value=0.05, max_value=0.95),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_filter_matches_fftconvolve_same_on_drawn_lengths(self, numtaps, n,
+                                                               f0_frac):
+        # n < numtaps included: the output is still the centred n samples
+        f0 = f0_frac * 0.5 * self.FS
+        x = np.random.default_rng(n).normal(size=n)
+        taps = firwin(numtaps, [f0 - 1e5, f0 + 1e5], pass_zero=False,
+                      fs=self.FS)
+        ref = fftconvolve(x, taps, mode="same")
+        got = _bandpass(x, self.FS, f0, 2e5, numtaps)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_shared_spectrum_gives_the_same_band(self, bands):
+        x = np.random.default_rng(1).normal(size=1000)
+        spectrum = np.fft.rfft(x, _smooth_length(len(x) + BANDPASS_TAPS - 1))
+        for f0 in bands:
+            alone = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
+            shared = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS, spectrum)
+            assert np.array_equal(alone, shared)
 
 
 class TestClassify:
@@ -302,6 +341,56 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(SampledTrace(6e6, np.ones(16)), [], FAST_CFG)
 
+    def test_sample_rate_mismatch_named(self, library):
+        trace = SampledTrace(3e6, np.random.default_rng(0).normal(size=30000))
+        with pytest.raises(ValueError, match=r"3000000\.0 Hz.*6000000\.0 Hz"):
+            classify(trace, library, FAST_CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capture_rejected(self, library, bad):
+        samples = np.random.default_rng(0).normal(size=60000)
+        samples[1234] = bad
+        with pytest.raises(ValueError, match="sample 1234 "):
+            classify(SampledTrace(6e6, samples), library, FAST_CFG)
+
+
+class TestBandResponseTable:
+    """The held band responses are keyed by configuration: a band, its
+    filter length and the FFT size, never by a capture."""
+
+    CFG = CaptureConfig(sample_rate=6e6, duration=0.02, snr_db=15.0,
+                        bandwidth=2e5)
+
+    def test_second_capture_retains_nothing(self, library):
+        bank = build_template_bank(library, self.CFG)
+        first = synthesize(library[0], self.CFG, seed=1)
+        classify(first, library, self.CFG, bank=bank)
+        fresh = synthesize(library[7], self.CFG, seed=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            label, _ = classify(fresh, library, self.CFG, bank=bank)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert label == library[7].label
+        # one band response at this size is 4 * size bytes, about 0.48 MB;
+        # the five carriers would leave about 2.4 MB behind
+        assert retained < 1 << 20
+
+    def test_more_carriers_than_slots(self):
+        slots = _band_response.cache_info().maxsize
+        library = [SscProfile(f"p{i}", f0=3e5 + 2e5 * i, fm=2e4, df=0.005)
+                   for i in range(slots + 3)]
+        cfg = CaptureConfig(sample_rate=6e6, duration=0.001, bandwidth=2e5)
+        build_template_bank(library, cfg)
+        assert _band_response.cache_info().currsize == slots
+
+    def test_response_is_read_only(self):
+        response = _band_response(BANDPASS_TAPS, 4e5, 6e5, 6e6, 1024)
+        assert response.dtype == np.float64
+        assert not response.flags.writeable
+
 
 class TestIo:
     def test_library_file_shape(self, library):
@@ -330,3 +419,15 @@ class TestIo:
         path.write_bytes(b"NOTATRACE")
         with pytest.raises(ValueError):
             load_trace_bin(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_sample_rejected(self, tmp_path, fmt, bad):
+        samples = np.linspace(-1, 1, 33)
+        samples[17] = bad
+        path = tmp_path / f"t.{fmt}"
+        save, load = ((save_trace_csv, load_trace_csv) if fmt == "csv"
+                      else (save_trace_bin, load_trace_bin))
+        save(SampledTrace(6e6, samples), path)
+        with pytest.raises(ValueError, match=rf"t\.{fmt}: sample 17 "):
+            load(path)

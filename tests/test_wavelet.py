@@ -62,6 +62,15 @@ class TestThresholding:
         out = soft_threshold(x, 1.0)
         assert np.allclose(out, [-2.0, 0.0, 0.0, 0.0, 2.0])
 
+    def test_soft_threshold_matches_reference_expression(self):
+        # the in-place form performs the same roundings as the expression
+        x = np.random.default_rng(4).normal(size=4097)
+        x[:3] = [0.0, -0.0, 1.0]
+        before = x.copy()
+        want = np.sign(x) * np.maximum(np.abs(x) - 1.0, 0.0)
+        assert soft_threshold(x, 1.0).tobytes() == want.tobytes()
+        assert np.array_equal(x, before)
+
     def test_universal_threshold_tracks_noise_scale(self):
         rng = np.random.default_rng(1)
         for sigma in (0.1, 1.0):
