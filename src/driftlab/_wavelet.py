@@ -1,9 +1,10 @@
 """Minimal orthogonal wavelet transform with universal soft thresholding.
 
 Only what the denoising pipeline needs: a periodized multi-level DWT on a
-compactly supported orthogonal (Daubechies) wavelet, its exact inverse, and
-soft thresholding at sigma * sqrt(2 ln n) with the noise scale estimated
-from the finest detail band's median absolute value.
+compactly supported orthogonal (Daubechies) wavelet, its exact inverse, the
+DFT of that inverse taken straight from the subbands' own DFTs, and soft
+thresholding at sigma * sqrt(2 ln n) with the noise scale estimated from the
+finest detail band's median absolute value.
 
 Filter taps are computed at import time by the classic spectral
 factorization of the Daubechies binomial polynomial; the default order of 8
@@ -69,12 +70,16 @@ def _analysis_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # polyphase form: y[k] = sum_r f[2r] x_odd[k - r] + f[2r + 1] x_even[k - r],
     # indices mod n/2.  Each phase gets a circular lead of width - 1 samples
     # (``np.pad`` in wrap mode repeats phases shorter than that), so a "valid"
-    # convolution yields exactly n/2 outputs.
+    # convolution yields exactly n/2 outputs.  One phase is extended at a
+    # time to keep the peak footprint low.
     lead = len(lo) // 2 - 1
-    odd = np.pad(x[1::2], (lead, 0), mode="wrap")
-    even = np.pad(x[0::2], (lead, 0), mode="wrap")
-    a = np.convolve(odd, lo[0::2], "valid") + np.convolve(even, lo[1::2], "valid")
-    d = np.convolve(odd, hi[0::2], "valid") + np.convolve(even, hi[1::2], "valid")
+    phase = np.pad(x[1::2], (lead, 0), mode="wrap")
+    a = np.convolve(phase, lo[0::2], "valid")
+    d = np.convolve(phase, hi[0::2], "valid")
+    del phase
+    phase = np.pad(x[0::2], (lead, 0), mode="wrap")
+    a += np.convolve(phase, lo[1::2], "valid")
+    d += np.convolve(phase, hi[1::2], "valid")
     return a, d
 
 
@@ -134,9 +139,74 @@ def soft_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
-def denoise(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
-    """Soft universal-threshold denoising of a 1-D signal."""
+def shrink(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO):
+    """``dwt`` with every detail band soft-thresholded at the universal
+    threshold; returns (approximation, [d_fine..d_coarse], n)."""
     a, details, n = dwt(x, levels, lo)
     thr = universal_threshold(details[0], len(x))
-    details = [soft_threshold(d, thr) for d in details]
+    return a, [soft_threshold(d, thr) for d in details], n
+
+
+def denoise(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
+    """Soft universal-threshold denoising of a 1-D signal."""
+    a, details, n = shrink(x, levels, lo)
     return idwt(a, details, n, lo)
+
+
+def _level_responses(lo: np.ndarray, hi: np.ndarray, k: np.ndarray, m: int):
+    # sum_t f[t] w**(t - 1) for f = lo, hi and w = exp(2 pi i k / m), with k
+    # reduced mod m in integers first so large k lose no phase precision
+    w = np.exp(2j * math.pi / m * (k % m))
+    power = w.conj()
+    lo_sum = np.zeros(len(k), dtype=complex)
+    hi_sum = np.zeros(len(k), dtype=complex)
+    for f_lo, f_hi in zip(lo, hi):
+        lo_sum += f_lo * power
+        hi_sum += f_hi * power
+        power *= w
+    return lo_sum, hi_sum
+
+
+def synthesis_responses(n: int, levels: int, start: int, stop: int,
+                        lo: np.ndarray = DEFAULT_LO) -> list[np.ndarray]:
+    """F_j(k) for bins k in [start, stop) of a length-n reconstruction, one
+    array per subband in the order [a, d_fine, .., d_coarse].
+
+    One synthesis step on m samples puts subband s (m/2 samples) on the odd
+    samples and correlates with its filter f, so its DFT is
+    S(k mod m/2) * exp(-2 pi i k / m) * conj(F_m(k)) (Vaidyanathan, Multirate
+    Systems and Filter Banks, 1993, secs. 4.1 and 5.2).  F_j is the product
+    of those factors along the path from subband j up to the full length.
+    """
+    lo, hi = _filters(np.asarray(lo, dtype=float))
+    k = np.arange(start, stop)
+    through = np.ones(len(k), dtype=complex)   # low-pass path to this level
+    details = []
+    for level in range(levels):
+        lo_k, hi_k = _level_responses(lo, hi, k, n >> level)
+        details.append(through * hi_k)
+        through *= lo_k
+    return [through, *details]
+
+
+def reconstruction_dft(a: np.ndarray, details, start: int, stop: int,
+                       responses) -> np.ndarray:
+    """Bins start..stop-1 of the DFT of ``idwt(a, details, n)`` at its full
+    length n = len(a) * 2**len(details): Y(k) = sum_j S_j(k mod n_j) F_j(k),
+    with S_j the DFT of subband j (n_j samples) and F_j the ``responses``
+    that ``synthesis_responses`` gives for n, the levels, the bins and the
+    filter.  All-zero subbands contribute nothing and are skipped."""
+    k = np.arange(start, stop)
+    out = np.zeros(len(k), dtype=complex)
+    for s, f in zip([a, *details], responses, strict=True):
+        if not s.any():
+            continue
+        m = len(s)
+        idx = k % m
+        upper = idx > m // 2   # past the rfft half: conjugate symmetry
+        idx[upper] = m - idx[upper]
+        bins = np.fft.rfft(s)[idx]
+        np.conjugate(bins, out=bins, where=upper)
+        bins *= f
+        out += bins
+    return out

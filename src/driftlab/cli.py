@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,13 @@ from .effects import (
     rtc_drift_to_bp,
     synth_output_freq,
 )
-from .fingerprint import classify, load_trace_bin, load_trace_csv, synthesize
+from .fingerprint import (
+    capture_length,
+    classify,
+    load_trace_bin,
+    load_trace_csv,
+    synthesize,
+)
 from .lamb import NoRootError, dispersion_residual, load_media, solve_dispersion
 from .planner import (
     CalibrationError,
@@ -43,6 +50,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
+# Most points one --sweep may ask for, refused before anything is allocated.
+SWEEP_STEPS_MAX = 100_000
 
 
 class _Output:
@@ -108,8 +117,14 @@ def _parse_sweep(text: str):
         raise ConfigError(
             [f"--sweep: expected key=start:stop:steps, got {text!r}"]
         ) from None
-    if steps < 1:
-        raise ConfigError(["--sweep: steps must be >= 1"])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(
+            [f"--sweep: start and stop must be finite, got {start}:{stop}"]
+        )
+    if not 1 <= steps <= SWEEP_STEPS_MAX:
+        raise ConfigError(
+            [f"--sweep: steps must be in [1, {SWEEP_STEPS_MAX}], got {steps}"]
+        )
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     return key, values
 
@@ -238,6 +253,12 @@ def _cmd_classify(scenario: Scenario, fh) -> int:
             raise ConfigError([
                 f"$.fingerprint.sample_rate_hz: {scenario.capture.sample_rate} Hz, "
                 f"but {path} is sampled at {trace.sample_rate} Hz"
+            ])
+        n = capture_length(scenario.capture)
+        if len(trace) != n:
+            raise ConfigError([
+                f"$.fingerprint.duration_s: {scenario.capture.duration} s is "
+                f"{n} samples, but {path} holds {len(trace)}"
             ])
     label, confidences = classify(
         trace, scenario.library, scenario.capture,

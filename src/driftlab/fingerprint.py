@@ -28,7 +28,8 @@ from .signals import TWO_PI, SampledTrace
 UNKNOWN_THRESHOLD = 0.6
 BANDPASS_TAPS = 257
 WAVELET_LEVELS = 4
-# Held zero-phase band responses: one per (band, FFT size), enough for the
+# Held per-band tables (zero-phase band responses, and band bins with their
+# wavelet synthesis responses): one entry per band and length, enough for the
 # five carriers of the bundled library with room to spare.
 _BAND_RESPONSES = 8
 
@@ -77,6 +78,11 @@ class CaptureConfig:
             raise ValueError("bandwidth must be > 0")
 
 
+def capture_length(cfg: CaptureConfig) -> int:
+    """Samples in one capture under ``cfg``."""
+    return int(round(cfg.sample_rate * cfg.duration))
+
+
 def synthesize(profile: SscProfile, cfg: CaptureConfig, seed: int = 0) -> SampledTrace:
     """Deterministic SSC capture: the modulated carrier plus white noise."""
     highest = profile.f0 * (1.0 + profile.df)
@@ -85,7 +91,7 @@ def synthesize(profile: SscProfile, cfg: CaptureConfig, seed: int = 0) -> Sample
             f"sample_rate {cfg.sample_rate} Hz violates Nyquist for "
             f"f0 (1 + df) = {highest} Hz"
         )
-    n = int(round(cfg.sample_rate * cfg.duration))
+    n = capture_length(cfg)
     t = np.arange(n) / cfg.sample_rate
     inst_phase = TWO_PI * profile.f0 * t + (
         profile.df * (profile.f0 / profile.fm) * np.sin(TWO_PI * profile.fm * t)
@@ -163,20 +169,38 @@ def _band_response(numtaps: int, lo: float, hi: float, sample_rate: float,
 
 
 def _bandpass(x: np.ndarray, sample_rate: float, f0: float, bandwidth: float,
-              numtaps: int, spectrum: Optional[np.ndarray] = None) -> np.ndarray:
+              numtaps: int) -> np.ndarray:
     """The centred len(x) samples of the full linear convolution of ``x`` with
-    the band-pass taps: linear phase, zero net delay.  ``spectrum``, when
-    given, is ``np.fft.rfft(x, _smooth_length(len(x) + numtaps - 1))``."""
+    the band-pass taps: linear phase, zero net delay."""
+    size = _smooth_length(len(x) + numtaps - 1)
+    spectrum = np.fft.rfft(x, size)
+    return _bandpass_spectrum(spectrum, len(x), sample_rate, f0, bandwidth,
+                              numtaps, np.empty_like(spectrum), np.empty(size))
+
+
+def _bandpass_spectrum(spectrum: np.ndarray, n: int, sample_rate: float,
+                       f0: float, bandwidth: float, numtaps: int,
+                       product: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_bandpass`` of the n samples whose rfft at the 2-3-5-smooth length
+    >= n + numtaps - 1 is ``spectrum``, computed in the arrays ``product``
+    (like ``spectrum``) and ``out`` (that length); returns a view of ``out``."""
     if numtaps % 2 == 0:
         raise ValueError(f"numtaps must be odd for a zero-phase band-pass, "
                          f"got {numtaps}")
     # the full convolution fits, so the circular product does not wrap
-    size = _smooth_length(len(x) + numtaps - 1)
-    if spectrum is None:
-        spectrum = np.fft.rfft(x, size)
+    size = _smooth_length(n + numtaps - 1)
     response = _band_response(numtaps, f0 - 0.5 * bandwidth,
                               f0 + 0.5 * bandwidth, sample_rate, size)
-    return np.fft.irfft(spectrum * response, size)[:len(x)]
+    np.multiply(spectrum, response, out=product)
+    return np.fft.irfft(product, size, out=out)[:n]
+
+
+def _check_band(sample_rate: float, f0: float, bandwidth: float) -> None:
+    nyquist = 0.5 * sample_rate
+    if f0 - 0.5 * bandwidth <= 0.0 or f0 + 0.5 * bandwidth >= nyquist:
+        raise ValueError(
+            f"band {f0} +/- {bandwidth / 2} Hz not inside (0, {nyquist}) Hz"
+        )
 
 
 def denoise(
@@ -186,22 +210,12 @@ def denoise(
     *,
     numtaps: int = BANDPASS_TAPS,
     wavelet_levels: int = WAVELET_LEVELS,
-    spectrum: Optional[np.ndarray] = None,
 ) -> SampledTrace:
     """Band-pass around ``f0`` then wavelet-denoise the surviving band.
-
-    ``numtaps`` must be odd.  ``spectrum`` optionally supplies the rfft of
-    the samples at the 2-3-5-smooth length >= len(trace) + numtaps - 1, so
-    callers that filter one capture around several carriers transform it
-    once.
-    """
-    nyquist = 0.5 * trace.sample_rate
-    if f0 - 0.5 * bandwidth <= 0.0 or f0 + 0.5 * bandwidth >= nyquist:
-        raise ValueError(
-            f"band {f0} +/- {bandwidth / 2} Hz not inside (0, {nyquist}) Hz"
-        )
+    ``numtaps`` must be odd."""
+    _check_band(trace.sample_rate, f0, bandwidth)
     filtered = _bandpass(trace.samples, trace.sample_rate, f0, bandwidth,
-                         numtaps, spectrum)
+                         numtaps)
     cleaned = _wavelet.denoise(filtered, wavelet_levels)
     return SampledTrace(trace.sample_rate, cleaned, trace.start_time)
 
@@ -212,6 +226,61 @@ def _band_spectrum(x: np.ndarray, sample_rate: float, f0: float,
     freqs = np.fft.rfftfreq(len(x), 1.0 / sample_rate)
     mask = (freqs >= f0 - 0.5 * bandwidth) & (freqs <= f0 + 0.5 * bandwidth)
     return spec[mask]
+
+
+@functools.lru_cache(maxsize=_BAND_RESPONSES)
+def _band_synthesis(n: int, sample_rate: float, f0: float, bandwidth: float):
+    """(start, stop, responses) for the band on the rfft grid of n samples:
+    the bins ``_band_spectrum`` keeps are start..stop-1, and ``responses``
+    are their read-only wavelet synthesis responses at WAVELET_LEVELS.
+    None when 2**WAVELET_LEVELS does not divide n: ``dwt`` then pads the
+    trace and the subbands no longer give the bins of n samples."""
+    if n % (1 << WAVELET_LEVELS):
+        return None
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    inside = np.flatnonzero((freqs >= f0 - 0.5 * bandwidth)
+                            & (freqs <= f0 + 0.5 * bandwidth))
+    start, stop = (int(inside[0]), int(inside[-1]) + 1) if len(inside) else (0, 0)
+    responses = _wavelet.synthesis_responses(n, WAVELET_LEVELS, start, stop)
+    for response in responses:
+        response.flags.writeable = False
+    return start, stop, tuple(responses)
+
+
+def _band_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays for the band-pass of an n-sample trace: its spectrum, that
+    spectrum times a band response, and the band-passed samples.  One set
+    per bank or ``classify`` call, reused by every band and profile, keeps
+    these largest arrays from being allocated anew each time, which
+    fragments the heap (about 10 MB more peak RSS on the `fingerprint`
+    benchmark)."""
+    size = _smooth_length(n + BANDPASS_TAPS - 1)
+    return (np.empty(size // 2 + 1, dtype=complex),
+            np.empty(size // 2 + 1, dtype=complex), np.empty(size))
+
+
+def _capture_spectrum(samples: np.ndarray, work) -> None:
+    """Fill the spectrum of ``work`` (``_band_work``) from ``samples``."""
+    np.fft.rfft(samples, len(work[2]), out=work[0])
+
+
+def _denoised_band(work, n: int, sample_rate: float, f0: float,
+                   bandwidth: float) -> np.ndarray:
+    """``_band_spectrum(denoise(trace, f0, bandwidth).samples, ...)`` of the
+    n-sample trace whose spectrum ``_capture_spectrum`` put in ``work``.
+    Where ``_band_synthesis`` holds the band's bins, they come straight
+    from the thresholded subbands, with no inverse DWT and no full-length
+    FFT; otherwise the time-domain path runs."""
+    _check_band(sample_rate, f0, bandwidth)
+    spectrum, product, out = work
+    filtered = _bandpass_spectrum(spectrum, n, sample_rate, f0, bandwidth,
+                                  BANDPASS_TAPS, product, out)
+    synthesis = _band_synthesis(n, sample_rate, f0, bandwidth)
+    if synthesis is None:
+        return _band_spectrum(_wavelet.denoise(filtered, WAVELET_LEVELS),
+                              sample_rate, f0, bandwidth)
+    a, details, _ = _wavelet.shrink(filtered, WAVELET_LEVELS)
+    return np.abs(_wavelet.reconstruction_dft(a, details, *synthesis))
 
 
 def _correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -233,16 +302,28 @@ def build_template_bank(library, cfg: CaptureConfig) -> dict[str, np.ndarray]:
         scale_b=cfg.scale_b,
         bandwidth=cfg.bandwidth,
     )
+    n = capture_length(cfg)
+    # Each carrier's held tables are built before the work arrays and the
+    # first trace: built among them, they and their temporaries leave the
+    # heap higher (peak RSS of the `fingerprint` benchmark, 2 vCPU: 111 MB
+    # built first, 121 MB built among them).
+    for f0 in dict.fromkeys(p.f0 for p in library):
+        _band_response(BANDPASS_TAPS, f0 - 0.5 * cfg.bandwidth,
+                       f0 + 0.5 * cfg.bandwidth, cfg.sample_rate,
+                       _smooth_length(n + BANDPASS_TAPS - 1))
+        _band_synthesis(n, cfg.sample_rate, f0, cfg.bandwidth)
+    work = _band_work(n)
     bank = {}
     for profile in library:
-        trace = synthesize(profile, clean_cfg)
-        trace = scale(trace, cfg.scale_a, cfg.scale_b)
         # Templates ride the same band-pass/denoise pipeline as captures so
-        # the filter's band-edge shaping cancels out in the correlation.
-        cleaned = denoise(trace, profile.f0, cfg.bandwidth)
-        bank[profile.label] = _band_spectrum(
-            cleaned.samples, cfg.sample_rate, profile.f0, cfg.bandwidth
+        # the filter's band-edge shaping cancels out in the correlation; only
+        # the spectrum of the scaled trace outlives this line.
+        _capture_spectrum(
+            scale(synthesize(profile, clean_cfg), cfg.scale_a, cfg.scale_b).samples,
+            work,
         )
+        bank[profile.label] = _denoised_band(work, n, cfg.sample_rate,
+                                             profile.f0, cfg.bandwidth)
     return bank
 
 
@@ -268,21 +349,24 @@ def classify(
             f"trace sampled at {trace.sample_rate} Hz, capture settings "
             f"expect {cfg.sample_rate} Hz"
         )
+    n = capture_length(cfg)
+    if len(trace) != n:
+        raise ValueError(
+            f"trace holds {len(trace)} samples, capture settings expect {n} "
+            f"({cfg.duration} s at {cfg.sample_rate} Hz)"
+        )
     scaled = scale(trace, cfg.scale_a, cfg.scale_b)
     if bank is None:
         bank = build_template_bank(library, cfg)
-    spectrum = np.fft.rfft(scaled.samples,
-                           _smooth_length(len(scaled) + BANDPASS_TAPS - 1))
+    work = _band_work(n)
+    _capture_spectrum(scaled.samples, work)
+    del scaled      # the held band tables take its place
     confidences: dict[str, float] = {}
     by_f0: dict[float, list[SscProfile]] = {}
     for profile in library:
         by_f0.setdefault(profile.f0, []).append(profile)
     for f0, profiles in by_f0.items():
-        # nested, so each denoised band is freed before the next is made
-        band = _band_spectrum(
-            denoise(scaled, f0, cfg.bandwidth, spectrum=spectrum).samples,
-            cfg.sample_rate, f0, cfg.bandwidth,
-        )
+        band = _denoised_band(work, n, cfg.sample_rate, f0, cfg.bandwidth)
         for profile in profiles:
             confidences[profile.label] = _correlation(band, bank[profile.label])
     best = max(confidences, key=lambda k: confidences[k])

@@ -242,6 +242,58 @@ class TestClassifyCommand:
         assert "Traceback" not in err
 
 
+    def test_capture_length_mismatch_named(self, config_path, tmp_path, capsys):
+        # BASE_CONFIG captures 0.01 s at 6 MHz: 60,000 samples
+        trace = tmp_path / "capture.csv"
+        samples = np.random.default_rng(0).normal(size=30000)
+        save_trace_csv(SampledTrace(6e6, samples), trace)
+        out = tmp_path / "cls.csv"
+        out.write_bytes(b"earlier result\n")
+        path = config_path(overrides={"fingerprint.trace": {"file": str(trace)}})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: $.fingerprint.duration_s" in err
+        assert "60000 samples" in err and "holds 30000" in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"earlier result\n"
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("sweep", [
+        "freq_hz=nan:30000:3", "freq_hz=20000:inf:3", "thickness_mm=nan:1:2",
+        "freq_hz=-inf:30000:3", "thickness_mm=1:-inf:2",
+    ])
+    def test_non_finite_bounds_refused(self, sweep, config_path, tmp_path,
+                                       capsys):
+        out = tmp_path / "d.csv"
+        out.write_bytes(b"earlier result\n")
+        rc = main(["dispersion", "--config", config_path(), "--out", str(out),
+                   "--sweep", sweep])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: --sweep" in err and "finite" in err
+        assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("steps", [0, 10**12])
+    def test_steps_outside_limit_refused_before_allocating(
+            self, steps, config_path, capsys, monkeypatch):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("linspace called")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        rc = main(["dispersion", "--config", config_path(),
+                   "--sweep", f"freq_hz=20000:30000:{steps}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: --sweep: steps must be in [1, " in err
+        assert str(steps) in err
+
+    def test_steps_at_limit_accepted(self):
+        from driftlab.cli import SWEEP_STEPS_MAX, _parse_sweep
+        key, values = _parse_sweep(f"freq_hz=1:2:{SWEEP_STEPS_MAX}")
+        assert key == "freq_hz" and len(values) == SWEEP_STEPS_MAX
+
+
 class TestBpCommand:
     def test_table_with_stall_row(self, config_path, tmp_path):
         out = tmp_path / "bp.csv"

@@ -12,10 +12,16 @@ from driftlab.fingerprint import (
     CaptureConfig,
     DegenerateTraceError,
     SscProfile,
+    WAVELET_LEVELS,
     _band_response,
+    _band_spectrum,
+    _band_synthesis,
+    _band_work,
     _bandpass,
+    _bandpass_spectrum,
     _bandpass_taps,
-    _smooth_length,
+    _capture_spectrum,
+    _denoised_band,
     build_template_bank,
     classify,
     denoise,
@@ -286,10 +292,12 @@ class TestBandpass:
 
     def test_shared_spectrum_gives_the_same_band(self, bands):
         x = np.random.default_rng(1).normal(size=1000)
-        spectrum = np.fft.rfft(x, _smooth_length(len(x) + BANDPASS_TAPS - 1))
+        work = _band_work(len(x))
+        _capture_spectrum(x, work)
         for f0 in bands:
             alone = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
-            shared = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS, spectrum)
+            shared = _bandpass_spectrum(work[0], len(x), self.FS, f0, 2e5,
+                                        BANDPASS_TAPS, *work[1:])
             assert np.array_equal(alone, shared)
 
 
@@ -346,6 +354,11 @@ class TestClassify:
         with pytest.raises(ValueError, match=r"3000000\.0 Hz.*6000000\.0 Hz"):
             classify(trace, library, FAST_CFG)
 
+    def test_capture_length_mismatch_named(self, library):
+        trace = SampledTrace(6e6, np.random.default_rng(0).normal(size=30000))
+        with pytest.raises(ValueError, match=r"30000 samples.*expect 60000"):
+            classify(trace, library, FAST_CFG)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_capture_rejected(self, library, bad):
         samples = np.random.default_rng(0).normal(size=60000)
@@ -354,9 +367,80 @@ class TestClassify:
             classify(SampledTrace(6e6, samples), library, FAST_CFG)
 
 
+class TestDenoisedBand:
+    """The band's bins taken from the thresholded wavelet subbands against
+    the time-domain pipeline: denoise, then the full-length rfft and its
+    frequency mask."""
+
+    FS = 6e6
+
+    @staticmethod
+    def _work(x):
+        work = _band_work(len(x))
+        _capture_spectrum(x, work)
+        return work
+
+    @given(
+        n=st.one_of(st.integers(min_value=19, max_value=375).map(lambda k: 16 * k),
+                    st.integers(min_value=300, max_value=6000)),
+        f0_frac=st.floats(min_value=0.1, max_value=0.9),
+        bandwidth=st.floats(min_value=2e4, max_value=5e5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_time_domain_on_drawn_lengths(self, n, f0_frac, bandwidth):
+        # n % 16 != 0 is drawn too; those lengths take the time-domain path.
+        # Rounding in either path scales with the whole spectrum, so the
+        # tolerance is relative to its peak: a band the filter leaves near
+        # 1e-18 agrees only to the peak's rounding.
+        f0 = f0_frac * 0.5 * self.FS
+        x = np.random.default_rng(n).normal(size=n)
+        cleaned = denoise(SampledTrace(self.FS, x), f0, bandwidth).samples
+        want = _band_spectrum(cleaned, self.FS, f0, bandwidth)
+        got = _denoised_band(self._work(x), n, self.FS, f0, bandwidth)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= (
+            1e-12 * np.max(np.abs(np.fft.rfft(cleaned))))
+
+    @pytest.mark.parametrize("n", [60000, 60001, 120000])
+    def test_bundled_bands_match_time_domain(self, library, n):
+        x = np.random.default_rng(n).normal(size=n)
+        work = self._work(x)
+        for f0 in sorted({p.f0 for p in library}):
+            want = _band_spectrum(
+                denoise(SampledTrace(self.FS, x), f0, 2e5).samples,
+                self.FS, f0, 2e5)
+            got = _denoised_band(work, n, self.FS, f0, 2e5)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @staticmethod
+    def _mask_bins(n, sample_rate, f0, bandwidth):
+        freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+        return np.flatnonzero((freqs >= f0 - 0.5 * bandwidth)
+                              & (freqs <= f0 + 0.5 * bandwidth))
+
+    @pytest.mark.parametrize("n,f0,bandwidth", [
+        (60000, 5e5, 2e5),       # edges 4e5 and 6e5 Hz land on bins
+        (600000, 1.3e6, 2e5),
+        (48, 1.25e6, 2.5e5),     # edges on bins in exact arithmetic only
+        (1008, 7e5, 2e3),        # between two bins: no bins at all
+    ])
+    def test_bins_match_rfftfreq_mask(self, n, f0, bandwidth):
+        start, stop, _ = _band_synthesis(n, self.FS, f0, bandwidth)
+        want = self._mask_bins(n, self.FS, f0, bandwidth)
+        assert np.array_equal(np.arange(start, stop), want)
+
+    @pytest.mark.parametrize("n", [1000, 60001])
+    def test_no_bins_held_where_levels_do_not_divide(self, n):
+        # dwt pads these lengths, so the band takes the time-domain path
+        assert n % (1 << WAVELET_LEVELS)
+        assert _band_synthesis(n, self.FS, 5e5, 2e5) is None
+
+
 class TestBandResponseTable:
-    """The held band responses are keyed by configuration: a band, its
-    filter length and the FFT size, never by a capture."""
+    """The held band tables (band responses, and band bins with their
+    synthesis responses) are keyed by configuration: a band, its filter
+    length and the FFT size or capture length, never by a capture."""
 
     CFG = CaptureConfig(sample_rate=6e6, duration=0.02, snr_db=15.0,
                         bandwidth=2e5)
@@ -366,6 +450,8 @@ class TestBandResponseTable:
         first = synthesize(library[0], self.CFG, seed=1)
         classify(first, library, self.CFG, bank=bank)
         fresh = synthesize(library[7], self.CFG, seed=2)
+        misses = (_band_response.cache_info().misses,
+                  _band_synthesis.cache_info().misses)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -374,8 +460,9 @@ class TestBandResponseTable:
         finally:
             tracemalloc.stop()
         assert label == library[7].label
-        # one band response at this size is 4 * size bytes, about 0.48 MB;
-        # the five carriers would leave about 2.4 MB behind
+        # a table built for this capture would show as a miss
+        assert (_band_response.cache_info().misses,
+                _band_synthesis.cache_info().misses) == misses
         assert retained < 1 << 20
 
     def test_more_carriers_than_slots(self):
@@ -385,11 +472,20 @@ class TestBandResponseTable:
         cfg = CaptureConfig(sample_rate=6e6, duration=0.001, bandwidth=2e5)
         build_template_bank(library, cfg)
         assert _band_response.cache_info().currsize == slots
+        synthesis = _band_synthesis.cache_info()
+        assert synthesis.currsize <= synthesis.maxsize == slots
 
     def test_response_is_read_only(self):
         response = _band_response(BANDPASS_TAPS, 4e5, 6e5, 6e6, 1024)
         assert response.dtype == np.float64
         assert not response.flags.writeable
+
+    def test_synthesis_responses_are_read_only(self):
+        start, stop, responses = _band_synthesis(6000, 6e6, 5e5, 2e5)
+        assert len(responses) == 5
+        for response in responses:
+            assert response.shape == (stop - start,)
+            assert not response.flags.writeable
 
 
 class TestIo:

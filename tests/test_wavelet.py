@@ -9,7 +9,10 @@ from driftlab._wavelet import (
     denoise,
     dwt,
     idwt,
+    reconstruction_dft,
+    shrink,
     soft_threshold,
+    synthesis_responses,
     universal_threshold,
 )
 
@@ -157,3 +160,47 @@ class TestAgainstDenseReference:
         np.testing.assert_allclose(idwt(y[0], [y[1]], 16, lo),
                                    low.T @ y[0] + high.T @ y[1],
                                    rtol=0, atol=1e-12)
+
+
+class TestReconstructionDft:
+    """Bins of the reconstruction's DFT from the subbands' own DFTs, against
+    the DFT of ``idwt``'s time-domain output.  n = 112 = 7 * 16, so at every
+    level the subband length is even and the full range of bins wraps past
+    n_j / 2 of each subband."""
+
+    N = 112
+    FILTERS = [daubechies_lowpass(1), daubechies_lowpass(3), DEFAULT_LO,
+               np.array([0.3, 0.5, 0.2])]
+    IDS = ["db1", "db3", "db8", "odd-length"]
+
+    @staticmethod
+    def _subbands(n, levels, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=n >> levels),
+                [rng.normal(size=n >> (j + 1)) for j in range(levels)])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lo", FILTERS, ids=IDS)
+    @pytest.mark.parametrize("start,stop", [(0, N), (5, 61), (50, 57)])
+    def test_matches_dft_of_idwt(self, lo, levels, start, stop):
+        a, details = self._subbands(self.N, levels, levels)
+        want = np.fft.fft(idwt(a, details, self.N, lo))[start:stop]
+        responses = synthesis_responses(self.N, levels, start, stop, lo)
+        got = reconstruction_dft(a, details, start, stop, responses)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lo", FILTERS, ids=IDS)
+    def test_zero_subbands_skipped(self, lo):
+        a, details = self._subbands(self.N, 4, 9)
+        details[0][:] = 0.0
+        details[3][:] = 0.0
+        want = np.fft.fft(idwt(a, details, self.N, lo))
+        responses = synthesis_responses(self.N, 4, 0, self.N, lo)
+        got = reconstruction_dft(a, details, 0, self.N, responses)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_shrink_is_denoise_before_synthesis(self):
+        x = np.random.default_rng(6).normal(size=1000)
+        a, details, n = shrink(x, 4)
+        assert np.array_equal(idwt(a, details, n), denoise(x, 4))
