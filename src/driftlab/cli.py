@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .fingerprint import (
     load_trace_csv,
     synthesize,
 )
-from .lamb import NoRootError, dispersion_residual, load_media, solve_dispersion
+from .lamb import NoRootError, dispersion_residual, solve_dispersion
 from .planner import (
     CalibrationError,
     FreezeRiskError,
@@ -52,6 +53,8 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
 # Most points one --sweep may ask for, refused before anything is allocated.
 SWEEP_STEPS_MAX = 100_000
+# Tick rows joined into one write by ``simulate``.
+_TICK_BATCH = 4096
 
 
 class _Output:
@@ -107,6 +110,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _tick_row(i: int, tick) -> str:
+    """One ``simulate`` CSV row.  No field holds a comma or a quote, so this
+    is the line ``csv.writer`` would write."""
+    return f"{i},{tick.time!r},{tick.rtc_time!r},{tick.rtc_time - tick.time!r}\n"
+
+
 def _parse_sweep(text: str):
     """key=start:stop:steps -> (key, inclusive linspace)."""
     try:
@@ -137,24 +146,22 @@ def _cmd_dispersion(scenario: Scenario, sweep, fh) -> int:
     )
     freq = scenario.rtc.nominal_freq
     thickness_mm = scenario.medium.thickness * 1e3
+    # The thickness goes through millimetres and back, as the swept ones do.
+    medium = replace(scenario.medium, thickness=thickness_mm * 1e-3)
     if sweep is None:
-        points = [(thickness_mm, freq)]
+        points = [(thickness_mm, medium, freq)]
     else:
         key, values = sweep
         if key == "freq_hz":
-            points = [(thickness_mm, v) for v in values]
+            points = [(thickness_mm, medium, v) for v in values]
         elif key == "thickness_mm":
-            points = [(v, freq) for v in values]
+            # Lazily, so a bad thickness is refused only when it is reached.
+            points = ((v, replace(medium, thickness=v * 1e-3), freq) for v in values)
         else:
             raise ConfigError(
                 [f"--sweep: dispersion sweeps freq_hz or thickness_mm, got {key!r}"]
             )
-    for d_mm, f in points:
-        media = load_media(
-            thickness=d_mm * 1e-3,
-            attenuation_ratio=scenario.medium.attenuation_ratio,
-        )
-        medium = media[scenario.medium.name]
+    for d_mm, medium, f in points:
         mode = solve_dispersion(medium, f)
         residual = dispersion_residual(medium, mode.omega, mode.k_a)
         writer.writerow(
@@ -221,11 +228,9 @@ def _cmd_simulate(scenario: Scenario, fh) -> int:
     run = simulate_plan(plan, scenario.rtc, state, until=until)
     writer = _csv_writer(fh)
     writer.writerow(["tick_index", "wall_time_s", "rtc_time_s", "drift_s"])
-    for i, tick in enumerate(run.ticks):
-        writer.writerow(
-            [i, _fmt(tick.time), _fmt(tick.rtc_time),
-             _fmt(tick.rtc_time - tick.time)]
-        )
+    ticks = iter(enumerate(run.ticks))
+    while batch := "".join(_tick_row(i, tick) for i, tick in islice(ticks, _TICK_BATCH)):
+        fh.write(batch)
     writer.writerow(
         ["end", _fmt(run.state.wall_time), _fmt(run.state.rtc_time),
          _fmt(run.drift)]

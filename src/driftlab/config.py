@@ -23,6 +23,10 @@ from .planner import DIRECTION_BACKWARD, DIRECTION_FORWARD, DriftGoal
 from .rtc import RtcConfig
 
 SCHEMA_VERSION = 1
+# Most samples one fingerprint capture may hold.  A cold `driftlab classify`
+# peaks at about 40 MB plus 118 bytes per sample (6 MHz, 0.1 to 1.0 s
+# captures), so the largest accepted capture stays below 2 GB.
+CAPTURE_SAMPLES_MAX = 16_000_000
 
 
 class ConfigError(ValueError):
@@ -310,6 +314,12 @@ def _parse_fingerprint(chk: _Checker, cfg: dict):
     if source is not None and not ("profile" in source or "file" in source):
         chk.fail("$.fingerprint.trace", "needs a 'profile' label or a 'file' path")
     if chk.errors:
+        return None, None, None, 0.6
+    samples = rate * duration
+    if not (math.isfinite(samples) and round(samples) <= CAPTURE_SAMPLES_MAX):
+        chk.fail("$.fingerprint.duration_s",
+                 f"{duration} s at {rate} Hz is {samples:.6g} samples, above the "
+                 f"{CAPTURE_SAMPLES_MAX} a capture may hold")
         return None, None, None, 0.6
     capture = CaptureConfig(
         sample_rate=rate,

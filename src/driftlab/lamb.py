@@ -34,6 +34,15 @@ from .signals import TWO_PI, Sinusoid, wrap_phase
 # Bracketing resolution of the phase-velocity scan (m/s) and its lower edge.
 SCAN_STEP = 1.0
 SCAN_START = 10.0
+# Grid points the scan evaluates in one numpy pass.
+_SCAN_CHUNK = 256
+# numpy's complex sqrt and tan differ from cmath's by a few ulp, so a scan
+# value whose sign or component choice lies within this fraction of
+# |t1| + |t2| of flipping is recomputed with cmath before it is used.
+_SCAN_MARGIN = 1e-9
+# Values below this magnitude are recomputed too: the product of two values
+# above it cannot underflow to zero.
+_SCAN_TINY = 2.0 ** -500
 
 RESIDUAL_LIMIT = 1e-9
 DETERMINANT_LIMIT = 1e-6
@@ -110,19 +119,19 @@ def _half_thickness(medium: MediumSpec, convention: str) -> float:
     raise ValueError(f"unknown thickness convention {convention!r}")
 
 
-def _wavenumbers(medium: MediumSpec, omega: float, k: float) -> tuple[complex, complex]:
-    alpha = cmath.sqrt(complex((omega / medium.c_l) ** 2 - k * k))
-    beta = cmath.sqrt(complex((omega / medium.c_t) ** 2 - k * k))
+def _wavenumbers(medium: MediumSpec, omega: float, k, xp=cmath):
+    """Through-thickness wavenumbers; ``xp`` is ``cmath`` for a scalar ``k``
+    or ``numpy`` for an array of them."""
+    alpha = xp.sqrt((omega / medium.c_l) ** 2 - k * k + 0j)
+    beta = xp.sqrt((omega / medium.c_t) ** 2 - k * k + 0j)
     return alpha, beta
 
 
-def _characteristic_terms(
-    medium: MediumSpec, omega: float, k: float, h: float
-) -> tuple[complex, complex]:
-    alpha, beta = _wavenumbers(medium, omega, k)
+def _characteristic_terms(medium: MediumSpec, omega: float, k, h: float, xp=cmath):
+    alpha, beta = _wavenumbers(medium, omega, k, xp)
     q = k * k - beta * beta
-    t1 = cmath.tan(alpha * h) * q * q
-    t2 = 4.0 * alpha * beta * k * k * cmath.tan(beta * h)
+    t1 = xp.tan(alpha * h) * q * q
+    t2 = 4.0 * alpha * beta * k * k * xp.tan(beta * h)
     return t1, t2
 
 
@@ -150,6 +159,70 @@ def _characteristic_value(medium: MediumSpec, omega: float, c_s: float, h: float
     if abs(total.imag) >= abs(total.real):
         return total.imag
     return total.real
+
+
+def _scan_values(medium: MediumSpec, omega: float, c: np.ndarray, h: float) -> np.ndarray:
+    """``_characteristic_value`` at every phase velocity of ``c``.
+
+    The values are computed with numpy.  Where one of them lies near zero or
+    near a tie between its real and imaginary parts, it and its two
+    neighbours are recomputed with ``_characteristic_value``: every adjacent
+    pair then has the zero test and the sign of its product that the scalar
+    values give.
+    """
+    # Overflow and NaN here need no warning: such values count as doubtful.
+    with np.errstate(all="ignore"):
+        t1, t2 = _characteristic_terms(medium, omega, omega / c, h, np)
+        total = t1 + t2
+        re, im = np.abs(total.real), np.abs(total.imag)
+        values = np.where(im >= re, total.imag, total.real)
+        margin = _SCAN_MARGIN * (np.abs(t1) + np.abs(t2))
+        doubtful = ~((np.abs(values) > np.maximum(margin, _SCAN_TINY))
+                     & (np.abs(im - re) > margin))
+    recheck = doubtful.copy()
+    recheck[1:] |= doubtful[:-1]
+    recheck[:-1] |= doubtful[1:]
+    for i in np.flatnonzero(recheck):
+        values[i] = _characteristic_value(medium, omega, float(c[i]), h)
+    return values
+
+
+def _scan_bracket(
+    medium: MediumSpec, omega: float, h: float, scan_start: float, scan_step: float
+) -> tuple[float, float] | None:
+    """First sign-change bracket of the phase-velocity scan, or None.
+
+    The grid is scan_start, scan_start + scan_step, ... summed one step at a
+    time, below the transverse bulk speed.  The bracket is (lo, lo) when the
+    value at lo is zero and lo has a successor on the grid, else the first
+    adjacent pair whose values have a product <= 0.  The grid is evaluated
+    ``_SCAN_CHUNK`` points at a time and the scan stops at the first chunk
+    that holds the bracket.
+    """
+    steps = np.full(_SCAN_CHUNK + 1, scan_step)
+    c = scan_start
+    while True:
+        steps[0] = c
+        grid = np.add.accumulate(steps)
+        grid = grid[: np.searchsorted(grid, medium.c_t)]
+        if len(grid) < 2:
+            return None
+        values = _scan_values(medium, omega, grid, h)
+        f_lo, f_hi = values[:-1], values[1:]
+        with np.errstate(invalid="ignore"):  # 0 * inf, as the scalar loop allows
+            hits = np.flatnonzero((f_lo == 0.0) | (f_lo * f_hi <= 0.0))
+        if hits.size:
+            i = hits[0]
+            lo = float(grid[i])
+            return (lo, lo) if f_lo[i] == 0.0 else (lo, float(grid[i + 1]))
+        if len(grid) <= _SCAN_CHUNK:
+            return None
+        if grid[-1] == grid[-2]:
+            raise ValueError(
+                f"scan_step {scan_step!r} m/s does not advance the phase-velocity "
+                f"scan past {float(grid[-1])!r} m/s"
+            )
+        c = grid[-1]
 
 
 def mode_matrix(
@@ -225,34 +298,24 @@ def solve_dispersion(
 
     Scans phase velocity upward from ``scan_start`` to the transverse bulk
     speed, brackets the first sign change, then bisects the bracket down to
-    machine precision.  Raises NoRootError when the scan sees no sign change.
+    machine precision.  Raises NoRootError when the scan sees no sign change,
+    and ValueError when ``scan_step`` or ``scan_start`` is not finite and > 0.
     """
     if f <= 0.0:
         raise ValueError("frequency must be > 0")
+    for name, value in (("scan_step", scan_step), ("scan_start", scan_start)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     omega = TWO_PI * f
     h = _half_thickness(medium, thickness_convention)
 
-    lo = scan_start
-    f_lo = _characteristic_value(medium, omega, lo, h)
-    hi = None
-    c = lo
-    while c + scan_step < medium.c_t:
-        c += scan_step
-        f_c = _characteristic_value(medium, omega, c, h)
-        if f_lo == 0.0:
-            hi = lo
-            break
-        if f_lo * f_c <= 0.0:
-            hi = c
-            break
-        lo, f_lo = c, f_c
-    if hi is None:
+    bracket = _scan_bracket(medium, omega, h, scan_start, scan_step)
+    if bracket is None:
         raise NoRootError(
             f"no dispersion root for {medium.name!r} at {f} Hz in phase-velocity "
             f"scan ({scan_start}, {medium.c_t}) m/s with step {scan_step} m/s"
         )
-
-    a, b = lo, hi
+    a, b = bracket
     f_a = _characteristic_value(medium, omega, a, h)
     for _ in range(200):
         mid = 0.5 * (a + b)

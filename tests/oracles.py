@@ -97,6 +97,25 @@ def scan_dispersion_root(freq, c_l, c_t, h, lo=10.0, step=1.0):
     return 0.5 * (a + b)
 
 
+def scalar_scan_bracket(medium, omega, h, scan_start, scan_step):
+    """The phase-velocity scan as a scalar loop, one ``cmath`` evaluation
+    per grid point: the bracket ``lamb._scan_bracket`` must return."""
+    from driftlab.lamb import _characteristic_value
+
+    lo = scan_start
+    f_lo = _characteristic_value(medium, omega, lo, h)
+    c = lo
+    while c + scan_step < medium.c_t:
+        c += scan_step
+        f_c = _characteristic_value(medium, omega, c, h)
+        if f_lo == 0.0:
+            return lo, lo
+        if f_lo * f_c <= 0.0:
+            return lo, c
+        lo, f_lo = c, f_c
+    return None
+
+
 # --- crystal forced-vibration oracle -----------------------------------------
 
 def ode_steady_state_stress(mass, damping, stiffness, width, thick,

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -7,10 +8,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import driftlab
-
+from driftlab import cli
 from driftlab.cli import main
+from driftlab.config import CAPTURE_SAMPLES_MAX, ConfigError, parse_scenario
+from driftlab.lamb import dispersion_residual, load_media, solve_dispersion
+from driftlab.rtc import TickEvent
 from driftlab.fingerprint import save_trace_bin, save_trace_csv
 from driftlab.signals import SampledTrace
 
@@ -102,6 +108,34 @@ class TestDispersionCommand:
                    "--sweep", "bogus=1:2:2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("sweep", [None, "freq_hz=19500.5:60500.5:4",
+                                       "thickness_mm=0.7:33.3:4"])
+    @pytest.mark.parametrize("medium", ["aluminum", "polyethylene"])
+    def test_rows_match_media_table_per_point(self, medium, sweep, config_path,
+                                              tmp_path):
+        # Each row's medium is the bundled table's record at the row's
+        # thickness in millimetres.
+        thickness_mm = 3.7
+        path = config_path(overrides={"medium.name": medium,
+                                      "medium.thickness_mm": thickness_mm,
+                                      "medium.attenuation_per_m": 0.8})
+        out = tmp_path / "disp.csv"
+        argv = ["dispersion", "--config", path, "--out", str(out)]
+        assert main(argv + (["--sweep", sweep] if sweep else [])) == 0
+        d_mm, f = (thickness_mm * 1e-3) * 1e3, 32768.0
+        points = [(d_mm, f)]
+        if sweep:
+            key, values = cli._parse_sweep(sweep)
+            points = [(d_mm, v) if key == "freq_hz" else (v, f) for v in values]
+        want = ["medium,thickness_mm,freq_hz,c_s_m_per_s,k_a_rad_per_m,residual"]
+        for d, freq in points:
+            rec = load_media(thickness=d * 1e-3, attenuation_ratio=0.8)[medium]
+            mode = solve_dispersion(rec, freq)
+            res = dispersion_residual(rec, mode.omega, mode.k_a)
+            want.append(f"{medium},{float(d)!r},{float(freq)!r},{mode.c_s!r},"
+                        f"{mode.k_a!r},{res!r}")
+        assert out.read_text() == "\n".join(want) + "\n"
+
 
 class TestCalibrateCommand:
     def test_emits_full_grid(self, config_path, tmp_path):
@@ -186,7 +220,8 @@ class TestSimulateCommand:
         ]
         assert max(gaps) > 1.0
 
-    def test_forward_simulation_gains_time(self, config_path, tmp_path):
+    def test_forward_simulation_gains_time(self, config_path, tmp_path,
+                                           monkeypatch):
         path = config_path(overrides={
             "goal": {"direction": "forward", "window_a_s": 2.0,
                      "drift_b_s": 0.004},
@@ -198,6 +233,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         rows = _rows(out)
         assert float(rows[-1][3]) > 0.0
+        # Rows joined a few at a time, with a short last batch, give the
+        # same bytes.
+        monkeypatch.setattr(cli, "_TICK_BATCH", 7)
+        again = tmp_path / "again.csv"
+        assert main(["simulate", "--config", path, "--out", str(again)]) == 0
+        assert (len(rows) - 2) % 7 != 0
+        assert again.read_bytes() == out.read_bytes()
+
+    @given(i=st.integers(0, 2**40), time=st.floats(), rtc_time=st.floats())
+    def test_tick_row_is_the_csv_writer_row(self, i, time, rtc_time):
+        tick = TickEvent(time, rtc_time)
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow(
+            [i, cli._fmt(time), cli._fmt(rtc_time), cli._fmt(rtc_time - time)])
+        assert cli._tick_row(i, tick) == buf.getvalue()
 
 
 class TestClassifyCommand:
@@ -256,6 +306,37 @@ class TestClassifyCommand:
         assert "60000 samples" in err and "holds 30000" in err
         assert "Traceback" not in err
         assert out.read_bytes() == b"earlier result\n"
+
+
+class TestCaptureBudget:
+    def test_huge_capture_refused_before_allocating(self, config_path, tmp_path,
+                                                    capsys, monkeypatch):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("arange called")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        path = config_path(overrides={"fingerprint.duration_s": 1e9})
+        out = tmp_path / "cls.csv"
+        out.write_bytes(b"earlier result\n")
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: $.fingerprint.duration_s: 1000000000.0 s" in err
+        assert str(CAPTURE_SAMPLES_MAX) in err and "Traceback" not in err
+        assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("rate, duration, accepted", [
+        (1e6, CAPTURE_SAMPLES_MAX / 1e6, True),
+        (1e6, (CAPTURE_SAMPLES_MAX + 1) / 1e6, False),
+        (1e300, 1e300, False),  # the product overflows to inf
+    ])
+    def test_budget_edge(self, rate, duration, accepted):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["fingerprint"].update(sample_rate_hz=rate, duration_s=duration)
+        if accepted:
+            assert parse_scenario(cfg).capture.duration == duration
+        else:
+            with pytest.raises(ConfigError, match=r"\$\.fingerprint\.duration_s"):
+                parse_scenario(cfg)
 
 
 class TestSweepBounds:

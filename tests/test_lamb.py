@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftlab import lamb
 from driftlab.lamb import (
     InconsistentModeError,
     MediumSpec,
@@ -21,7 +24,7 @@ from driftlab.lamb import (
 )
 from driftlab.signals import TWO_PI, Sinusoid
 
-from oracles import scan_dispersion_root
+from oracles import scalar_scan_bracket, scan_dispersion_root
 
 F_OSC = 32768.0
 
@@ -99,6 +102,125 @@ class TestSolveDispersion:
     def test_rejects_bad_frequency(self, acrylic):
         with pytest.raises(ValueError):
             solve_dispersion(acrylic, 0.0)
+
+
+def _outcome(medium, f, **kwargs):
+    try:
+        return solve_dispersion(medium, f, **kwargs)
+    except (NoRootError, InconsistentModeError) as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_outcome(medium, f, **kwargs):
+    """solve_dispersion with the scan replaced by the scalar loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lamb, "_scan_bracket", scalar_scan_bracket)
+        return _outcome(medium, f, **kwargs)
+
+
+ALL_MEDIA = sorted(load_media(thickness=1e-3))
+# The frequency range the benchmark's dispersion sweeps cover.
+SWEEP_FREQS = np.linspace(19.5e3, 60.5e3, 3)
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize("step", [1.0, 0.37])
+    @pytest.mark.parametrize("name", ALL_MEDIA)
+    def test_modes_equal_scalar_scan(self, name, step):
+        for d_mm in (0.5, 3.0, 12.0, 60.0):
+            medium = load_media(thickness=d_mm * 1e-3)[name]
+            for f in SWEEP_FREQS:
+                got = _outcome(medium, f, scan_step=step)
+                assert got == _scalar_outcome(medium, f, scan_step=step), (d_mm, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c_t=st.floats(300.0, 6000.0),
+        ratio=st.floats(1.05, 3.0),
+        thickness=st.floats(2e-4, 0.08),
+        f=st.floats(20.0, 4e5),
+        step=st.sampled_from([1.0, 0.37, 2.9]),
+        convention=st.sampled_from(["half", "full"]),
+    )
+    def test_bracket_equals_scalar_scan(self, c_t, ratio, thickness, f, step,
+                                        convention):
+        medium = MediumSpec("drawn", c_l=c_t * ratio, c_t=c_t, density=2000.0,
+                            thickness=thickness)
+        omega = TWO_PI * f
+        h = lamb._half_thickness(medium, convention)
+        assert lamb._scan_bracket(medium, omega, h, 10.0, step) == \
+            scalar_scan_bracket(medium, omega, h, 10.0, step)
+
+    @pytest.mark.parametrize("root, scale, tie", [
+        (10.0, 1.0, False),      # an exact zero at scan_start: (lo, lo)
+        (137.0, 1.0, False),     # ... on the grid
+        (267.0, 1.0, False),     # ... in the first pair of the second chunk
+        (3079.0, 1.0, False),    # ... on the last point below c_t = 3080
+        (400.5, 1e-170, False),  # products underflow to zero
+        (700.5, 1.0, True),      # real and imaginary parts tie
+    ])
+    @pytest.mark.parametrize("step", [1.0, 0.37])
+    def test_edge_values_bracket_like_scalar_scan(self, root, scale, tie, step,
+                                                  monkeypatch):
+        def terms(medium, omega, k, h, xp=cmath):
+            # Zero exactly where c == root: k is omega / c on both paths.
+            t1 = (tie + 1j) * scale * (k - omega / root)
+            return t1, 0.0 * k
+
+        monkeypatch.setattr(lamb, "_characteristic_terms", terms)
+        medium = load_media(thickness=5e-3)["aluminum"]
+        omega = TWO_PI * F_OSC
+        assert lamb._scan_bracket(medium, omega, 0.0025, 10.0, step) == \
+            scalar_scan_bracket(medium, omega, 0.0025, 10.0, step)
+
+    @pytest.mark.parametrize("name", ["acrylic glass", "aluminum"])
+    def test_every_point_doubtful_gives_same_mode(self, name, monkeypatch):
+        medium = load_media(thickness=5e-3)[name]
+        want = _scalar_outcome(medium, F_OSC)
+        calls = []
+        scalar = lamb._characteristic_value
+        monkeypatch.setattr(lamb, "_SCAN_MARGIN", math.inf)
+        monkeypatch.setattr(lamb, "_characteristic_value",
+                            lambda *args: calls.append(args) or scalar(*args))
+        assert solve_dispersion(medium, F_OSC) == want
+        # Every scan point up to the bracket went through cmath.
+        assert len(calls) > (want.c_s - lamb.SCAN_START) / lamb.SCAN_STEP
+
+    def test_few_scalar_evaluations(self, monkeypatch):
+        # The medium, thickness and frequency of the CLI tests' scenario.
+        calls = []
+        scalar = lamb._characteristic_value
+        monkeypatch.setattr(lamb, "_characteristic_value",
+                            lambda *args: calls.append(args) or scalar(*args))
+        mode = solve_dispersion(load_media(thickness=5e-3)["acrylic glass"], F_OSC)
+        assert mode.c_s > 500.0  # a scalar scan would take over 490 evaluations
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("name", ALL_MEDIA)
+    def test_margin_far_above_numpy_cmath_difference(self, name):
+        medium = load_media(thickness=5e-3)[name]
+        h = 0.5 * medium.thickness
+        c = np.arange(10.0, medium.c_t, 0.5)
+        for f in (50.0, F_OSC, 3e5):
+            omega = TWO_PI * f
+            t1, t2 = lamb._characteristic_terms(medium, omega, omega / c, h, np)
+            total = t1 + t2
+            vec = np.where(np.abs(total.imag) >= np.abs(total.real),
+                           total.imag, total.real)
+            ref = np.array([lamb._characteristic_value(medium, omega, float(x), h)
+                            for x in c])
+            gap = np.abs(vec - ref) / (np.abs(t1) + np.abs(t2))
+            assert gap.max() < 1e-3 * lamb._SCAN_MARGIN
+
+    @pytest.mark.parametrize("name", ["scan_step", "scan_start"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_scan_parameter_refused(self, acrylic, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            solve_dispersion(acrylic, F_OSC, **{name: value})
+
+    def test_step_below_resolution_refused(self, acrylic):
+        with pytest.raises(ValueError, match="does not advance"):
+            solve_dispersion(acrylic, F_OSC, scan_step=1e-300)
 
 
 class TestModeCoefficients:
