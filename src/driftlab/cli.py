@@ -410,6 +410,9 @@ def main(argv=None) -> int:
     except (NoRootError, CalibrationError, DeflationStallError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ArithmeticError as exc:  # an overflow or a division by zero in a model
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,16 +3,20 @@
 Configs are a versioned JSON tree in which every physical quantity carries
 an explicit unit suffix in its key name (thickness_mm, drive_amplitude_v,
 freeze_timeout_s, ...), so a value can never be silently interpreted in the
-wrong unit.  Validation walks the whole tree first and reports every
-offending field with its dotted path.
+wrong unit.  ``SCHEMA`` lists every leaf with its kind, default and bounds.
+Validation reads the whole tree through it first and reports every
+offending field with its dotted path; the rules that relate several fields
+run only while no earlier field has failed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from .chain import ChainContext, TransducerSpec, build_context
 from .crystal import CrystalSpec
@@ -20,13 +24,16 @@ from .effects import BpScenario, ClockSynthConfig, DampingSpec, SubnormalShiftEr
 from .fingerprint import CaptureConfig, load_profile_library
 from .lamb import MediumSpec, load_media
 from .planner import DIRECTION_BACKWARD, DIRECTION_FORWARD, DriftGoal
-from .rtc import RtcConfig
+from .rtc import DIVIDER_MAX, MODE_32BIT, MODE_CALENDAR, RtcConfig
 
 SCHEMA_VERSION = 1
 # Most samples one fingerprint capture may hold.  A cold `driftlab classify`
 # peaks at about 40 MB plus 118 bytes per sample (6 MHz, 0.1 to 1.0 s
 # captures), so the largest accepted capture stays below 2 GB.
 CAPTURE_SAMPLES_MAX = 16_000_000
+# Most excitation phases one calibration may sample.  Each costs about
+# 9.5 us, so the largest grid calibrates in under a second.
+PHASE_GRID_MAX = 65_536
 
 
 class ConfigError(ValueError):
@@ -37,82 +44,104 @@ class ConfigError(ValueError):
         self.diagnostics = diagnostics
 
 
-class _Checker:
-    def __init__(self):
-        self.errors: list[str] = []
+REQUIRED = object()  # the default of a field that must be given
 
-    def fail(self, path: str, message: str):
-        self.errors.append(f"{path}: {message}")
 
-    def number(self, obj: dict, path: str, key: str, default=None,
-               minimum=None, exclusive_minimum=None, maximum=None,
-               allow_none=False):
-        if key not in obj or obj[key] is None:
-            if key in obj and obj[key] is None and allow_none:
-                return None
-            if default is not None or allow_none:
-                return default
-            self.fail(f"{path}.{key}", "required number missing")
-            return None
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {value!r}")
-            return None
-        # JSON admits NaN and +-Infinity, and every range test below is
-        # false against NaN.
+@dataclass(frozen=True)
+class Field:
+    """One leaf of the schema: its JSON ``key``, and the keyword ``attr`` its
+    value is passed as.
+
+    ``kind`` is float (any finite JSON number), int or str.  A missing or
+    null field takes ``default``, unless that is ``REQUIRED``; a null text
+    field is always refused.  The bounds are tested in the order ``ge``,
+    ``gt``, ``le``, then ``check``, which returns a diagnostic or None.
+    """
+
+    key: str
+    attr: str
+    default: Any = REQUIRED
+    kind: type = float
+    gt: Any = None
+    ge: Any = None
+    le: Any = None
+    choices: tuple = ()
+    check: Optional[Callable[[Any], Optional[str]]] = None
+
+
+# kind -> (accepted JSON types, name)
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "text")}
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt), ("le", "<=", operator.le))
+
+
+def _refusal(row: Field, value) -> Optional[str]:
+    """Why ``value`` cannot fill ``row``, or None when it can."""
+    if value is None:
+        return f"required {'text' if row.kind is str else 'number'} missing"
+    accepts, noun = _KINDS[row.kind]
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        return f"expected {noun}, got {value!r}"
+    number = value
+    if row.kind is float:
+        # JSON admits NaN and +-Infinity, and every bound is false against NaN.
         try:
             number = float(value)
         except OverflowError:  # an integer past the float range
             number = math.inf if value > 0 else -math.inf
         if not math.isfinite(number):
-            self.fail(f"{path}.{key}", f"must be a finite number, got {number}")
-            return None
-        if minimum is not None and value < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-            return None
-        if exclusive_minimum is not None and value <= exclusive_minimum:
-            self.fail(f"{path}.{key}", f"must be > {exclusive_minimum}, got {value}")
-            return None
-        if maximum is not None and value > maximum:
-            self.fail(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-            return None
-        return number
+            return f"must be a finite number, got {number}"
+    for name, symbol, holds in _BOUNDS:
+        limit = getattr(row, name)
+        if limit is not None and not holds(value, limit):
+            return f"must be {symbol} {limit}, got {value}"
+    if row.choices and value not in row.choices:
+        return f"must be one of {sorted(row.choices)}, got {value!r}"
+    return row.check(number) if row.check else None
 
-    def integer(self, obj: dict, path: str, key: str, default=None,
-                minimum=None, maximum=None):
-        value = obj.get(key, default)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-            return default
-        if maximum is not None and value > maximum:
-            self.fail(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-            return default
-        return value
 
-    def text(self, obj: dict, path: str, key: str, default=None, choices=None):
-        value = obj.get(key, default)
-        if value is None:
-            self.fail(f"{path}.{key}", "required text missing")
-            return default
-        if not isinstance(value, str):
-            self.fail(f"{path}.{key}", f"expected text, got {value!r}")
-            return default
-        if choices is not None and value not in choices:
-            self.fail(f"{path}.{key}", f"must be one of {sorted(choices)}, got {value!r}")
-            return default
-        return value
+class _Checker:
+    def __init__(self):
+        self.errors: list[str] = []
 
-    def section(self, obj: dict, path: str, key: str) -> dict:
-        value = obj.get(key, {})
-        if not isinstance(value, dict):
-            self.fail(f"{path}.{key}", f"expected an object, got {value!r}")
-            return {}
-        return value
+    def fail(self, path: str, message: str) -> None:
+        self.errors.append(f"{path}: {message}")
+
+    def read(self, obj, path: str, rows) -> dict:
+        """attr -> value for each of ``rows`` in the object at ``path``; None
+        where refused."""
+        if not isinstance(obj, dict):
+            self.fail(path, f"expected an object, got {obj!r}")
+            obj = {}
+        values = {}
+        for row in rows:
+            value = obj.get(row.key)
+            null_text = row.kind is str and row.key in obj
+            if value is None and row.default is not REQUIRED and not null_text:
+                value = row.default
+            elif message := _refusal(row, value):
+                self.fail(f"{path}.{row.key}", message)
+                value = None
+            elif row.kind is float:
+                value = float(value)
+            values[row.attr] = value
+        return values
+
+    def assemble(self, factory, values: dict):
+        """``factory(**values)``, or None once anything has failed: the rules
+        that a factory applies across fields run only while nothing has."""
+        if self.errors:
+            return None
+        try:
+            return factory(**values)
+        except ConfigError as exc:
+            self.errors += exc.diagnostics
+            return None
+
+    def section(self, cfg: dict, name: str, factory, rows=None):
+        """``factory`` assembled from the fields of section ``name``."""
+        path = f"$.{name}"
+        values = self.read(cfg.get(name, {}), path, rows or SCHEMA[path])
+        return self.assemble(factory, values)
 
 
 @dataclass(frozen=True)
@@ -158,248 +187,210 @@ class Scenario:
         )
 
 
-def _parse_medium(chk: _Checker, cfg: dict) -> Optional[MediumSpec]:
-    sec = chk.section(cfg, "$", "medium")
-    name = chk.text(sec, "$.medium", "name", default="acrylic glass")
-    thickness_mm = chk.number(sec, "$.medium", "thickness_mm", default=5.0,
-                              exclusive_minimum=0.0)
-    attenuation = chk.number(sec, "$.medium", "attenuation_per_m", default=0.9,
-                             exclusive_minimum=0.0, maximum=1.0)
-    if chk.errors:
-        return None
-    media = load_media(thickness=thickness_mm * 1e-3, attenuation_ratio=attenuation)
+def _positive(key: str, attr: str, default=REQUIRED) -> Field:
+    return Field(key, attr, default, gt=0.0)
+
+
+def _below_pi(step: float) -> Optional[str]:
+    return f"must be below pi, got {step}" if step >= math.pi else None
+
+
+# The damping mount: omega_n and zeta, or c, k and m when all three of
+# their keys are present.
+_MOUNT = (
+    _positive("natural_freq_rad_s", "omega_n", 2.0e5),
+    _positive("zeta", "zeta", 0.5),
+)
+_MOUNT_PARTS = (
+    _positive("damping_n_s_per_m", "damping_coeff"),
+    _positive("stiffness_n_per_m", "stiffness"),
+    _positive("mass_kg", "mass"),
+)
+# JSON path of each object -> its fields.  A default that the built
+# dataclass shares is read from it.
+SCHEMA = {
+    "$": (
+        Field("seed", "seed", Scenario.seed, int, ge=0),
+        Field("circuit_phase_offset_rad", "circuit_phase_offset",
+              Scenario.circuit_phase_offset),
+        Field("phase_grid", "phase_grid", Scenario.phase_grid, int, ge=8,
+              le=PHASE_GRID_MAX),
+    ),
+    "$.medium": (
+        Field("name", "name", "acrylic glass", str),
+        _positive("thickness_mm", "thickness_mm", 5.0),
+        Field("attenuation_per_m", "attenuation_ratio", 0.9, gt=0.0, le=1.0),
+    ),
+    "$.crystal": (
+        _positive("tip_mass_kg", "tip_mass", CrystalSpec.tip_mass),
+        _positive("damping_n_s_per_m", "damping", CrystalSpec.damping),
+        _positive("stiffness_n_per_m", "stiffness", CrystalSpec.stiffness),
+        _positive("width_m", "width", CrystalSpec.width),
+        _positive("thickness_m", "thickness", CrystalSpec.thickness),
+        _positive("piezo_c_per_n", "piezo_constant", CrystalSpec.piezo_constant),
+        _positive("dielectric_f_per_m", "dielectric_constant",
+                  CrystalSpec.dielectric_constant),
+        _positive("volts_per_displacement", "volts_per_displacement",
+                  CrystalSpec.volts_per_displacement),
+    ),
+    "$.rtc": (
+        _positive("nominal_freq_hz", "nominal_freq", RtcConfig.nominal_freq),
+        _positive("nominal_amplitude_v", "nominal_amplitude",
+                  RtcConfig.nominal_amplitude),
+        _positive("trigger_threshold_v", "trigger_threshold",
+                  RtcConfig.trigger_threshold),
+        Field("mode", "mode", RtcConfig.mode, str, choices=(MODE_CALENDAR, MODE_32BIT)),
+        Field("divider_reload", "divider_reload", RtcConfig.divider_reload, int,
+              ge=1, le=DIVIDER_MAX),
+        _positive("freeze_timeout_s", "freeze_timeout", RtcConfig.freeze_timeout),
+        _positive("convergence_time_constant_s", "convergence_time_constant",
+                  RtcConfig.convergence_time_constant),
+    ),
+    "$.transducer": (
+        Field("position_z_m", "position", 0.055, ge=0.0),
+        Field("drive_amplitude_v", "drive_amplitude", 20.0, ge=0.0),
+        _positive("displacement_per_volt_m", "displacement_per_volt",
+                  TransducerSpec.displacement_per_volt),
+    ),
+    "$.goal": (
+        Field("direction", "direction", kind=str,
+              choices=(DIRECTION_FORWARD, DIRECTION_BACKWARD)),
+        _positive("window_a_s", "window"),
+        _positive("drift_b_s", "seconds", None),
+        _positive("drift_b_cycles", "cycles", None),
+    ),
+    "$.attack": (
+        _positive("burst_duration_s", "burst_duration", AttackSettings.burst_duration),
+        _positive("single_duration_t1_s", "t1", AttackSettings.t1),
+        Field("phase_step_rad", "phase_step", AttackSettings.phase_step, gt=0.0,
+              check=_below_pi),
+    ),
+    "$.fingerprint": (
+        _positive("sample_rate_hz", "sample_rate", 6e6),
+        _positive("duration_s", "duration", 0.1),
+        Field("snr_db", "snr_db", CaptureConfig.snr_db),
+        _positive("scale_a_mv", "scale_a", CaptureConfig.scale_a),
+        _positive("scale_b_mv", "scale_b", CaptureConfig.scale_b),
+        _positive("bandwidth_hz", "bandwidth", 2e5),
+        Field("confidence_threshold", "confidence_threshold",
+              Scenario.confidence_threshold, ge=0.0, le=1.0),
+        Field("library", "library", None, str),
+    ),
+    "$.fingerprint.trace": (
+        Field("profile", "profile", None, str),
+        Field("file", "file", None, str),
+    ),
+    "$.bp": (
+        _positive("initial_pressure_mmhg", "initial_pressure", 180.0),
+        _positive("systolic_mmhg", "systolic", 120.0),
+        _positive("diastolic_mmhg", "diastolic", 80.0),
+        _positive("deflation_rate_mmhg_per_s", "deflation_rate", 3.0),
+        _positive("pressure_per_cycle_mmhg", "pressure_per_cycle", 3.0 / 1024.0),
+        Field("freq_shift_hz", "freq_shift", BpScenario.freq_shift),
+        _positive("drift_rate", "bp_drift_rate", Scenario.bp_drift_rate),
+        _positive("tick_freq_hz", "bp_tick_freq", Scenario.bp_tick_freq),
+    ),
+    "$.damping": _MOUNT + _MOUNT_PARTS,
+    "$.clock_synth": (
+        _positive("ref_freq_hz", "ref_freq", ClockSynthConfig.ref_freq),
+        _positive("pll_mult", "pll_mult", ClockSynthConfig.pll_mult),
+        _positive("multisynth_div", "multisynth_div", ClockSynthConfig.multisynth_div),
+    ),
+}
+
+
+def _medium(name: str, thickness_mm: float, attenuation_ratio: float) -> MediumSpec:
+    thickness = thickness_mm * 1e-3
+    if thickness == 0.0:
+        raise ConfigError([f"$.medium.thickness_mm: {thickness_mm} mm is 0 m"])
+    media = load_media(thickness=thickness, attenuation_ratio=attenuation_ratio)
     if name not in media:
-        chk.fail("$.medium.name", f"unknown medium {name!r}; have {sorted(media)}")
-        return None
+        raise ConfigError([f"$.medium.name: unknown medium {name!r}; "
+                           f"have {sorted(media)}"])
     return media[name]
 
 
-def _parse_crystal(chk: _Checker, cfg: dict) -> Optional[CrystalSpec]:
-    sec = chk.section(cfg, "$", "crystal")
-    base = CrystalSpec()
-    kwargs = {}
-    for key, attr in [
-        ("tip_mass_kg", "tip_mass"),
-        ("damping_n_s_per_m", "damping"),
-        ("stiffness_n_per_m", "stiffness"),
-        ("width_m", "width"),
-        ("thickness_m", "thickness"),
-        ("piezo_c_per_n", "piezo_constant"),
-        ("dielectric_f_per_m", "dielectric_constant"),
-        ("volts_per_displacement", "volts_per_displacement"),
-    ]:
-        value = chk.number(sec, "$.crystal", key, default=getattr(base, attr),
-                           exclusive_minimum=0.0)
-        kwargs[attr] = value
-    if chk.errors:
-        return None
-    return CrystalSpec(**kwargs)
+def _rtc(**values) -> RtcConfig:
+    threshold, amplitude = values["trigger_threshold"], values["nominal_amplitude"]
+    if threshold is not None and threshold >= amplitude:
+        raise ConfigError([f"$.rtc.trigger_threshold_v: must be below the nominal "
+                           f"amplitude ({amplitude})"])
+    return RtcConfig(**values)
 
 
-def _parse_rtc(chk: _Checker, cfg: dict) -> Optional[RtcConfig]:
-    sec = chk.section(cfg, "$", "rtc")
-    freq = chk.number(sec, "$.rtc", "nominal_freq_hz", default=32768.0,
-                      exclusive_minimum=0.0)
-    amplitude = chk.number(sec, "$.rtc", "nominal_amplitude_v", default=0.080,
-                           exclusive_minimum=0.0)
-    threshold = chk.number(sec, "$.rtc", "trigger_threshold_v", default=None,
-                           exclusive_minimum=0.0, allow_none=True)
-    mode = chk.text(sec, "$.rtc", "mode", default="calendar",
-                    choices={"calendar", "thirtytwo_bit"})
-    reload = chk.integer(sec, "$.rtc", "divider_reload", default=None,
-                         minimum=1, maximum=65535)
-    freeze = chk.number(sec, "$.rtc", "freeze_timeout_s", default=None,
-                        exclusive_minimum=0.0, allow_none=True)
-    tau = chk.number(sec, "$.rtc", "convergence_time_constant_s", default=3e-6,
-                     exclusive_minimum=0.0)
-    if chk.errors:
-        return None
-    if threshold is not None and amplitude is not None and threshold >= amplitude:
-        chk.fail("$.rtc.trigger_threshold_v",
-                 f"must be below the nominal amplitude ({amplitude})")
-        return None
-    return RtcConfig(
-        nominal_freq=freq,
-        nominal_amplitude=amplitude,
-        trigger_threshold=threshold,
-        divider_reload=reload,
-        mode=mode,
-        freeze_timeout=freeze,
-        convergence_time_constant=tau,
-    )
-
-
-def _parse_transducer(chk: _Checker, cfg: dict) -> Optional[TransducerSpec]:
-    sec = chk.section(cfg, "$", "transducer")
-    z = chk.number(sec, "$.transducer", "position_z_m", default=0.055, minimum=0.0)
-    drive = chk.number(sec, "$.transducer", "drive_amplitude_v", default=20.0,
-                       minimum=0.0)
-    coupling = chk.number(sec, "$.transducer", "displacement_per_volt_m",
-                          default=1e-12, exclusive_minimum=0.0)
-    if chk.errors:
-        return None
-    return TransducerSpec(position=z, drive_amplitude=drive,
-                          displacement_per_volt=coupling)
-
-
-def _parse_goal(chk: _Checker, cfg: dict, rtc: Optional[RtcConfig]):
-    if "goal" not in cfg:
-        return None
-    sec = chk.section(cfg, "$", "goal")
-    direction = chk.text(sec, "$.goal", "direction",
-                         choices={DIRECTION_FORWARD, DIRECTION_BACKWARD})
-    window = chk.number(sec, "$.goal", "window_a_s", exclusive_minimum=0.0)
-    drift_s = chk.number(sec, "$.goal", "drift_b_s", default=None,
-                         exclusive_minimum=0.0, allow_none=True)
-    drift_cycles = chk.number(sec, "$.goal", "drift_b_cycles", default=None,
-                              exclusive_minimum=0.0, allow_none=True)
-    if chk.errors or direction is None or window is None:
-        return None
+def _goal(rtc: RtcConfig, direction: str, window: float, seconds, cycles) -> DriftGoal:
     if direction == DIRECTION_BACKWARD:
-        if drift_s is None:
-            chk.fail("$.goal.drift_b_s", "backward goals need a drift in seconds")
-            return None
-        if drift_s >= window:
-            chk.fail("$.goal.drift_b_s", "backward drift must be below the window")
-            return None
-        return DriftGoal(window=window, drift=drift_s, direction=direction)
+        if seconds is None:
+            raise ConfigError(["$.goal.drift_b_s: backward goals need a drift in "
+                               "seconds"])
+        if seconds >= window:
+            raise ConfigError(["$.goal.drift_b_s: backward drift must be below the "
+                               "window"])
+        return DriftGoal(window=window, drift=seconds, direction=direction)
     # Forward drift is accounted in oscillator cycles; seconds of extra RTC
     # time convert at the nominal frequency.
-    if drift_cycles is None and drift_s is None:
-        chk.fail("$.goal", "forward goals need drift_b_cycles or drift_b_s")
-        return None
-    if drift_cycles is None:
-        drift_cycles = drift_s * rtc.nominal_freq
-    return DriftGoal(window=window, drift=drift_cycles, direction=direction)
+    if cycles is None and seconds is None:
+        raise ConfigError(["$.goal: forward goals need drift_b_cycles or drift_b_s"])
+    if cycles is None:
+        cycles = seconds * rtc.nominal_freq
+    return DriftGoal(window=window, drift=cycles, direction=direction)
 
 
-def _parse_attack(chk: _Checker, cfg: dict) -> AttackSettings:
-    sec = chk.section(cfg, "$", "attack")
-    base = AttackSettings()
-    burst = chk.number(sec, "$.attack", "burst_duration_s",
-                       default=base.burst_duration, exclusive_minimum=0.0)
-    t1 = chk.number(sec, "$.attack", "single_duration_t1_s", default=base.t1,
-                    exclusive_minimum=0.0)
-    step = chk.number(sec, "$.attack", "phase_step_rad", default=base.phase_step,
-                      exclusive_minimum=0.0)
-    if step is not None and step >= math.pi:
-        chk.fail("$.attack.phase_step_rad", f"must be below pi, got {step}")
-    if chk.errors:
-        return base
-    return AttackSettings(burst_duration=burst, t1=t1, phase_step=step)
-
-
-def _parse_fingerprint(chk: _Checker, cfg: dict):
-    if "fingerprint" not in cfg:
-        return None, None, None, 0.6
-    sec = chk.section(cfg, "$", "fingerprint")
-    rate = chk.number(sec, "$.fingerprint", "sample_rate_hz", default=6e6,
-                      exclusive_minimum=0.0)
-    duration = chk.number(sec, "$.fingerprint", "duration_s", default=0.1,
-                          exclusive_minimum=0.0)
-    snr = chk.number(sec, "$.fingerprint", "snr_db", default=None, allow_none=True)
-    a = chk.number(sec, "$.fingerprint", "scale_a_mv", default=50.0,
-                   exclusive_minimum=0.0)
-    b = chk.number(sec, "$.fingerprint", "scale_b_mv", default=50.0,
-                   exclusive_minimum=0.0)
-    bw = chk.number(sec, "$.fingerprint", "bandwidth_hz", default=2e5,
-                    exclusive_minimum=0.0)
-    threshold = chk.number(sec, "$.fingerprint", "confidence_threshold",
-                           default=0.6, minimum=0.0, maximum=1.0)
-    library_path = sec.get("library")
-    source = sec.get("trace")
-    if source is not None and not isinstance(source, dict):
-        chk.fail("$.fingerprint.trace", "expected an object")
-        source = None
-    if source is not None and not ("profile" in source or "file" in source):
-        chk.fail("$.fingerprint.trace", "needs a 'profile' label or a 'file' path")
-    if chk.errors:
-        return None, None, None, 0.6
+def _fingerprint(trace, confidence_threshold: float, library, **capture) -> dict:
+    rate, duration = capture["sample_rate"], capture["duration"]
     samples = rate * duration
     if not (math.isfinite(samples) and round(samples) <= CAPTURE_SAMPLES_MAX):
-        chk.fail("$.fingerprint.duration_s",
-                 f"{duration} s at {rate} Hz is {samples:.6g} samples, above the "
-                 f"{CAPTURE_SAMPLES_MAX} a capture may hold")
-        return None, None, None, 0.6
-    capture = CaptureConfig(
-        sample_rate=rate,
-        duration=duration,
-        snr_db=math.inf if snr is None else snr,
-        scale_a=a,
-        scale_b=b,
-        bandwidth=bw,
-    )
-    library = load_profile_library(library_path)
-    return capture, source, library, threshold
-
-
-def _parse_bp(chk: _Checker, cfg: dict):
-    if "bp" not in cfg:
-        return None, None, 1024.0
-    sec = chk.section(cfg, "$", "bp")
-    p0 = chk.number(sec, "$.bp", "initial_pressure_mmhg", default=180.0,
-                    exclusive_minimum=0.0)
-    s = chk.number(sec, "$.bp", "systolic_mmhg", default=120.0,
-                   exclusive_minimum=0.0)
-    d = chk.number(sec, "$.bp", "diastolic_mmhg", default=80.0,
-                   exclusive_minimum=0.0)
-    v0 = chk.number(sec, "$.bp", "deflation_rate_mmhg_per_s", default=3.0,
-                    exclusive_minimum=0.0)
-    dp = chk.number(sec, "$.bp", "pressure_per_cycle_mmhg", default=3.0 / 1024.0,
-                    exclusive_minimum=0.0)
-    df = chk.number(sec, "$.bp", "freq_shift_hz", default=0.0)
-    rate = chk.number(sec, "$.bp", "drift_rate", default=None,
-                      exclusive_minimum=0.0, allow_none=True)
-    tick = chk.number(sec, "$.bp", "tick_freq_hz", default=1024.0,
-                      exclusive_minimum=0.0)
-    if chk.errors:
-        return None, None, 1024.0
-    if not p0 > s > d > 0:
-        chk.fail("$.bp", "need initial pressure > systolic > diastolic > 0")
-        return None, None, 1024.0
+        raise ConfigError([f"$.fingerprint.duration_s: {duration} s at {rate} Hz is "
+                           f"{samples:.6g} samples, above the {CAPTURE_SAMPLES_MAX} a "
+                           "capture may hold"])
     try:
-        scenario = BpScenario(
-            initial_pressure=p0, systolic=s, diastolic=d,
-            deflation_rate=v0, pressure_per_cycle=dp, freq_shift=df,
-        )
+        profiles = load_profile_library(library)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError([f"$.fingerprint.library: cannot read {library!r}: "
+                           f"{exc!r}"]) from exc
+    return dict(capture=CaptureConfig(**capture), capture_source=trace, library=profiles,
+                confidence_threshold=confidence_threshold)
+
+
+def _bp(bp_drift_rate, bp_tick_freq: float, **values) -> dict:
+    if not values["initial_pressure"] > values["systolic"] > values["diastolic"] > 0:
+        raise ConfigError(["$.bp: need initial pressure > systolic > diastolic > 0"])
+    try:
+        bp = BpScenario(**values)
     except SubnormalShiftError as exc:
-        chk.fail("$.bp.freq_shift_hz", str(exc))
-        return None, None, 1024.0
-    return scenario, rate, tick
+        raise ConfigError([f"$.bp.freq_shift_hz: {exc}"]) from exc
+    return dict(bp=bp, bp_drift_rate=bp_drift_rate, bp_tick_freq=bp_tick_freq)
 
 
-def _parse_damping(chk: _Checker, cfg: dict):
-    if "damping" not in cfg:
-        return None
-    sec = chk.section(cfg, "$", "damping")
-    if {"damping_n_s_per_m", "stiffness_n_per_m", "mass_kg"} <= sec.keys():
-        c = chk.number(sec, "$.damping", "damping_n_s_per_m", exclusive_minimum=0.0)
-        k = chk.number(sec, "$.damping", "stiffness_n_per_m", exclusive_minimum=0.0)
-        m = chk.number(sec, "$.damping", "mass_kg", exclusive_minimum=0.0)
-        if chk.errors:
-            return None
-        return DampingSpec.from_components(c, k, m)
-    wn = chk.number(sec, "$.damping", "natural_freq_rad_s", default=2.0e5,
-                    exclusive_minimum=0.0)
-    zeta = chk.number(sec, "$.damping", "zeta", default=0.5, exclusive_minimum=0.0)
-    if chk.errors:
-        return None
-    return DampingSpec(omega_n=wn, zeta=zeta)
+def _mount(**components) -> DampingSpec:
+    # omega_n = sqrt(k / m) and zeta = c / (2 sqrt(k m)) can leave the floats
+    # where c, k and m do not.
+    try:
+        return DampingSpec.from_components(**components)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(["$.damping: damping_n_s_per_m, stiffness_n_per_m and mass_kg "
+                           "give no finite omega_n and zeta > 0"]) from None
 
 
-def _parse_synth(chk: _Checker, cfg: dict):
-    if "clock_synth" not in cfg:
-        return None
-    sec = chk.section(cfg, "$", "clock_synth")
-    ref = chk.number(sec, "$.clock_synth", "ref_freq_hz", default=25e6,
-                     exclusive_minimum=0.0)
-    pll = chk.number(sec, "$.clock_synth", "pll_mult", default=36.0,
-                     exclusive_minimum=0.0)
-    div = chk.number(sec, "$.clock_synth", "multisynth_div", default=27465.82,
-                     exclusive_minimum=0.0)
-    if chk.errors:
-        return None
-    return ClockSynthConfig(ref_freq=ref, pll_mult=pll, multisynth_div=div)
+def _parse_fingerprint(chk: _Checker, cfg: dict) -> Optional[dict]:
+    sec = cfg["fingerprint"]
+    values = chk.read(sec, "$.fingerprint", SCHEMA["$.fingerprint"])
+    # The trace is checked whatever failed before it.
+    trace = sec.get("trace") if isinstance(sec, dict) else None
+    if trace is not None and not isinstance(trace, dict):
+        chk.fail("$.fingerprint.trace", "expected an object")
+    elif trace is not None:
+        chk.read(trace, "$.fingerprint.trace", SCHEMA["$.fingerprint.trace"])
+        if not ("profile" in trace or "file" in trace):
+            chk.fail("$.fingerprint.trace", "needs a 'profile' label or a 'file' path")
+    return chk.assemble(partial(_fingerprint, trace), values)
+
+
+def _parse_damping(chk: _Checker, cfg: dict) -> Optional[DampingSpec]:
+    sec = cfg["damping"]
+    if isinstance(sec, dict) and {row.key for row in _MOUNT_PARTS} <= sec.keys():
+        return chk.section(cfg, "damping", _mount, _MOUNT_PARTS)
+    return chk.section(cfg, "damping", DampingSpec, _MOUNT)
 
 
 def parse_scenario(cfg: Any) -> Scenario:
@@ -411,43 +402,23 @@ def parse_scenario(cfg: Any) -> Scenario:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         chk.fail("$.schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    seed = chk.integer(cfg, "$", "seed", default=0, minimum=0)
-    offset = chk.number(cfg, "$", "circuit_phase_offset_rad", default=0.0)
-    phase_grid = chk.integer(cfg, "$", "phase_grid", default=64, minimum=8)
-
-    medium = _parse_medium(chk, cfg)
-    crystal = _parse_crystal(chk, cfg)
-    rtc = _parse_rtc(chk, cfg)
-    transducer = _parse_transducer(chk, cfg)
-    goal = _parse_goal(chk, cfg, rtc)
-    attack = _parse_attack(chk, cfg)
-    capture, source, library, threshold = _parse_fingerprint(chk, cfg)
-    bp, bp_rate, bp_tick = _parse_bp(chk, cfg)
-    damping = _parse_damping(chk, cfg)
-    synth = _parse_synth(chk, cfg)
-
+    top = chk.read(cfg, "$", SCHEMA["$"])
+    medium = chk.section(cfg, "medium", _medium)
+    crystal = chk.section(cfg, "crystal", CrystalSpec)
+    rtc = chk.section(cfg, "rtc", _rtc)
+    transducer = chk.section(cfg, "transducer", TransducerSpec)
+    goal = chk.section(cfg, "goal", partial(_goal, rtc)) if "goal" in cfg else None
+    attack = chk.section(cfg, "attack", AttackSettings)
+    fingerprint = _parse_fingerprint(chk, cfg) if "fingerprint" in cfg else {}
+    bp = chk.section(cfg, "bp", _bp) if "bp" in cfg else {}
+    damping = _parse_damping(chk, cfg) if "damping" in cfg else None
+    synth = (chk.section(cfg, "clock_synth", ClockSynthConfig)
+             if "clock_synth" in cfg else None)
     if chk.errors:
         raise ConfigError(chk.errors)
-    return Scenario(
-        medium=medium,
-        crystal=crystal,
-        rtc=rtc,
-        transducer=transducer,
-        goal=goal,
-        seed=seed,
-        circuit_phase_offset=offset,
-        attack=attack,
-        phase_grid=phase_grid,
-        capture=capture,
-        capture_source=source,
-        library=library,
-        confidence_threshold=threshold,
-        bp=bp,
-        bp_drift_rate=bp_rate,
-        bp_tick_freq=bp_tick,
-        damping=damping,
-        clock_synth=synth,
-    )
+    return Scenario(medium=medium, crystal=crystal, rtc=rtc, transducer=transducer,
+                    goal=goal, attack=attack, damping=damping, clock_synth=synth,
+                    **top, **fingerprint, **bp)
 
 
 def load_scenario(path) -> Scenario:

@@ -65,8 +65,8 @@ class DampingSpec:
     zeta: float        # damping ratio
 
     def __post_init__(self):
-        if self.omega_n <= 0.0 or self.zeta <= 0.0:
-            raise ValueError("omega_n and zeta must be > 0")
+        if not (0.0 < self.omega_n < math.inf and 0.0 < self.zeta < math.inf):
+            raise ValueError("omega_n and zeta must be finite and > 0")
 
     @classmethod
     def from_components(cls, damping_coeff: float, stiffness: float, mass: float):

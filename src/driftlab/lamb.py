@@ -34,6 +34,10 @@ from .signals import TWO_PI, Sinusoid, wrap_phase
 # Bracketing resolution of the phase-velocity scan (m/s) and its lower edge.
 SCAN_STEP = 1.0
 SCAN_START = 10.0
+# Most grid points one scan may cover.  At about 0.4 us a point (2 vCPUs),
+# a full scan takes under half a second; the default step needs at most a
+# few thousand.
+SCAN_POINTS_MAX = 1_000_000
 # Grid points the scan evaluates in one numpy pass.
 _SCAN_CHUNK = 256
 # numpy's complex sqrt and tan differ from cmath's by a few ulp, so a scan
@@ -298,14 +302,35 @@ def solve_dispersion(
 
     Scans phase velocity upward from ``scan_start`` to the transverse bulk
     speed, brackets the first sign change, then bisects the bracket down to
-    machine precision.  Raises NoRootError when the scan sees no sign change,
-    and ValueError when ``scan_step`` or ``scan_start`` is not finite and > 0.
+    machine precision.  Raises NoRootError when the scan sees no sign change
+    or the characteristic function overflows, and ValueError when
+    ``scan_step`` or ``scan_start`` is not finite and > 0 or the scan would
+    cover more than ``SCAN_POINTS_MAX`` points.
     """
     if f <= 0.0:
         raise ValueError("frequency must be > 0")
     for name, value in (("scan_step", scan_step), ("scan_start", scan_start)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    points = (medium.c_t - scan_start) / scan_step
+    # A step too small to move the sum at all is reported by the scan itself.
+    if points > SCAN_POINTS_MAX and scan_start + scan_step > scan_start:
+        raise ValueError(
+            f"scan_step {scan_step!r} m/s gives {points:.3g} points from {scan_start!r} "
+            f"to {medium.c_t!r} m/s, above the {SCAN_POINTS_MAX} a scan may cover"
+        )
+    try:
+        return _solve(medium, f, scan_step, scan_start, thickness_convention)
+    except OverflowError:
+        raise NoRootError(
+            f"no dispersion root for {medium.name!r} at {f} Hz and thickness "
+            f"{medium.thickness} m: the characteristic function overflows"
+        ) from None
+
+
+def _solve(medium: MediumSpec, f: float, scan_step: float, scan_start: float,
+           thickness_convention: str) -> LambMode:
+    """``solve_dispersion`` on arguments it has checked."""
     omega = TWO_PI * f
     h = _half_thickness(medium, thickness_convention)
 

@@ -514,6 +514,89 @@ class TestOutputFile:
         assert sorted(os.listdir(tmp_path)) == ["bp.csv", "scenario.json"]
 
 
+COMPONENTS = {"damping_n_s_per_m": 0.2, "stiffness_n_per_m": 4.0e4, "mass_kg": 1e-3}
+GIVES_NO_MOUNT = ("$.damping: damping_n_s_per_m, stiffness_n_per_m and mass_kg give "
+                  "no finite omega_n and zeta > 0")
+
+
+class TestSchemaRefusals:
+    @pytest.mark.parametrize("overrides, diagnostic", [
+        ({"fingerprint.library": []}, "$.fingerprint.library: expected text, got []"),
+        # Once read as a path, True opened and closed file descriptor 1.
+        ({"fingerprint.library": True},
+         "$.fingerprint.library: expected text, got True"),
+        ({"fingerprint.trace": {"file": None}},
+         "$.fingerprint.trace.file: required text missing"),
+        ({"fingerprint.trace": {"profile": 4}},
+         "$.fingerprint.trace.profile: expected text, got 4"),
+        ({"phase_grid": 10 ** 12}, "$.phase_grid: must be <= 65536, got 1000000000000"),
+        ({"phase_grid": 10 ** 400}, f"$.phase_grid: must be <= 65536, got {10 ** 400}"),
+        ({"phase_grid": 2 ** 1100}, f"$.phase_grid: must be <= 65536, got {2 ** 1100}"),
+        ({"medium.thickness_mm": 5e-324}, "$.medium.thickness_mm: 5e-324 mm is 0 m"),
+        ({"damping": dict(COMPONENTS, damping_n_s_per_m=5e-324)}, GIVES_NO_MOUNT),
+        ({"damping": dict(COMPONENTS, stiffness_n_per_m=5e-324)}, GIVES_NO_MOUNT),
+        ({"damping": dict(COMPONENTS, mass_kg=5e-324)}, GIVES_NO_MOUNT),
+    ], ids=["library-list", "library-true", "trace-file-null", "trace-profile-number",
+            "phase-grid-1e12", "phase-grid-1e400", "phase-grid-2**1100", "thickness-subnormal",
+            "mount-c-subnormal", "mount-k-subnormal", "mount-m-subnormal"])
+    def test_refused_with_named_path(self, overrides, diagnostic, config_path,
+                                     tmp_path, capsys):
+        path = config_path(overrides=overrides)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier result\n")
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+        assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("grid, accepted", [(65536, True), (65537, False)])
+    def test_phase_grid_limit(self, grid, accepted):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["phase_grid"] = grid
+        if accepted:
+            assert parse_scenario(cfg).phase_grid == grid
+        else:
+            with pytest.raises(ConfigError, match=r"\$\.phase_grid: must be <= 65536"):
+                parse_scenario(cfg)
+
+    def test_unreadable_library_named(self, config_path, tmp_path, capsys):
+        missing = tmp_path / "no-such-library.csv"
+        path = config_path(overrides={"fingerprint.library": str(missing)})
+        assert main(["classify", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: $.fingerprint.library: cannot read")
+        assert "FileNotFoundError" in err
+
+
+class TestNumericFailures:
+    @pytest.mark.parametrize("command", ["dispersion", "calibrate"])
+    @pytest.mark.parametrize("overrides, named", [
+        ({"rtc.nominal_freq_hz": 1e9}, "at 1000000000.0 Hz and thickness 0.005 m"),
+        ({"medium.thickness_mm": 1e9}, "at 32768.0 Hz and thickness 1000000.0 m"),
+    ])
+    def test_overflow_names_the_plate(self, command, overrides, named, config_path,
+                                      tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier result\n")
+        path = config_path(overrides=overrides)
+        assert main([command, "--config", path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: no dispersion root for 'acrylic glass' "
+                       f"{named}: the characteristic function overflows\n")
+        assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("zeta, error", [
+        (1e300, "OverflowError"),
+        (5e-324, "ZeroDivisionError"),  # |H| at resonance is 1 / (2 zeta)
+    ])
+    def test_counter_arithmetic_error_exits_4(self, zeta, error, config_path,
+                                              tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        path = config_path(overrides={"damping.zeta": zeta})
+        assert main(["counter", "--config", path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"numeric failure: {error}: ")
+        assert not out.exists()
+
+
 def test_runtime_imports_no_scipy():
     # scipy is a test dependency only; the package and its CLI use numpy.
     src = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))

@@ -157,6 +157,19 @@ class TestDamping:
         assert spec.omega_n == pytest.approx(10.0)
         assert spec.zeta == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("omega_n, zeta", [
+        (math.inf, 0.5), (100.0, math.inf), (math.nan, 0.5), (100.0, math.nan),
+        (0.0, 0.5), (100.0, 0.0),
+    ])
+    def test_rejects_non_finite_or_nonpositive(self, omega_n, zeta):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            DampingSpec(omega_n=omega_n, zeta=zeta)
+
+    def test_components_leaving_the_floats_rejected(self):
+        # k / m overflows: an infinite natural frequency
+        with pytest.raises(ValueError, match="finite and > 0"):
+            DampingSpec.from_components(damping_coeff=0.2, stiffness=4e4, mass=5e-324)
+
 
 class TestClockSynth:
     def test_reference_parameters_hit_nominal(self):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +223,36 @@ class TestChunkedScan:
     def test_step_below_resolution_refused(self, acrylic):
         with pytest.raises(ValueError, match="does not advance"):
             solve_dispersion(acrylic, F_OSC, scan_step=1e-300)
+
+    def test_scan_point_limit_refused_before_scanning(self, acrylic):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1.29e\\+15 points .* above the 1000000"):
+            solve_dispersion(acrylic, F_OSC, scan_step=1e-12)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("points, accepted", [
+        (lamb.SCAN_POINTS_MAX, True), (2 * lamb.SCAN_POINTS_MAX, False),
+    ])
+    def test_scan_point_limit_edge(self, acrylic, acrylic_mode, points, accepted):
+        # Starting 1 m/s below the root keeps an accepted scan short.
+        scan_start = acrylic_mode.c_s - 1.0
+        scan_step = (acrylic.c_t - scan_start) / points
+        if accepted:
+            mode = solve_dispersion(acrylic, F_OSC, scan_step=scan_step,
+                                    scan_start=scan_start)
+            assert mode.c_s == pytest.approx(acrylic_mode.c_s, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match="a scan may cover"):
+                solve_dispersion(acrylic, F_OSC, scan_step=scan_step,
+                                 scan_start=scan_start)
+
+    @pytest.mark.parametrize("f, thickness", [(1e9, 5e-3), (F_OSC, 1e6), (1e300, 5e-3)])
+    def test_overflow_is_a_named_no_root(self, f, thickness):
+        medium = load_media(thickness=thickness)["aluminum"]
+        with pytest.raises(NoRootError, match=re.escape(
+                f"'aluminum' at {f} Hz and thickness {thickness} m: the "
+                "characteristic function overflows")):
+            solve_dispersion(medium, f)
 
 
 class TestModeCoefficients:
