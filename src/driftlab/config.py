@@ -208,7 +208,7 @@ _MOUNT_PARTS = (
 )
 # JSON path of each object -> its fields.  A default that the built
 # dataclass shares is read from it.
-SCHEMA = {
+SCHEMA: dict[str, tuple[Field, ...]] = {
     "$": (
         Field("seed", "seed", Scenario.seed, int, ge=0),
         Field("circuit_phase_offset_rad", "circuit_phase_offset",

@@ -36,7 +36,7 @@ BASES = [
          goal={"direction": "forward", "window_a_s": 30.0, "drift_b_cycles": 40.0}),
 ]
 LEAVES = [(path, row) for path, rows in SCHEMA.items() for row in rows]
-DELETE = object()
+DELETE, EXTRA = object(), object()
 SWAPS = [None, "text", True, False, [1.0], {"x": 1.0}, 1.5, 7, -1]
 MAGNITUDES = [10 ** 400, -10 ** 400, 1e308, -1e308, 1e300, 5e-324, -5e-324,
               sys.float_info.min, 0, 0.0, -0.0, math.nan, math.inf, -math.inf]
@@ -56,8 +56,8 @@ def _with(path, value, base=BASE_CONFIG):
 
 
 def _edges(row):
-    """Each bound of ``row`` and its neighbours one ulp (one, for integers)
-    either side."""
+    """The choices of ``row``, and each of its bounds with the neighbours one
+    ulp (one, for integers) either side."""
     values = list(row.choices)
     for limit in (row.gt, row.ge, row.le):
         if isinstance(limit, int):
@@ -79,11 +79,11 @@ def mutated_configs(draw):
             if not isinstance(child, dict):
                 child = node[part] = {}
             node = child
-        value = draw(st.sampled_from([DELETE, "extra"] + SWAPS + MAGNITUDES
+        value = draw(st.sampled_from([DELETE, EXTRA] + SWAPS + MAGNITUDES
                                      + _edges(row)))
         if value is DELETE:
             node.pop(row.key, None)
-        elif value == "extra":
+        elif value is EXTRA:
             node[f"{row.key}_extra"] = draw(st.sampled_from(SWAPS + MAGNITUDES))
         else:
             node[row.key] = value
