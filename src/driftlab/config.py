@@ -32,7 +32,7 @@ SCHEMA_VERSION = 1
 # captures), so the largest accepted capture stays below 2 GB.
 CAPTURE_SAMPLES_MAX = 16_000_000
 # Most excitation phases one calibration may sample.  Each costs about
-# 9.5 us, so the largest grid calibrates in under a second.
+# 10 us, so the largest grid calibrates in about a second.
 PHASE_GRID_MAX = 65_536
 
 
