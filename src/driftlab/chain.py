@@ -18,6 +18,11 @@ from .rtc import RtcConfig
 from .signals import Sinusoid, wrap_phase
 
 
+class NonFiniteSignalError(ArithmeticError):
+    """The chain's induced signal overflowed: its amplitude or phase is not
+    finite."""
+
+
 @dataclass(frozen=True)
 class TransducerSpec:
     """Attacker-side emitter: where it sits and how hard it drives."""
@@ -68,7 +73,13 @@ class ChainContext:
             wrap_phase(wave.phase + math.pi),
         )
         stress = steady_state_stress(self.crystal, accel)
-        return induced_signal(self.crystal, stress, self.circuit_phase_offset)
+        signal = induced_signal(self.crystal, stress, self.circuit_phase_offset)
+        if not (math.isfinite(signal.amplitude) and math.isfinite(signal.phase)):
+            raise NonFiniteSignalError(
+                f"$.crystal: the induced signal is not finite (amplitude "
+                f"{signal.amplitude!r} V, phase {signal.phase!r} rad)"
+            )
+        return signal
 
     def propagation_delay(self, z: Optional[float] = None) -> float:
         if z is None:

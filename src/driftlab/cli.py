@@ -150,17 +150,11 @@ def _cmd_dispersion(scenario: Scenario, sweep, fh) -> int:
     medium = replace(scenario.medium, thickness=thickness_mm * 1e-3)
     if sweep is None:
         points = [(thickness_mm, medium, freq)]
+    elif sweep[0] == "freq_hz":
+        points = [(thickness_mm, medium, v) for v in sweep[1]]
     else:
-        key, values = sweep
-        if key == "freq_hz":
-            points = [(thickness_mm, medium, v) for v in values]
-        elif key == "thickness_mm":
-            # Lazily, so a bad thickness is refused only when it is reached.
-            points = ((v, replace(medium, thickness=v * 1e-3), freq) for v in values)
-        else:
-            raise ConfigError(
-                [f"--sweep: dispersion sweeps freq_hz or thickness_mm, got {key!r}"]
-            )
+        # Lazily, so a bad thickness is refused only when it is reached.
+        points = ((v, replace(medium, thickness=v * 1e-3), freq) for v in sweep[1])
     for d_mm, medium, f in points:
         mode = solve_dispersion(medium, f)
         residual = dispersion_residual(medium, mode.omega, mode.k_a)
@@ -171,7 +165,7 @@ def _cmd_dispersion(scenario: Scenario, sweep, fh) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(scenario: Scenario, fh) -> int:
+def _cmd_calibrate(scenario: Scenario, sweep, fh) -> int:
     context = scenario.context()
     z = scenario.transducer.position
     phase_map = calibrate_phase_map(context, z, scenario.phase_grid)
@@ -215,13 +209,13 @@ def _build_plan(scenario: Scenario):
     )
 
 
-def _cmd_plan(scenario: Scenario, fh) -> int:
+def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
     export_plan_jsonl(plan, fh)
     return EXIT_OK
 
 
-def _cmd_simulate(scenario: Scenario, fh) -> int:
+def _cmd_simulate(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
     state = initial_state(scenario.rtc)
     until = max(scenario.goal.window, plan.span)
@@ -238,7 +232,7 @@ def _cmd_simulate(scenario: Scenario, fh) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(scenario: Scenario, fh) -> int:
+def _cmd_classify(scenario: Scenario, sweep, fh) -> int:
     if scenario.capture is None or scenario.capture_source is None:
         raise ConfigError(["$.fingerprint: capture settings and trace required"])
     source = scenario.capture_source
@@ -290,15 +284,11 @@ def _cmd_bp(scenario: Scenario, sweep, fh) -> int:
         try:
             if key == "freq_shift_hz":
                 cases = [replace(base, freq_shift=float(v)) for v in values]
-            elif key == "drift_rate":
+            else:
                 cases = [
                     rtc_drift_to_bp(float(v), base, scenario.bp_tick_freq)
                     for v in values
                 ]
-            else:
-                raise ConfigError(
-                    [f"--sweep: bp sweeps freq_shift_hz or drift_rate, got {key!r}"]
-                )
         except SubnormalShiftError as exc:
             raise ConfigError([f"--sweep {key}: {exc}"]) from None
     writer = _csv_writer(fh)
@@ -321,20 +311,19 @@ def _cmd_bp(scenario: Scenario, sweep, fh) -> int:
 
 
 def _cmd_counter(scenario: Scenario, sweep, fh) -> int:
+    damping = scenario.damping
+    if damping is not None and sweep is None:
+        top = 4.0 * damping.omega_n
+        if math.isinf(top):
+            raise OverflowError(
+                f"$.damping: the omega_rad_s sweep runs to 4 * omega_n = "
+                f"4 * {damping.omega_n!r} rad/s, which overflows"
+            )
+        sweep = ("omega_rad_s", np.linspace(0.0, top, 81))
     writer = _csv_writer(fh)
     writer.writerow(["section", "x", "value"])
-    damping = scenario.damping
     if damping is not None:
-        if sweep is None:
-            omegas = np.linspace(0.0, 4.0 * damping.omega_n, 81)
-        else:
-            key, values = sweep
-            if key != "omega_rad_s":
-                raise ConfigError(
-                    [f"--sweep: counter sweeps omega_rad_s, got {key!r}"]
-                )
-            omegas = values
-        for omega in omegas:
+        for omega in sweep[1]:
             writer.writerow(
                 ["h_of_omega", _fmt(float(omega)),
                  _fmt(damping_attenuation(damping, float(omega)))]
@@ -346,6 +335,24 @@ def _cmd_counter(scenario: Scenario, sweep, fh) -> int:
     return EXIT_OK
 
 
+# Subcommand -> (handler, help text, the keys ``--sweep`` may name).
+COMMANDS = {
+    "dispersion": (_cmd_dispersion, "sweep the plate dispersion solution, emit CSV",
+                   ("freq_hz", "thickness_mm")),
+    "calibrate": (_cmd_calibrate, "recover the excitation-phase map, emit CSV", ()),
+    "plan": (_cmd_plan, "generate an attack plan, emit JSON lines", ()),
+    "simulate": (_cmd_simulate,
+                 "run a plan through the clock emulator, emit drift CSV", ()),
+    "classify": (_cmd_classify,
+                 "run the fingerprint pipeline, emit confidences CSV", ()),
+    "bp": (_cmd_bp, "blood-pressure error table for timing shifts, emit CSV",
+           ("freq_shift_hz", "drift_rate")),
+    "counter": (_cmd_counter,
+                "countermeasure curves (damping, synthesizer), emit CSV",
+                ("omega_rad_s",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftlab",
@@ -354,22 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("dispersion", "sweep the plate dispersion solution, emit CSV"),
-        ("calibrate", "recover the excitation-phase map, emit CSV"),
-        ("plan", "generate an attack plan, emit JSON lines"),
-        ("simulate", "run a plan through the clock emulator, emit drift CSV"),
-        ("classify", "run the fingerprint pipeline, emit confidences CSV"),
-        ("bp", "blood-pressure error table for timing shifts, emit CSV"),
-        ("counter", "countermeasure curves (damping, synthesizer), emit CSV"),
-    ]:
+    for name, (_, helptext, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
+        # A command with no sweep keys refuses --sweep by name, in ``run``.
         p.add_argument("--sweep", default=None, metavar="KEY=START:STOP:STEPS",
-                       help="sweep one quantity over an inclusive range")
+                       help=f"sweep {' or '.join(keys)} over an inclusive range"
+                       if keys else argparse.SUPPRESS)
     return parser
 
 
@@ -378,23 +379,18 @@ def run(argv=None) -> int:
     scenario = load_scenario(args.config)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    sweep = _parse_sweep(args.sweep) if args.sweep else None
+    handler, _, keys = COMMANDS[args.command]
+    sweep = None
+    if args.sweep:
+        if not keys:
+            raise ConfigError([f"--sweep: {args.command} takes no sweep, "
+                               f"got {args.sweep!r}"])
+        sweep = _parse_sweep(args.sweep)
+        if sweep[0] not in keys:
+            raise ConfigError([f"--sweep: {args.command} sweeps "
+                               f"{' or '.join(keys)}, got {sweep[0]!r}"])
     with _Output(args.out) as fh:
-        if args.command == "dispersion":
-            return _cmd_dispersion(scenario, sweep, fh)
-        if args.command == "calibrate":
-            return _cmd_calibrate(scenario, fh)
-        if args.command == "plan":
-            return _cmd_plan(scenario, fh)
-        if args.command == "simulate":
-            return _cmd_simulate(scenario, fh)
-        if args.command == "classify":
-            return _cmd_classify(scenario, fh)
-        if args.command == "bp":
-            return _cmd_bp(scenario, sweep, fh)
-        if args.command == "counter":
-            return _cmd_counter(scenario, sweep, fh)
-        raise AssertionError(f"unhandled command {args.command}")
+        return handler(scenario, sweep, fh)
 
 
 def main(argv=None) -> int:

@@ -302,8 +302,9 @@ def solve_dispersion(
 
     Scans phase velocity upward from ``scan_start`` to the transverse bulk
     speed, brackets the first sign change, then bisects the bracket down to
-    machine precision.  Raises NoRootError when the scan sees no sign change
-    or the characteristic function overflows, and ValueError when
+    machine precision.  Raises NoRootError when the scan sees no sign change,
+    the characteristic function overflows or the boundary system at the root
+    is inconsistent, and ValueError when
     ``scan_step`` or ``scan_start`` is not finite and > 0 or the scan would
     cover more than ``SCAN_POINTS_MAX`` points.
     """
@@ -321,10 +322,12 @@ def solve_dispersion(
         )
     try:
         return _solve(medium, f, scan_step, scan_start, thickness_convention)
-    except OverflowError:
+    except (OverflowError, InconsistentModeError) as exc:
+        reason = ("the characteristic function overflows"
+                  if isinstance(exc, OverflowError) else str(exc))
         raise NoRootError(
             f"no dispersion root for {medium.name!r} at {f} Hz and thickness "
-            f"{medium.thickness} m: the characteristic function overflows"
+            f"{medium.thickness} m: {reason}"
         ) from None
 
 

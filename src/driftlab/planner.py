@@ -350,14 +350,6 @@ class PlanRun:
     phase_prediction_error: float = 0.0
 
 
-def _is_uniform_forward(plan: AttackPlan) -> bool:
-    return (
-        isinstance(plan.bursts, BurstTrain)
-        and plan.phase_step_delta is not None
-        and plan.bursts.phase_step == plan.phase_step_delta
-    )
-
-
 def simulate_plan(
     plan: AttackPlan,
     config: RtcConfig,
@@ -383,21 +375,21 @@ def simulate_plan(
     events: Optional[list[TickEvent]] = [] if collect_ticks else None
     prediction_error = 0.0
 
+    train, step_delta = plan.bursts, plan.phase_step_delta
     if (
-        _is_uniform_forward(plan)
-        and plan.bursts.duration
-        >= FULL_CONVERGENCE_FACTOR * config.convergence_time_constant
-        and abs(wrap_phase(plan.bursts.phase0 - state.osc_phase) - plan.phase_step_delta)
-        < 1e-9
+        isinstance(train, BurstTrain)
+        and step_delta is not None
+        and train.phase_step == step_delta
+        and train.duration >= FULL_CONVERGENCE_FACTOR * config.convergence_time_constant
+        and abs(wrap_phase(train.phase0 - state.osc_phase) - step_delta) < 1e-9
     ):
-        train: BurstTrain = plan.bursts
         result = run_uniform_train(
             state,
             config,
             count=train.count,
             period=train.period,
             duration=train.duration,
-            delta=plan.phase_step_delta,
+            delta=step_delta,
             start=train.start,
             collect_ticks=collect_ticks,
         )
@@ -405,8 +397,7 @@ def simulate_plan(
         if collect_ticks:
             events.extend(result.ticks)
     else:
-        step_delta = plan.phase_step_delta
-        for burst in plan.bursts:
+        for burst in train:
             beta1 = burst.signal.phase
             delta = wrap_phase(beta1 - state.osc_phase)
             # Planned offset: the phase step for advance bursts, pi for

@@ -143,11 +143,13 @@ def measure_drift(state: RtcState) -> float:
     return state.rtc_time - state.wall_time
 
 
-def _active_waveform(state: RtcState, config: RtcConfig) -> Sinusoid:
+def _active_waveform(
+    state: RtcState, config: RtcConfig, injection: Optional[Sinusoid]
+) -> Sinusoid:
     carrier = Sinusoid(state.osc_amplitude, config.nominal_freq, state.osc_phase)
-    if state.injection is None:
+    if injection is None:
         return carrier
-    return superpose(carrier, state.injection)
+    return superpose(carrier, injection)
 
 
 def _crossing_index(t: float, freq: float, phase: float, theta_star: float) -> int:
@@ -206,32 +208,50 @@ def _burst_crossing_time(
             hi = mid
 
 
-def _consume_crossings(
+def _check_frequency(what: str, signal: Sinusoid, config: RtcConfig) -> None:
+    if signal.frequency != config.nominal_freq:
+        raise PlanError(f"{what} at {signal.frequency} Hz does not match the "
+                        f"oscillator ({config.nominal_freq} Hz)")
+
+
+def _cross(
     state: RtcState,
     config: RtcConfig,
-    count: int,
-    tick_time_fn,
+    n0: int,
+    n1: int,
+    time_of,
     events: Optional[list],
-) -> tuple[int, float]:
-    """Route ``count`` crossings through the divider: new counter, RTC time.
+    **changes,
+) -> RtcState:
+    """``state`` with ``changes`` applied and crossings ``n0 + 1 .. n1`` counted.
 
-    The RTC time advances by whole ticks in one multiply, so no rounding
-    error builds up tick by tick.  Tick events are appended to ``events``
-    unless it is None; ``tick_time_fn(j)`` maps the 1-based crossing ordinal
-    within this batch to its wall time.
+    Every transition ends here.  ``time_of(n)`` is the wall time of crossing
+    ``n``.  The freeze watchdog latches on the first crossing or the
+    crossings go through the divider: the RTC time advances by whole ticks
+    in one multiply, tick events go to ``events`` unless it is None, and the
+    last crossing becomes the last edge.
     """
-    counter, reload = state.counter, config.divider_reload
-    if count < counter:
-        return counter - count, state.rtc_time
-    ticks = (count - counter) // reload + 1
+    count = n1 - n0
+    if count <= 0:
+        return replace(state, **changes)
+    first = time_of(n0 + 1)
+    if _freeze_due(config, first, state.last_edge_time):
+        return replace(state, frozen=True, **changes)
+    counter, reload, rtc_time = state.counter, config.divider_reload, state.rtc_time
+    ticks = 0 if count < counter else (count - counter) // reload + 1
     if events is not None:
         events.extend(
-            TickEvent(tick_time_fn(counter + i * reload),
-                      state.rtc_time + (i + 1) * config.tick_period)
+            TickEvent(time_of(n0 + counter + i * reload),
+                      rtc_time + (i + 1) * config.tick_period)
             for i in range(ticks)
         )
-    new_counter = counter - count + ticks * reload
-    return new_counter, state.rtc_time + ticks * config.tick_period
+    return replace(
+        state,
+        counter=counter - count + ticks * reload,
+        rtc_time=rtc_time + ticks * config.tick_period,
+        last_edge_time=first if count == 1 else time_of(n1),
+        **changes,
+    )
 
 
 def _step(
@@ -243,7 +263,7 @@ def _step(
         return replace(state, wall_time=until)
 
     freq = config.nominal_freq
-    wave = _active_waveform(state, config)
+    wave = _active_waveform(state, config, state.injection)
     thr = config.trigger_threshold
 
     if wave.amplitude <= thr:
@@ -252,27 +272,12 @@ def _step(
         return replace(state, wall_time=until, frozen=frozen)
 
     theta_star = math.asin(thr / wave.amplitude)
-    n0 = _crossing_index(state.wall_time, freq, wave.phase, theta_star)
-    n1 = _crossing_index(until, freq, wave.phase, theta_star)
-    count = n1 - n0
-    if count <= 0:
-        return replace(state, wall_time=until)
-
-    first = _crossing_time(n0 + 1, freq, wave.phase, theta_star)
-    if _freeze_due(config, first, state.last_edge_time):
-        return replace(state, wall_time=until, frozen=True)
-
-    counter, rtc_time = _consume_crossings(
-        state, config, count,
-        lambda j: _crossing_time(n0 + j, freq, wave.phase, theta_star), events,
-    )
-    last_edge = _crossing_time(n1, freq, wave.phase, theta_star)
-    return replace(
-        state,
-        wall_time=until,
-        counter=counter,
-        rtc_time=rtc_time,
-        last_edge_time=last_edge,
+    return _cross(
+        state, config,
+        _crossing_index(state.wall_time, freq, wave.phase, theta_star),
+        _crossing_index(until, freq, wave.phase, theta_star),
+        lambda n: _crossing_time(n, freq, wave.phase, theta_star),
+        events, wall_time=until,
     )
 
 
@@ -297,29 +302,17 @@ def _with_injection(
     signal: Optional[Sinusoid],
     events: Optional[list],
 ) -> RtcState:
-    if signal is not None and signal.frequency != config.nominal_freq:
-        raise PlanError(
-            f"injection at {signal.frequency} Hz does not match the oscillator "
-            f"({config.nominal_freq} Hz)"
-        )
+    if signal is not None:
+        _check_frequency("injection", signal, config)
     if state.frozen:
         return replace(state, injection=signal)
-
+    # The jump edge: the waveform steps from at or below the threshold to
+    # above it at the switching time itself.
     t = state.wall_time
-    before = _active_waveform(state, config)
-    new_state = replace(state, injection=signal)
-    after = _active_waveform(new_state, config)
-    thr = config.trigger_threshold
-    v_before = before.value_at(t)
-    v_after = after.value_at(t)
-    if v_before <= thr < v_after:
-        if _freeze_due(config, t, state.last_edge_time):
-            return replace(new_state, frozen=True)
-        counter, rtc_time = _consume_crossings(state, config, 1, lambda j: t, events)
-        new_state = replace(
-            new_state, counter=counter, rtc_time=rtc_time, last_edge_time=t
-        )
-    return new_state
+    before = _active_waveform(state, config, state.injection).value_at(t)
+    after = _active_waveform(state, config, signal).value_at(t)
+    jump = int(before <= config.trigger_threshold < after)
+    return _cross(state, config, 0, jump, lambda n: t, events, injection=signal)
 
 
 def with_injection(
@@ -338,11 +331,7 @@ def with_injection(
 def _apply_phase_advance(
     state: RtcState, config: RtcConfig, burst: InjectionBurst, events: Optional[list]
 ) -> RtcState:
-    if burst.signal.frequency != config.nominal_freq:
-        raise PlanError(
-            f"burst at {burst.signal.frequency} Hz does not match the oscillator "
-            f"({config.nominal_freq} Hz)"
-        )
+    _check_frequency("burst", burst.signal, config)
     if burst.start < state.wall_time:
         raise PlanError(
             f"burst starts at {burst.start} s before wall time {state.wall_time} s"
@@ -384,25 +373,15 @@ def _apply_phase_advance(
         return replace(state, wall_time=te, osc_phase=final_phase, frozen=frozen)
 
     theta_star = math.asin(thr / amp)
-    n0 = _crossing_index(t0, freq, beta2, theta_star)
-    n1 = _crossing_index(te, freq, end_unwrapped, theta_star)
-    count = n1 - n0
-    new_state = replace(state, wall_time=te, osc_phase=final_phase)
-    if count <= 0:
-        return new_state
-
-    def crossing_time(n: int) -> float:
-        return _burst_crossing_time(
+    return _cross(
+        state, config,
+        _crossing_index(t0, freq, beta2, theta_star),
+        _crossing_index(te, freq, end_unwrapped, theta_star),
+        lambda n: _burst_crossing_time(
             n, theta_star, freq, beta2, delta, tau, t0, burst.duration
-        )
-
-    if _freeze_due(config, crossing_time(n0 + 1), state.last_edge_time):
-        return replace(new_state, frozen=True)
-
-    counter, rtc_time = _consume_crossings(
-        state, config, count, lambda j: crossing_time(n0 + j), events
+        ),
+        events, wall_time=te, osc_phase=final_phase,
     )
-    return replace(new_state, counter=counter, rtc_time=rtc_time, last_edge_time=te)
 
 
 def apply_phase_advance_with_events(
@@ -413,9 +392,9 @@ def apply_phase_advance_with_events(
     The total phase (carrier plus offset) increases monotonically through the
     burst, so the crossing count depends only on its endpoint value.  Crossing
     times inside the burst, needed only for the first crossing (the freeze
-    watchdog) and for crossings that produce a tick, come from
-    ``_burst_crossing_time``: closed form once the offset has settled,
-    bracketed inside the relaxation stretch.
+    watchdog), the last one (the last edge) and crossings that produce a
+    tick, come from ``_burst_crossing_time``: closed form once the offset has
+    settled, bracketed inside the relaxation stretch.
     """
     events: list[TickEvent] = []
     return _apply_phase_advance(state, config, burst, events), events
@@ -464,8 +443,6 @@ def run_uniform_train(
             "uniform-train fast path requires full convergence "
             f"(duration >= {FULL_CONVERGENCE_FACTOR} time constants)"
         )
-    if state.frozen:
-        raise PlanError("cannot run a burst train on a frozen clock")
     if start is None:
         start = state.wall_time
     if start < state.wall_time:
@@ -473,6 +450,10 @@ def run_uniform_train(
     events: Optional[list[TickEvent]] = [] if collect_ticks else None
     if start > state.wall_time:
         state = _step(state, config, start, events)
+    t_end = start + (count - 1) * period + duration
+    if state.frozen:
+        # As burst by burst: on a frozen clock only the wall time moves.
+        return TrainResult(replace(state, wall_time=t_end), 0, events or [], 0.0)
 
     freq = config.nominal_freq
     thr = config.trigger_threshold
@@ -482,18 +463,13 @@ def run_uniform_train(
     theta_star = math.asin(thr / amp)
     tau = config.convergence_time_constant
     beta2 = state.osc_phase
-    t_end = start + (count - 1) * period + duration
     advanced = count * delta
-
     n0 = _crossing_index(start, freq, beta2, theta_star)
     n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
-    total = n1 - n0
-
     phase0 = TWO_PI * freq * start + beta2
     burst_gain = TWO_PI * freq * period + delta
 
-    def tick_time(j: int) -> float:
-        n = n0 + j
+    def time_of(n: int) -> float:
         i = math.floor((theta_star + TWO_PI * n - phase0) / burst_gain)
         i = min(max(i, 0), count - 1)
         return _burst_crossing_time(
@@ -501,15 +477,9 @@ def run_uniform_train(
             start + i * period, duration,
         )
 
-    counter, rtc_time = _consume_crossings(state, config, total, tick_time, events)
-    new_state = replace(
-        state,
-        wall_time=t_end,
-        osc_phase=wrap_phase(beta2 + advanced),
-        counter=counter,
-        rtc_time=rtc_time,
-        last_edge_time=t_end if total > 0 else state.last_edge_time,
+    new_state = _cross(
+        state, config, n0, n1, time_of, events,
+        wall_time=t_end, osc_phase=wrap_phase(beta2 + advanced),
     )
-    return TrainResult(
-        state=new_state, crossings=total, ticks=events or [], phase_advanced=advanced
-    )
+    crossings = 0 if new_state.frozen else n1 - n0
+    return TrainResult(new_state, crossings, events or [], phase_advanced=advanced)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from driftlab.chain import TransducerSpec, build_context
+from driftlab.chain import NonFiniteSignalError, TransducerSpec, build_context
 from driftlab.crystal import CrystalSpec
 from driftlab.lamb import load_media
 from driftlab.rtc import RtcConfig
@@ -50,3 +50,13 @@ class TestChain:
         assert context.propagation_delay() == pytest.approx(
             0.055 / context.mode.c_s
         )
+
+    @pytest.mark.parametrize("crystal", [
+        CrystalSpec(tip_mass=1e300),                       # nan amplitude
+        CrystalSpec(thickness=2.2250738585072014e-308),    # inf amplitude
+    ])
+    def test_non_finite_signal_is_named(self, context, crystal):
+        from dataclasses import replace
+
+        with pytest.raises(NonFiniteSignalError, match=r"^\$\.crystal: "):
+            replace(context, crystal=crystal).induced_signal(0.0)

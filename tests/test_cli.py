@@ -108,6 +108,43 @@ class TestDispersionCommand:
                    "--sweep", "bogus=1:2:2"])
         assert rc == 2
 
+
+class TestSweepKeys:
+    @pytest.mark.parametrize("command", ["calibrate", "plan", "simulate", "classify"])
+    def test_command_without_sweep_keys_refuses_sweep(self, command, config_path,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier result\n")
+        rc = main([command, "--config", config_path(), "--out", str(out),
+                   "--sweep", "freq_hz=20000:40000:3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: --sweep: {command} takes no sweep, "
+            "got 'freq_hz=20000:40000:3'\n")
+        assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("command, keys", [
+        ("dispersion", "freq_hz or thickness_mm"),
+        ("bp", "freq_shift_hz or drift_rate"),
+        ("counter", "omega_rad_s"),
+    ])
+    def test_unknown_key_message(self, command, keys, config_path, capsys):
+        rc = main([command, "--config", config_path(), "--sweep", "bogus=1:2:2"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err == f"config error: --sweep: {command} sweeps {keys}, got 'bogus'\n"
+        assert out == ""
+
+    def test_counter_without_damping_refuses_unknown_key(self, tmp_path, capsys):
+        cfg = {k: v for k, v in BASE_CONFIG.items() if k != "damping"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["counter", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["counter", "--config", str(path), "--sweep", "bogus=1:2:2"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --sweep: counter sweeps omega_rad_s, got 'bogus'\n")
+
     @pytest.mark.parametrize("sweep", [None, "freq_hz=19500.5:60500.5:4",
                                        "thickness_mm=0.7:33.3:4"])
     @pytest.mark.parametrize("medium", ["aluminum", "polyethylene"])
@@ -595,6 +632,53 @@ class TestNumericFailures:
         assert main(["counter", "--config", path, "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith(f"numeric failure: {error}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "plan", "simulate"])
+    @pytest.mark.parametrize("overrides", [
+        {"crystal.tip_mass_kg": 1e300},
+        {"crystal.thickness_m": 2.2250738585072014e-308},
+    ])
+    def test_non_finite_chain_names_the_crystal(self, command, overrides,
+                                                config_path, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier result\n")
+        path = config_path(overrides=overrides)
+        assert main([command, "--config", path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: NonFiniteSignalError: $.crystal: the induced "
+            "signal is not finite (amplitude ")
+        assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("omega_n", [4.5e307, 1e308])
+    def test_counter_sweep_bound_overflow_refused_before_rows(
+            self, omega_n, config_path, capsys):
+        path = config_path(overrides={"damping.natural_freq_rad_s": omega_n})
+        assert main(["counter", "--config", path]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numeric failure: OverflowError: $.damping: the omega_rad_s sweep "
+            f"runs to 4 * omega_n = 4 * {omega_n!r} rad/s, which overflows\n")
+
+    def test_counter_sweep_bound_at_the_float_limit_accepted(self, config_path,
+                                                             tmp_path):
+        omega_n = sys.float_info.max / 4.0
+        path = config_path(overrides={"damping.natural_freq_rad_s": omega_n})
+        out = tmp_path / "out.csv"
+        assert main(["counter", "--config", path, "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+
+    @pytest.mark.parametrize("command", ["dispersion", "calibrate"])
+    def test_degenerate_plate_is_numeric_failure(self, command, config_path,
+                                                 tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier result\n")
+        path = config_path(overrides={"medium.thickness_mm": 2.2250738585072014e-308})
+        assert main([command, "--config", path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: no dispersion root for 'acrylic glass' at 32768.0 Hz "
+            "and thickness 2.225073858507e-311 m: degenerate boundary system\n")
+        assert out.read_bytes() == b"earlier result\n"
 
 
 def test_runtime_imports_no_scipy():

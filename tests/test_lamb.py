@@ -254,6 +254,16 @@ class TestChunkedScan:
                 "characteristic function overflows")):
             solve_dispersion(medium, f)
 
+    def test_degenerate_boundary_system_is_a_named_no_root(self):
+        # A subnormal thickness in metres zeroes the boundary matrix at the
+        # solved root.
+        thickness = 2.2250738585072014e-308 * 1e-3
+        medium = load_media(thickness=thickness)["acrylic glass"]
+        with pytest.raises(NoRootError, match=re.escape(
+                f"'acrylic glass' at {F_OSC} Hz and thickness {thickness} m: "
+                "degenerate boundary system")):
+            solve_dispersion(medium, F_OSC)
+
 
 class TestModeCoefficients:
     def test_null_space_annihilated(self, acrylic, acrylic_mode):

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from driftlab.rtc import (
@@ -302,6 +305,114 @@ class TestPhaseAdvance:
                 initial_state(CAL), CAL, count=10, period=1e-4,
                 duration=1e-6, delta=0.5,
             )
+
+
+def _train_bursts(state, count, period, duration, delta, start):
+    """The bursts of a uniform train, one by one, led by ``state``'s phase."""
+    return [
+        InjectionBurst(start + i * period, duration,
+                       Sinusoid(0.005, F, wrap_phase(state.osc_phase + (i + 1) * delta)))
+        for i in range(count)
+    ]
+
+
+def _burst_loop(state, cfg, bursts):
+    for burst in bursts:
+        state = apply_phase_advance(state, cfg, burst)
+    return state
+
+
+def _stalled(cfg, free_until, quiet):
+    """A clock run free to ``free_until``, then stalled for ``quiet`` seconds
+    after its last edge, with the stalling injection switched off again."""
+    state = step(initial_state(cfg), cfg, free_until)
+    state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
+    state = step(state, cfg, state.last_edge_time + quiet)
+    state, _ = with_injection(state, cfg, None)
+    return state
+
+
+class TestOneCrossingKernel:
+    """Every transition counts crossings, checks the freeze watchdog and sets
+    the last edge the same way, so the closed-form train and the per-burst
+    loop agree on any start state."""
+
+    def test_train_latches_the_watchdog_like_the_loop(self):
+        # Stalled 2 us short of a 1 ms timeout: the first crossing after the
+        # injection clears is overdue, and the clock freezes there.
+        cfg = RtcConfig(freeze_timeout=1e-3)
+        state = _stalled(cfg, 4.5 / F, 1e-3 - 2e-6)
+        assert not state.frozen
+        train = dict(count=3, period=1e-4, duration=1.6e-5, delta=math.pi / 2,
+                     start=state.wall_time)
+        loop = _burst_loop(state, cfg, _train_bursts(state, **train))
+        result = run_uniform_train(state, cfg, **train)
+        assert loop.frozen and result.state.frozen
+        assert result.state.counter == loop.counter == state.counter
+        assert result.state.rtc_time == loop.rtc_time
+        assert result.crossings == 0
+
+    def test_last_edge_is_the_bursts_last_crossing(self):
+        # With reload 1 every crossing is a tick, so the last tick is the
+        # last crossing; it falls 23 us before the burst ends.
+        cfg = RtcConfig(freeze_timeout=1e-3, divider_reload=1)
+        burst = InjectionBurst(1e-4, 4e-5, Sinusoid(0.005, F, math.pi / 2))
+        state, events = apply_phase_advance_with_events(initial_state(cfg), cfg, burst)
+        assert state.last_edge_time == events[-1].time < burst.end - 2e-5
+        # 1.009 ms of quiet after that crossing is past the timeout.
+        state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
+        assert step(state, cfg, events[-1].time + 1.009e-3).frozen
+
+    def test_train_on_a_frozen_clock_only_moves_wall_time(self):
+        cfg = RtcConfig(freeze_timeout=1e-3)
+        state = _stalled(cfg, 4.5 / F, 2e-3)
+        assert state.frozen
+        train = dict(count=4, period=1e-4, duration=1.6e-5, delta=1.0,
+                     start=state.wall_time + 1e-4)
+        result = run_uniform_train(state, cfg, collect_ticks=True, **train)
+        loop = _burst_loop(state, cfg, _train_bursts(state, **train))
+        assert result.state == loop == replace(state, wall_time=loop.wall_time)
+        assert (result.crossings, result.ticks, result.phase_advanced) == (0, [], 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["fresh", "stalled", "overdue", "frozen"]),
+        reload=st.sampled_from([1, 3, 32, 32768]),
+        timeout=st.sampled_from([1e-3, 2.5e-3]),
+        free_until=st.floats(1e-6, 5e-4),
+        quiet=st.floats(0.0, 0.98),
+        late=st.floats(0.01, 0.99),
+        count=st.integers(1, 40),
+        delta=st.floats(0.05, 3.0),
+        duration=st.floats(1.5e-5, 6e-5),
+        # With no pause, start + i * period can fall one ulp before the
+        # previous burst's end, which the loop refuses as overlapping.
+        pause=st.floats(1e-9, 2e-4),
+        lead=st.sampled_from([0.0, 3.7e-6, 1e-4]),
+    )
+    def test_train_matches_the_burst_loop_from_any_start(
+            self, kind, reload, timeout, free_until, quiet, late, count, delta,
+            duration, pause, lead):
+        cfg = RtcConfig(divider_reload=reload, freeze_timeout=timeout)
+        # A free run's last edge is less than a cycle behind its wall time.
+        if kind == "fresh":
+            state = step(initial_state(cfg), cfg, free_until)
+        elif kind == "stalled":
+            state = _stalled(cfg, free_until, (1.0 + quiet * (timeout * F - 2.0)) / F)
+        elif kind == "overdue":     # the next crossing may come past the timeout
+            state = _stalled(cfg, free_until, timeout - late / F)
+        else:
+            state = _stalled(cfg, free_until, timeout * (1.0 + quiet))
+        assert state.frozen == (kind == "frozen")
+        train = dict(count=count, period=duration + pause, duration=duration,
+                     delta=delta, start=state.wall_time + lead)
+        loop = _burst_loop(state, cfg, _train_bursts(state, **train))
+        fast = run_uniform_train(state, cfg, **train).state
+        assert fast.wall_time == loop.wall_time
+        assert fast.rtc_time == loop.rtc_time
+        assert fast.counter == loop.counter
+        assert fast.frozen == loop.frozen
+        assert abs(fast.last_edge_time - loop.last_edge_time) <= 1e-12
 
 
 class SampledOracle:

@@ -16,6 +16,7 @@ import copy
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +43,7 @@ MAGNITUDES = [10 ** 400, -10 ** 400, 1e308, -1e308, 1e300, 5e-324, -5e-324,
               sys.float_info.min, 0, 0.0, -0.0, math.nan, math.inf, -math.inf]
 COMMANDS = ["dispersion", "calibrate", "bp", "counter"]
 BEFORE = b"earlier result\n"
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 
 
 def _with(path, value, base=BASE_CONFIG):
@@ -106,7 +108,8 @@ def test_parse_gives_scenario_or_config_error(cfg):
         pass
 
 
-# Counterexamples: each raised out of main or exited 1 from the command line.
+# Counterexamples: each raised out of main or exited 1 from the command line,
+# or (the last four) exited 0 with nan in its output or 2 on a numeric failure.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs())
@@ -116,6 +119,10 @@ def test_parse_gives_scenario_or_config_error(cfg):
 @example(cfg=_with("damping.zeta", 5e-324))
 @example(cfg=_with("phase_grid", 10 ** 12))
 @example(cfg=_with("damping.mass_kg", 5e-324, BASES[1]))
+@example(cfg=_with("crystal.tip_mass_kg", 1e300))
+@example(cfg=_with("crystal.thickness_m", 2.2250738585072014e-308))
+@example(cfg=_with("damping.natural_freq_rad_s", 4.5e307))
+@example(cfg=_with("medium.thickness_mm", 2.2250738585072014e-308))
 def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
@@ -131,3 +138,5 @@ def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
             if rc != 0:
                 assert err.getvalue().strip(), command
                 assert out.read_bytes() == BEFORE, command
+            else:
+                assert not NAN.search(out.read_text()), command
