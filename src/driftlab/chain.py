@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .crystal import CrystalSpec, induced_signal, steady_state_stress
 from .lamb import LambMode, MediumSpec, displacement_wave, solve_dispersion
@@ -50,19 +49,17 @@ class ChainContext:
     transducer: TransducerSpec
     mode: LambMode
     circuit_phase_offset: float = 0.0
-    osc_phase: float = 0.0
 
     def oscillator(self) -> Sinusoid:
-        return Sinusoid(self.rtc.nominal_amplitude, self.rtc.nominal_freq, self.osc_phase)
+        """The free-running oscillation, at phase 0."""
+        return Sinusoid(self.rtc.nominal_amplitude, self.rtc.nominal_freq, 0.0)
 
-    def induced_signal(self, phi: float, z: Optional[float] = None,
-                       drive_amplitude: Optional[float] = None) -> Sinusoid:
-        """Electrical signal at the crystal for excitation phase ``phi``."""
+    def induced_signal(self, phi: float, z: float | None = None) -> Sinusoid:
+        """Electrical signal at the crystal for excitation phase ``phi`` from
+        a transducer ``z`` metres away (by default, where it sits)."""
         if z is None:
             z = self.transducer.position
-        if drive_amplitude is None:
-            drive_amplitude = self.transducer.drive_amplitude
-        drive = Sinusoid(drive_amplitude, self.rtc.nominal_freq, phi)
+        drive = Sinusoid(self.transducer.drive_amplitude, self.rtc.nominal_freq, phi)
         wave, _ = displacement_wave(
             self.mode, self.medium, drive, z,
             coupling=self.transducer.displacement_per_volt,
@@ -81,14 +78,11 @@ class ChainContext:
             )
         return signal
 
-    def propagation_delay(self, z: Optional[float] = None) -> float:
-        if z is None:
-            z = self.transducer.position
-        return z / self.mode.c_s
+    def propagation_delay(self) -> float:
+        return self.transducer.position / self.mode.c_s
 
-    def injected_amplitude(self, z: Optional[float] = None,
-                           drive_amplitude: Optional[float] = None) -> float:
-        return self.induced_signal(0.0, z, drive_amplitude).amplitude
+    def injected_amplitude(self) -> float:
+        return self.induced_signal(0.0).amplitude
 
 
 def build_context(
@@ -98,18 +92,13 @@ def build_context(
     transducer: TransducerSpec,
     *,
     circuit_phase_offset: float = 0.0,
-    osc_phase: float = 0.0,
-    thickness_convention: str = "half",
 ) -> ChainContext:
     """Solve the plate mode once and freeze the full chain context."""
-    mode = solve_dispersion(medium, rtc.nominal_freq,
-                            thickness_convention=thickness_convention)
     return ChainContext(
         medium=medium,
         crystal=crystal,
         rtc=rtc,
         transducer=transducer,
-        mode=mode,
+        mode=solve_dispersion(medium, rtc.nominal_freq),
         circuit_phase_offset=circuit_phase_offset,
-        osc_phase=osc_phase,
     )

@@ -176,15 +176,9 @@ class Scenario:
     damping: Optional[DampingSpec] = None
     clock_synth: Optional[ClockSynthConfig] = None
 
-    def context(self, osc_phase: float = 0.0) -> ChainContext:
-        return build_context(
-            self.medium,
-            self.crystal,
-            self.rtc,
-            self.transducer,
-            circuit_phase_offset=self.circuit_phase_offset,
-            osc_phase=osc_phase,
-        )
+    def context(self) -> ChainContext:
+        return build_context(self.medium, self.crystal, self.rtc, self.transducer,
+                             circuit_phase_offset=self.circuit_phase_offset)
 
 
 def _positive(key: str, attr: str, default=REQUIRED) -> Field:

@@ -46,7 +46,6 @@ class SscProfile:
     f0: float           # centre clock frequency, Hz
     fm: float           # modulation frequency, Hz
     df: float           # fractional frequency offset
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not self.f0 > self.fm > 0.0:
@@ -54,8 +53,6 @@ class SscProfile:
         if self.df < 0.0:
             # df = 0 is the unmodulated limit, useful as a fixture
             raise ValueError("df must be >= 0")
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be > 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,8 @@ def capture_length(cfg: CaptureConfig) -> int:
 
 
 def synthesize(profile: SscProfile, cfg: CaptureConfig, seed: int = 0) -> SampledTrace:
-    """Deterministic SSC capture: the modulated carrier plus white noise."""
+    """Deterministic SSC capture: the unit-amplitude modulated carrier plus
+    white noise."""
     highest = profile.f0 * (1.0 + profile.df)
     if cfg.sample_rate <= 2.0 * highest:
         raise ValueError(
@@ -96,7 +94,7 @@ def synthesize(profile: SscProfile, cfg: CaptureConfig, seed: int = 0) -> Sample
     inst_phase = TWO_PI * profile.f0 * t + (
         profile.df * (profile.f0 / profile.fm) * np.sin(TWO_PI * profile.fm * t)
     )
-    samples = profile.amplitude * np.sin(inst_phase)
+    samples = np.sin(inst_phase)
     if math.isfinite(cfg.snr_db):
         signal_power = float(np.mean(samples ** 2))
         noise_power = signal_power / 10.0 ** (cfg.snr_db / 10.0)
@@ -183,10 +181,8 @@ def _bandpass_spectrum(spectrum: np.ndarray, n: int, sample_rate: float,
                        product: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``_bandpass`` of the n samples whose rfft at the 2-3-5-smooth length
     >= n + numtaps - 1 is ``spectrum``, computed in the arrays ``product``
-    (like ``spectrum``) and ``out`` (that length); returns a view of ``out``."""
-    if numtaps % 2 == 0:
-        raise ValueError(f"numtaps must be odd for a zero-phase band-pass, "
-                         f"got {numtaps}")
+    (like ``spectrum``) and ``out`` (that length); returns a view of ``out``.
+    ``numtaps`` is odd, which makes the band-pass zero-phase."""
     # the full convolution fits, so the circular product does not wrap
     size = _smooth_length(n + numtaps - 1)
     response = _band_response(numtaps, f0 - 0.5 * bandwidth,
@@ -203,20 +199,12 @@ def _check_band(sample_rate: float, f0: float, bandwidth: float) -> None:
         )
 
 
-def denoise(
-    trace: SampledTrace,
-    f0: float,
-    bandwidth: float,
-    *,
-    numtaps: int = BANDPASS_TAPS,
-    wavelet_levels: int = WAVELET_LEVELS,
-) -> SampledTrace:
-    """Band-pass around ``f0`` then wavelet-denoise the surviving band.
-    ``numtaps`` must be odd."""
+def denoise(trace: SampledTrace, f0: float, bandwidth: float) -> SampledTrace:
+    """Band-pass around ``f0`` then wavelet-denoise the surviving band."""
     _check_band(trace.sample_rate, f0, bandwidth)
     filtered = _bandpass(trace.samples, trace.sample_rate, f0, bandwidth,
-                         numtaps)
-    cleaned = _wavelet.denoise(filtered, wavelet_levels)
+                         BANDPASS_TAPS)
+    cleaned = _wavelet.denoise(filtered, WAVELET_LEVELS)
     return SampledTrace(trace.sample_rate, cleaned, trace.start_time)
 
 

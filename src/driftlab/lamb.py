@@ -14,9 +14,8 @@ The characteristic equation, in cross-multiplied residual form with
     tan(alpha*h) * q**2  +  4*alpha*beta*k**2 * tan(beta*h)  =  0,
 
 with ``alpha**2 = (w/c_l)**2 - k**2`` and ``beta**2 = (w/c_t)**2 - k**2``.
-``h`` is the half plate thickness by default (the tangent arguments span the
-mid-plane to the surface); a convention switch evaluates the full thickness
-instead for comparison.
+``h`` is half the plate thickness: the tangent arguments span the mid-plane
+to the surface.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from .signals import TWO_PI, Sinusoid, wrap_phase
 # Bracketing resolution of the phase-velocity scan (m/s) and its lower edge.
 SCAN_STEP = 1.0
 SCAN_START = 10.0
-# Most grid points one scan may cover.  At about 0.4 us a point (2 vCPUs),
-# a full scan takes under half a second; the default step needs at most a
-# few thousand.
+# Most grid points one scan may cover, which bounds the transverse speed of
+# a medium to about 1e6 m/s.  At about 0.4 us a point (2 vCPUs), a full
+# scan takes under half a second; the bundled media need a few thousand.
 SCAN_POINTS_MAX = 1_000_000
 # Grid points the scan evaluates in one numpy pass.
 _SCAN_CHUNK = 256
@@ -115,14 +114,6 @@ class LambMode:
     phi_offset: float
 
 
-def _half_thickness(medium: MediumSpec, convention: str) -> float:
-    if convention == "half":
-        return 0.5 * medium.thickness
-    if convention == "full":
-        return medium.thickness
-    raise ValueError(f"unknown thickness convention {convention!r}")
-
-
 def _wavenumbers(medium: MediumSpec, omega: float, k, xp=cmath):
     """Through-thickness wavenumbers; ``xp`` is ``cmath`` for a scalar ``k``
     or ``numpy`` for an array of them."""
@@ -139,12 +130,9 @@ def _characteristic_terms(medium: MediumSpec, omega: float, k, h: float, xp=cmat
     return t1, t2
 
 
-def dispersion_residual(
-    medium: MediumSpec, omega: float, k_a: float, thickness_convention: str = "half"
-) -> float:
+def dispersion_residual(medium: MediumSpec, omega: float, k_a: float) -> float:
     """Normalised magnitude of the characteristic equation at (omega, k_a)."""
-    h = _half_thickness(medium, thickness_convention)
-    t1, t2 = _characteristic_terms(medium, omega, k_a, h)
+    t1, t2 = _characteristic_terms(medium, omega, k_a, 0.5 * medium.thickness)
     denom = abs(t1) + abs(t2)
     if denom == 0.0:
         return math.inf
@@ -221,19 +209,12 @@ def _scan_bracket(
             return (lo, lo) if f_lo[i] == 0.0 else (lo, float(grid[i + 1]))
         if len(grid) <= _SCAN_CHUNK:
             return None
-        if grid[-1] == grid[-2]:
-            raise ValueError(
-                f"scan_step {scan_step!r} m/s does not advance the phase-velocity "
-                f"scan past {float(grid[-1])!r} m/s"
-            )
         c = grid[-1]
 
 
-def mode_matrix(
-    medium: MediumSpec, omega: float, k_a: float, thickness_convention: str = "half"
-) -> np.ndarray:
+def mode_matrix(medium: MediumSpec, omega: float, k_a: float) -> np.ndarray:
     """Traction-free boundary system whose null space gives the mode shape."""
-    h = _half_thickness(medium, thickness_convention)
+    h = 0.5 * medium.thickness
     alpha, beta = _wavenumbers(medium, omega, k_a)
     q = k_a * k_a - beta * beta
     return np.array(
@@ -260,9 +241,9 @@ def normalize_mode_vector(a: complex, b: complex) -> tuple[complex, complex]:
 
 
 def _null_space_coefficients(
-    medium: MediumSpec, omega: float, k_a: float, thickness_convention: str
+    medium: MediumSpec, omega: float, k_a: float
 ) -> tuple[complex, complex]:
-    m = mode_matrix(medium, omega, k_a, thickness_convention)
+    m = mode_matrix(medium, omega, k_a)
     scale = np.sqrt((np.abs(m[0]) ** 2).sum() * (np.abs(m[1]) ** 2).sum())
     if scale == 0.0:
         raise InconsistentModeError("degenerate boundary system")
@@ -277,11 +258,9 @@ def _null_space_coefficients(
     return normalize_mode_vector(vec[0], vec[1])
 
 
-def mode_coefficients(
-    mode: LambMode, medium: MediumSpec, thickness_convention: str = "half"
-) -> tuple[complex, complex]:
+def mode_coefficients(mode: LambMode, medium: MediumSpec) -> tuple[complex, complex]:
     """Null-space direction of the boundary system at the solved root."""
-    return _null_space_coefficients(medium, mode.omega, mode.k_a, thickness_convention)
+    return _null_space_coefficients(medium, mode.omega, mode.k_a)
 
 
 def _surface_response(alpha: complex, beta: complex, k_a: float,
@@ -290,38 +269,27 @@ def _surface_response(alpha: complex, beta: complex, k_a: float,
     return alpha * coeff_a - 1j * k_a * coeff_b
 
 
-def solve_dispersion(
-    medium: MediumSpec,
-    f: float,
-    *,
-    scan_step: float = SCAN_STEP,
-    scan_start: float = SCAN_START,
-    thickness_convention: str = "half",
-) -> LambMode:
+def solve_dispersion(medium: MediumSpec, f: float) -> LambMode:
     """Locate the fundamental antisymmetric root at frequency ``f``.
 
-    Scans phase velocity upward from ``scan_start`` to the transverse bulk
-    speed, brackets the first sign change, then bisects the bracket down to
-    machine precision.  Raises NoRootError when the scan sees no sign change,
-    the characteristic function overflows or the boundary system at the root
-    is inconsistent, and ValueError when
-    ``scan_step`` or ``scan_start`` is not finite and > 0 or the scan would
-    cover more than ``SCAN_POINTS_MAX`` points.
+    Scans phase velocity upward in ``SCAN_STEP`` steps from ``SCAN_START``
+    to the transverse bulk speed, brackets the first sign change, then
+    bisects the bracket down to machine precision.  Raises NoRootError when
+    the scan sees no sign change, the characteristic function overflows or
+    the boundary system at the root is inconsistent, and ValueError when the
+    scan up to the medium's transverse speed would cover more than
+    ``SCAN_POINTS_MAX`` points.
     """
     if f <= 0.0:
         raise ValueError("frequency must be > 0")
-    for name, value in (("scan_step", scan_step), ("scan_start", scan_start)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    points = (medium.c_t - scan_start) / scan_step
-    # A step too small to move the sum at all is reported by the scan itself.
-    if points > SCAN_POINTS_MAX and scan_start + scan_step > scan_start:
+    points = (medium.c_t - SCAN_START) / SCAN_STEP
+    if not points <= SCAN_POINTS_MAX:  # NaN included
         raise ValueError(
-            f"scan_step {scan_step!r} m/s gives {points:.3g} points from {scan_start!r} "
-            f"to {medium.c_t!r} m/s, above the {SCAN_POINTS_MAX} a scan may cover"
+            f"transverse speed {medium.c_t!r} m/s of {medium.name!r} gives "
+            f"{points:.3g} scan points; a scan may cover at most {SCAN_POINTS_MAX}"
         )
     try:
-        return _solve(medium, f, scan_step, scan_start, thickness_convention)
+        return _solve(medium, f)
     except (OverflowError, InconsistentModeError) as exc:
         reason = ("the characteristic function overflows"
                   if isinstance(exc, OverflowError) else str(exc))
@@ -331,17 +299,16 @@ def solve_dispersion(
         ) from None
 
 
-def _solve(medium: MediumSpec, f: float, scan_step: float, scan_start: float,
-           thickness_convention: str) -> LambMode:
+def _solve(medium: MediumSpec, f: float) -> LambMode:
     """``solve_dispersion`` on arguments it has checked."""
     omega = TWO_PI * f
-    h = _half_thickness(medium, thickness_convention)
+    h = 0.5 * medium.thickness
 
-    bracket = _scan_bracket(medium, omega, h, scan_start, scan_step)
+    bracket = _scan_bracket(medium, omega, h, SCAN_START, SCAN_STEP)
     if bracket is None:
         raise NoRootError(
             f"no dispersion root for {medium.name!r} at {f} Hz in phase-velocity "
-            f"scan ({scan_start}, {medium.c_t}) m/s with step {scan_step} m/s"
+            f"scan ({SCAN_START}, {medium.c_t}) m/s with step {SCAN_STEP} m/s"
         )
     a, b = bracket
     f_a = _characteristic_value(medium, omega, a, h)
@@ -360,14 +327,14 @@ def _solve(medium: MediumSpec, f: float, scan_step: float, scan_start: float,
     c_s = 0.5 * (a + b)
     k_a = omega / c_s
 
-    residual = dispersion_residual(medium, omega, k_a, thickness_convention)
+    residual = dispersion_residual(medium, omega, k_a)
     if residual > RESIDUAL_LIMIT:
         raise NoRootError(
             f"bisection failed to converge for {medium.name!r} at {f} Hz "
             f"(residual {residual:.3e})"
         )
 
-    coeff_a, coeff_b = _null_space_coefficients(medium, omega, k_a, thickness_convention)
+    coeff_a, coeff_b = _null_space_coefficients(medium, omega, k_a)
     alpha, beta = _wavenumbers(medium, omega, k_a)
     resp = _surface_response(alpha, beta, k_a, coeff_a, coeff_b)
     return LambMode(
@@ -381,13 +348,13 @@ def _solve(medium: MediumSpec, f: float, scan_step: float, scan_start: float,
     )
 
 
-def propagation_delay(medium: MediumSpec, f: float, z: float, **solve_kwargs) -> float:
+def propagation_delay(medium: MediumSpec, f: float, z: float) -> float:
     """Travel time of the guided wave over ``z`` metres."""
     if z < 0.0:
         raise ValueError("distance must be >= 0")
     if z == 0.0:
         return 0.0
-    mode = solve_dispersion(medium, f, **solve_kwargs)
+    mode = solve_dispersion(medium, f)
     return z / mode.c_s
 
 
@@ -437,22 +404,14 @@ def surface_displacement(
     return prestress + wave.value_at(t)
 
 
-def load_media(
-    thickness: float,
-    attenuation_ratio: float = 0.9,
-    path=None,
-) -> dict[str, MediumSpec]:
+def load_media(thickness: float, attenuation_ratio: float = 0.9) -> dict[str, MediumSpec]:
     """Load the bundled medium table as MediumSpec records at ``thickness``.
 
     The table stores wave speeds in m/s and densities in g/cm^3; densities
     are converted to kg/m^3 while loading.
     """
-    if path is None:
-        source = resources.files("driftlab").joinpath("data/media.csv")
-        text = source.read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    source = resources.files("driftlab").joinpath("data/media.csv")
+    text = source.read_text(encoding="utf-8")
     media = {}
     reader = csv.DictReader(text.splitlines())
     for row in reader:

@@ -35,6 +35,9 @@ from .signals import TWO_PI, Sinusoid, superpose, wrap_phase
 
 DIRECTION_FORWARD = "forward"
 DIRECTION_BACKWARD = "backward"
+# Least spread (V) of the superposed amplitudes that a calibration sweep
+# can locate a minimum in.
+NOISE_FLOOR = 1e-12
 
 
 class InfeasiblePlanError(ValueError):
@@ -78,7 +81,9 @@ class BurstTrain(Sequence):
     """Uniformly spaced bursts, generated lazily.
 
     Start times step by ``period`` and the signal phase by ``phase_step``
-    per burst, so arbitrarily long trains cost nothing to hold.
+    per burst, so arbitrarily long trains cost nothing to hold.  A period
+    within a few ulps of the duration is widened by those ulps, so that no
+    burst starts before the previous one ends.
     """
 
     def __init__(self, *, start: float, period: float, duration: float,
@@ -91,7 +96,11 @@ class BurstTrain(Sequence):
         if count > 1 and period < duration:
             raise ValueError("bursts overlap: period < duration")
         self.start = start
-        self.period = period
+        # Burst i's start, start + i * period, lies within 1 ulp of the
+        # largest time in the train and burst i - 1's end within 1.5 ulp;
+        # widening may move that time up one binade, doubling its ulp.
+        largest = abs(start) + (count - 1) * period + duration
+        self.period = max(period, duration + 8.0 * math.ulp(largest))
         self.duration = duration
         self.count = count
         self.amplitude = amplitude
@@ -292,13 +301,7 @@ class PhaseMap:
         return wrap_phase(beta1_a + (phi - phi_a))
 
 
-def calibrate_phase_map(
-    context,
-    z: float,
-    phase_grid: int = 64,
-    *,
-    noise_floor: float = 1e-12,
-) -> PhaseMap:
+def calibrate_phase_map(context, z: float, phase_grid: int = 64) -> PhaseMap:
     """Sweep the excitation phase and locate the amplitude minimum.
 
     ``context`` must provide ``induced_signal(phi, z)`` mapping an excitation
@@ -317,10 +320,10 @@ def calibrate_phase_map(
     for i, phi in enumerate(phis):
         injected = context.induced_signal(float(phi), z)
         amps[i] = superpose(osc, injected).amplitude
-    if amps.max() - amps.min() < noise_floor:
+    if amps.max() - amps.min() < NOISE_FLOOR:
         raise CalibrationError(
             f"amplitude variation {amps.max() - amps.min():.3e} below the "
-            f"noise floor {noise_floor:.3e}"
+            f"noise floor {NOISE_FLOOR:.3e}"
         )
     i_min = int(np.argmin(amps))
     y0 = amps[(i_min - 1) % phase_grid]

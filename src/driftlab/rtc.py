@@ -338,8 +338,6 @@ def _apply_phase_advance(
         )
     if burst.start > state.wall_time:
         state = _step(state, config, burst.start, events)
-    if state.frozen:
-        return replace(state, wall_time=burst.start + burst.duration)
 
     beta1 = burst.signal.phase
     beta2 = state.osc_phase
@@ -364,6 +362,10 @@ def _apply_phase_advance(
     # injected one at full convergence.
     end_unwrapped = beta2 + advanced
     final_phase = beta1 if residual == 0.0 else wrap_phase(end_unwrapped)
+    if state.frozen:
+        # The watchdog stops the counter, not the oscillator: the burst
+        # still drags its phase.
+        return replace(state, wall_time=te, osc_phase=final_phase)
     freq = config.nominal_freq
     thr = config.trigger_threshold
     amp = state.osc_amplitude
@@ -451,9 +453,14 @@ def run_uniform_train(
     if start > state.wall_time:
         state = _step(state, config, start, events)
     t_end = start + (count - 1) * period + duration
+    beta2 = state.osc_phase
+    advanced = count * delta
     if state.frozen:
-        # As burst by burst: on a frozen clock only the wall time moves.
-        return TrainResult(replace(state, wall_time=t_end), 0, events or [], 0.0)
+        # As burst by burst: on a frozen clock the bursts drag the phase but
+        # nothing is counted.
+        return TrainResult(replace(state, wall_time=t_end,
+                                   osc_phase=wrap_phase(beta2 + advanced)),
+                           0, events or [], advanced)
 
     freq = config.nominal_freq
     thr = config.trigger_threshold
@@ -462,8 +469,6 @@ def run_uniform_train(
         raise PlanError("oscillation amplitude at or below threshold; no edges")
     theta_star = math.asin(thr / amp)
     tau = config.convergence_time_constant
-    beta2 = state.osc_phase
-    advanced = count * delta
     n0 = _crossing_index(start, freq, beta2, theta_star)
     n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
     phase0 = TWO_PI * freq * start + beta2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -37,9 +38,11 @@ class TestChain:
             assert shifted == pytest.approx(wrap_phase(base + shift), abs=1e-9)
 
     def test_amplitude_linear_in_drive(self, context):
-        a1 = context.induced_signal(0.0, drive_amplitude=10.0).amplitude
-        a2 = context.induced_signal(0.0, drive_amplitude=30.0).amplitude
-        assert a2 == pytest.approx(3.0 * a1, rel=1e-9)
+        def amplitude(drive):
+            transducer = replace(context.transducer, drive_amplitude=drive)
+            return replace(context, transducer=transducer).induced_signal(0.0).amplitude
+
+        assert amplitude(30.0) == pytest.approx(3.0 * amplitude(10.0), rel=1e-9)
 
     def test_attenuation_with_distance(self, context):
         near = context.induced_signal(0.0, z=0.02).amplitude
@@ -56,7 +59,5 @@ class TestChain:
         CrystalSpec(thickness=2.2250738585072014e-308),    # inf amplitude
     ])
     def test_non_finite_signal_is_named(self, context, crystal):
-        from dataclasses import replace
-
         with pytest.raises(NonFiniteSignalError, match=r"^\$\.crystal: "):
             replace(context, crystal=crystal).induced_signal(0.0)

@@ -278,6 +278,23 @@ class TestSimulateCommand:
         assert (len(rows) - 2) % 7 != 0
         assert again.read_bytes() == out.read_bytes()
 
+    def test_forward_pause_below_an_ulp_simulates(self, config_path, tmp_path,
+                                                  capsys):
+        # The pause is below an ulp of t1, and t1 is below five time
+        # constants; burst starts rounded before the previous burst's end
+        # were refused with exit 3.
+        path = config_path(overrides={
+            "goal": {"direction": "forward", "window_a_s": 0.00022506807129523345,
+                     "drift_b_cycles": 5.0},
+            "attack": {"single_duration_t1_s": 1.1253403564761672e-05,
+                       "phase_step_rad": math.pi / 2},
+            "rtc": {"mode": "thirtytwo_bit"},
+        })
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert _rows(out)[-1][0] == "end"
+
     @given(i=st.integers(0, 2**40), time=st.floats(), rtc_time=st.floats())
     def test_tick_row_is_the_csv_writer_row(self, i, time, rtc_time):
         tick = TickEvent(time, rtc_time)

@@ -220,12 +220,6 @@ class TestDenoise:
         with pytest.raises(ValueError):
             denoise(trace, 2.95e6, 2e5)
 
-    @pytest.mark.parametrize("numtaps", [2, 256])
-    def test_even_numtaps_rejected(self, numtaps):
-        trace = SampledTrace(6e6, np.random.default_rng(0).normal(size=1024))
-        with pytest.raises(ValueError, match="odd"):
-            denoise(trace, 5e5, 2e5, numtaps=numtaps)
-
 
 class TestBandpass:
     """The numpy band-pass against scipy.signal's window-method design and

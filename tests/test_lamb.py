@@ -89,35 +89,30 @@ class TestSolveDispersion:
             assert mode.c_s > prev
             prev = mode.c_s
 
-    def test_no_root_reports_range(self, acrylic):
-        with pytest.raises(NoRootError, match="scan"):
-            # scanning a sliver of velocity space that holds no root
-            solve_dispersion(acrylic, F_OSC, scan_start=acrylic.c_t - 2.0)
-
-    def test_full_thickness_convention_also_solves(self, acrylic):
-        mode = solve_dispersion(acrylic, F_OSC, thickness_convention="full")
-        assert mode.c_s < acrylic.c_t
-        assert dispersion_residual(
-            acrylic, mode.omega, mode.k_a, thickness_convention="full"
-        ) < 1e-9
+    def test_no_root_reports_range(self, acrylic, monkeypatch):
+        # scanning a sliver of velocity space that holds no root
+        monkeypatch.setattr(lamb, "SCAN_START", acrylic.c_t - 2.0)
+        with pytest.raises(NoRootError, match=re.escape(
+                "scan (1298.0, 1300.0) m/s with step 1.0 m/s")):
+            solve_dispersion(acrylic, F_OSC)
 
     def test_rejects_bad_frequency(self, acrylic):
         with pytest.raises(ValueError):
             solve_dispersion(acrylic, 0.0)
 
 
-def _outcome(medium, f, **kwargs):
+def _outcome(medium, f):
     try:
-        return solve_dispersion(medium, f, **kwargs)
+        return solve_dispersion(medium, f)
     except (NoRootError, InconsistentModeError) as exc:
         return type(exc), str(exc)
 
 
-def _scalar_outcome(medium, f, **kwargs):
+def _scalar_outcome(medium, f):
     """solve_dispersion with the scan replaced by the scalar loop."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lamb, "_scan_bracket", scalar_scan_bracket)
-        return _outcome(medium, f, **kwargs)
+        return _outcome(medium, f)
 
 
 ALL_MEDIA = sorted(load_media(thickness=1e-3))
@@ -128,12 +123,12 @@ SWEEP_FREQS = np.linspace(19.5e3, 60.5e3, 3)
 class TestChunkedScan:
     @pytest.mark.parametrize("step", [1.0, 0.37])
     @pytest.mark.parametrize("name", ALL_MEDIA)
-    def test_modes_equal_scalar_scan(self, name, step):
+    def test_modes_equal_scalar_scan(self, name, step, monkeypatch):
+        monkeypatch.setattr(lamb, "SCAN_STEP", step)
         for d_mm in (0.5, 3.0, 12.0, 60.0):
             medium = load_media(thickness=d_mm * 1e-3)[name]
             for f in SWEEP_FREQS:
-                got = _outcome(medium, f, scan_step=step)
-                assert got == _scalar_outcome(medium, f, scan_step=step), (d_mm, f)
+                assert _outcome(medium, f) == _scalar_outcome(medium, f), (d_mm, f)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -142,14 +137,14 @@ class TestChunkedScan:
         thickness=st.floats(2e-4, 0.08),
         f=st.floats(20.0, 4e5),
         step=st.sampled_from([1.0, 0.37, 2.9]),
-        convention=st.sampled_from(["half", "full"]),
+        share=st.sampled_from([0.5, 1.0]),
     )
     def test_bracket_equals_scalar_scan(self, c_t, ratio, thickness, f, step,
-                                        convention):
+                                        share):
         medium = MediumSpec("drawn", c_l=c_t * ratio, c_t=c_t, density=2000.0,
                             thickness=thickness)
         omega = TWO_PI * f
-        h = lamb._half_thickness(medium, convention)
+        h = share * thickness
         assert lamb._scan_bracket(medium, omega, h, 10.0, step) == \
             scalar_scan_bracket(medium, omega, h, 10.0, step)
 
@@ -214,37 +209,30 @@ class TestChunkedScan:
             gap = np.abs(vec - ref) / (np.abs(t1) + np.abs(t2))
             assert gap.max() < 1e-3 * lamb._SCAN_MARGIN
 
-    @pytest.mark.parametrize("name", ["scan_step", "scan_start"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_bad_scan_parameter_refused(self, acrylic, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-            solve_dispersion(acrylic, F_OSC, **{name: value})
-
-    def test_step_below_resolution_refused(self, acrylic):
-        with pytest.raises(ValueError, match="does not advance"):
-            solve_dispersion(acrylic, F_OSC, scan_step=1e-300)
-
-    def test_scan_point_limit_refused_before_scanning(self, acrylic):
+    @pytest.mark.parametrize("c_t, points", [(1e7, "1e+07"), (math.nan, "nan")])
+    def test_scan_point_limit_refused_before_scanning(self, c_t, points):
+        medium = MediumSpec("fast", c_l=2e7, c_t=c_t, density=2000.0,
+                            thickness=5e-3)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="1.29e\\+15 points .* above the 1000000"):
-            solve_dispersion(acrylic, F_OSC, scan_step=1e-12)
+        with pytest.raises(ValueError, match=re.escape(
+                f"gives {points} scan points; a scan may cover at most 1000000")):
+            solve_dispersion(medium, F_OSC)
         assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("points, accepted", [
         (lamb.SCAN_POINTS_MAX, True), (2 * lamb.SCAN_POINTS_MAX, False),
     ])
-    def test_scan_point_limit_edge(self, acrylic, acrylic_mode, points, accepted):
-        # Starting 1 m/s below the root keeps an accepted scan short.
-        scan_start = acrylic_mode.c_s - 1.0
-        scan_step = (acrylic.c_t - scan_start) / points
+    def test_scan_point_limit_edge(self, points, accepted):
+        c_t = lamb.SCAN_START + points * lamb.SCAN_STEP
+        medium = MediumSpec("fast", c_l=2.0 * c_t, c_t=c_t, density=2000.0,
+                            thickness=5e-3)
         if accepted:
-            mode = solve_dispersion(acrylic, F_OSC, scan_step=scan_step,
-                                    scan_start=scan_start)
-            assert mode.c_s == pytest.approx(acrylic_mode.c_s, rel=1e-12)
+            # The root lies about 22,700 points into the scan.
+            mode = solve_dispersion(medium, F_OSC)
+            assert dispersion_residual(medium, mode.omega, mode.k_a) < 1e-9
         else:
             with pytest.raises(ValueError, match="a scan may cover"):
-                solve_dispersion(acrylic, F_OSC, scan_step=scan_step,
-                                 scan_start=scan_start)
+                solve_dispersion(medium, F_OSC)
 
     @pytest.mark.parametrize("f, thickness", [(1e9, 5e-3), (F_OSC, 1e6), (1e300, 5e-3)])
     def test_overflow_is_a_named_no_root(self, f, thickness):

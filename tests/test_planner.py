@@ -185,6 +185,36 @@ class TestPlanForward:
                 assert abs(a.time - b.time) <= 1e-12
 
 
+class TestBurstTrain:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(0.0, 100.0),
+        duration=st.floats(1e-7, 1.0),
+        pause=st.one_of(st.just(0.0), st.floats(0.0, 1e-12)),
+        count=st.integers(2, 300),
+    )
+    def test_no_burst_starts_before_the_previous_end(self, start, duration,
+                                                     pause, count):
+        train = BurstTrain(start=start, period=duration + pause, duration=duration,
+                           count=count, amplitude=0.005, frequency=F, phase0=0.0)
+        assert train.period >= duration + pause
+        ends = [b.end for b in train[:-1]]
+        assert all(b.start >= end for b, end in zip(train[1:], ends))
+
+    def test_pause_below_an_ulp_runs_burst_by_burst(self):
+        # A pause below an ulp of t1, and t1 under five time constants: the
+        # per-burst loop refused this plan, a burst starting one ulp before
+        # the previous one ended.
+        t1 = 1.1253403564761672e-05
+        window = 0.00022506807129523345
+        plan = plan_forward(_forward_goal(window, 5.0), t1, math.pi / 2,
+                            amplitude=0.005)
+        assert 0.0 < plan.pause_t2 < math.ulp(t1)
+        cfg = RtcConfig(mode="thirtytwo_bit")
+        run = simulate_plan(plan, cfg, until=window)
+        assert run.state.wall_time == plan.span
+
+
 def simulate_free(cfg, until):
     st = initial_state(cfg)
     end = step(st, cfg, until)

@@ -22,6 +22,7 @@ from driftlab.rtc import (
     step_with_events,
     with_injection,
 )
+from driftlab.planner import BurstTrain
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
 from oracles import count_upward_crossings, crossing_times
@@ -308,12 +309,16 @@ class TestPhaseAdvance:
 
 
 def _train_bursts(state, count, period, duration, delta, start):
-    """The bursts of a uniform train, one by one, led by ``state``'s phase."""
-    return [
-        InjectionBurst(start + i * period, duration,
-                       Sinusoid(0.005, F, wrap_phase(state.osc_phase + (i + 1) * delta)))
-        for i in range(count)
-    ]
+    """The bursts of a uniform train led by ``state``'s phase, as a plan
+    builds them."""
+    return BurstTrain(start=start, period=period, duration=duration, count=count,
+                      amplitude=0.005, frequency=F,
+                      phase0=state.osc_phase + delta, phase_step=delta)
+
+
+def _phase_gap(a, b):
+    """Distance of two phases on the circle."""
+    return abs(wrap_phase(a - b + math.pi) - math.pi)
 
 
 def _burst_loop(state, cfg, bursts):
@@ -351,6 +356,9 @@ class TestOneCrossingKernel:
         assert result.state.counter == loop.counter == state.counter
         assert result.state.rtc_time == loop.rtc_time
         assert result.crossings == 0
+        # The bursts after the latch still drag the phase, 3 pi/2 in all.
+        assert _phase_gap(loop.osc_phase, state.osc_phase + 1.5 * math.pi) < 1e-12
+        assert _phase_gap(result.state.osc_phase, loop.osc_phase) < 1e-12
 
     def test_last_edge_is_the_bursts_last_crossing(self):
         # With reload 1 every crossing is a tick, so the last tick is the
@@ -363,7 +371,7 @@ class TestOneCrossingKernel:
         state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
         assert step(state, cfg, events[-1].time + 1.009e-3).frozen
 
-    def test_train_on_a_frozen_clock_only_moves_wall_time(self):
+    def test_train_on_a_frozen_clock_counts_nothing(self):
         cfg = RtcConfig(freeze_timeout=1e-3)
         state = _stalled(cfg, 4.5 / F, 2e-3)
         assert state.frozen
@@ -371,8 +379,11 @@ class TestOneCrossingKernel:
                      start=state.wall_time + 1e-4)
         result = run_uniform_train(state, cfg, collect_ticks=True, **train)
         loop = _burst_loop(state, cfg, _train_bursts(state, **train))
-        assert result.state == loop == replace(state, wall_time=loop.wall_time)
-        assert (result.crossings, result.ticks, result.phase_advanced) == (0, [], 0.0)
+        assert result.state == replace(loop, osc_phase=result.state.osc_phase)
+        assert loop == replace(state, wall_time=loop.wall_time, osc_phase=loop.osc_phase)
+        assert _phase_gap(result.state.osc_phase, state.osc_phase + 4.0) < 1e-12
+        assert _phase_gap(loop.osc_phase, state.osc_phase + 4.0) < 1e-12
+        assert (result.crossings, result.ticks, result.phase_advanced) == (0, [], 4.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -385,9 +396,7 @@ class TestOneCrossingKernel:
         count=st.integers(1, 40),
         delta=st.floats(0.05, 3.0),
         duration=st.floats(1.5e-5, 6e-5),
-        # With no pause, start + i * period can fall one ulp before the
-        # previous burst's end, which the loop refuses as overlapping.
-        pause=st.floats(1e-9, 2e-4),
+        pause=st.one_of(st.just(0.0), st.floats(0.0, 2e-4)),
         lead=st.sampled_from([0.0, 3.7e-6, 1e-4]),
     )
     def test_train_matches_the_burst_loop_from_any_start(
@@ -406,13 +415,15 @@ class TestOneCrossingKernel:
         assert state.frozen == (kind == "frozen")
         train = dict(count=count, period=duration + pause, duration=duration,
                      delta=delta, start=state.wall_time + lead)
-        loop = _burst_loop(state, cfg, _train_bursts(state, **train))
-        fast = run_uniform_train(state, cfg, **train).state
+        bursts = _train_bursts(state, **train)
+        loop = _burst_loop(state, cfg, bursts)
+        fast = run_uniform_train(state, cfg, **{**train, "period": bursts.period}).state
         assert fast.wall_time == loop.wall_time
         assert fast.rtc_time == loop.rtc_time
         assert fast.counter == loop.counter
         assert fast.frozen == loop.frozen
         assert abs(fast.last_edge_time - loop.last_edge_time) <= 1e-12
+        assert _phase_gap(fast.osc_phase, loop.osc_phase) <= 1e-12
 
 
 class SampledOracle:
