@@ -410,8 +410,8 @@ class TestOneCrossingKernel:
             state = _stalled(cfg, free_until, (1.0 + quiet * (timeout * F - 2.0)) / F)
         elif kind == "overdue":     # the next crossing may come past the timeout
             state = _stalled(cfg, free_until, timeout - late / F)
-        else:
-            state = _stalled(cfg, free_until, timeout * (1.0 + quiet))
+        else:   # last_edge_time + timeout alone can round to just below it
+            state = _stalled(cfg, free_until, timeout * (1.0 + quiet) + 1e-9)
         assert state.frozen == (kind == "frozen")
         train = dict(count=count, period=duration + pause, duration=duration,
                      delta=delta, start=state.wall_time + lead)
