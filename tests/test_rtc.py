@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from driftlab.planner import BurstTrain
 from driftlab.rtc import (
     InjectionBurst,
     PlanError,
@@ -22,7 +23,6 @@ from driftlab.rtc import (
     step_with_events,
     with_injection,
 )
-from driftlab.planner import BurstTrain
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
 from oracles import count_upward_crossings, crossing_times
