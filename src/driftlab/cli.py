@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 
@@ -53,8 +52,9 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
 # Most points one --sweep may ask for, refused before anything is allocated.
 SWEEP_STEPS_MAX = 100_000
-# Tick rows joined into one write by ``simulate``.
-_TICK_BATCH = 4096
+# Most tick rows ``simulate`` may write, refused before the header: about 46
+# days at a 1 s tick, or 65 minutes at the 32-bit mode's 0.98 ms.
+SIMULATE_ROWS_MAX = 4_000_000
 
 
 class _Output:
@@ -110,10 +110,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _tick_row(i: int, tick) -> str:
-    """One ``simulate`` CSV row.  No field holds a comma or a quote, so this
-    is the line ``csv.writer`` would write."""
-    return f"{i},{tick.time!r},{tick.rtc_time!r},{tick.rtc_time - tick.time!r}\n"
+def _tick_rows(first: int, wall_times, rtc_times) -> str:
+    """``simulate``'s CSV rows for consecutive ticks numbered from ``first``.
+    No field holds a comma or a quote, so these are the lines ``csv.writer``
+    would write."""
+    ticks = zip(range(first, first + len(wall_times)), wall_times.tolist(),
+                rtc_times.tolist(), (rtc_times - wall_times).tolist())
+    return "".join(f"{i},{w!r},{r!r},{d!r}\n" for i, w, r, d in ticks)
 
 
 def _parse_sweep(text: str):
@@ -217,14 +220,26 @@ def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
 
 def _cmd_simulate(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
-    state = initial_state(scenario.rtc)
     until = max(scenario.goal.window, plan.span)
-    run = simulate_plan(plan, scenario.rtc, state, until=until)
+    tick_period = scenario.rtc.tick_period
+    rows = until / tick_period + 1.0
+    if not rows <= SIMULATE_ROWS_MAX:
+        raise ConfigError([
+            f"$.goal.window_a_s: a {until!r} s run at a {tick_period!r} s tick "
+            f"period is about {rows:.6g} rows, above the cap of "
+            f"{SIMULATE_ROWS_MAX} rows"
+        ])
     writer = _csv_writer(fh)
     writer.writerow(["tick_index", "wall_time_s", "rtc_time_s", "drift_s"])
-    ticks = iter(enumerate(run.ticks))
-    while batch := "".join(_tick_row(i, tick) for i, tick in islice(ticks, _TICK_BATCH)):
-        fh.write(batch)
+    written = 0
+
+    def write_ticks(wall_times, rtc_times):
+        nonlocal written
+        fh.write(_tick_rows(written, wall_times, rtc_times))
+        written += len(wall_times)
+
+    run = simulate_plan(plan, scenario.rtc, initial_state(scenario.rtc),
+                        until=until, sink=write_ticks)
     writer.writerow(
         ["end", _fmt(run.state.wall_time), _fmt(run.state.rtc_time),
          _fmt(run.drift)]

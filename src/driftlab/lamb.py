@@ -81,6 +81,11 @@ class MediumSpec:
     attenuation_ratio: float = 0.9
 
     def __post_init__(self):
+        for field in ("c_l", "c_t", "density", "thickness", "attenuation_ratio"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{field} must be finite, got {value!r} for {self.name!r}")
         if self.c_l <= 0.0 or self.c_t <= 0.0:
             raise ValueError("wave speeds must be > 0")
         if self.c_t >= self.c_l:

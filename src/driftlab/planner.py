@@ -24,12 +24,14 @@ from .rtc import (
     RtcConfig,
     RtcState,
     TickEvent,
+    TickSink,
     _apply_phase_advance,
     _step,
     _with_injection,
     initial_state,
     measure_drift,
     run_uniform_train,
+    tick_collector,
 )
 from .signals import TWO_PI, Sinusoid, superpose, wrap_phase
 
@@ -360,6 +362,7 @@ def simulate_plan(
     *,
     until: Optional[float] = None,
     collect_ticks: bool = True,
+    sink: Optional[TickSink] = None,
 ) -> PlanRun:
     """Run a plan against the emulator and measure the resulting drift.
 
@@ -368,14 +371,17 @@ def simulate_plan(
     superposition (the stall mechanism).  A uniform forward train of fully
     converging bursts that starts phase-aligned, whatever its length, goes
     through the closed-form ``run_uniform_train``; every other plan runs
-    burst by burst.  Tick events are built only with ``collect_ticks``.
+    burst by burst.  Ticks go to ``sink`` as they are counted when one is
+    given, else to ``PlanRun.ticks`` with ``collect_ticks``.
     """
     if state is None:
         state = initial_state(config)
     start_wall = state.wall_time
     start_rtc = state.rtc_time
     start_counter = state.counter
-    events: Optional[list[TickEvent]] = [] if collect_ticks else None
+    events: list[TickEvent] = []
+    if sink is None and collect_ticks:
+        sink = tick_collector(events)
     prediction_error = 0.0
 
     train, step_delta = plan.bursts, plan.phase_step_delta
@@ -394,11 +400,9 @@ def simulate_plan(
             duration=train.duration,
             delta=step_delta,
             start=train.start,
-            collect_ticks=collect_ticks,
+            sink=sink,
         )
         state = result.state
-        if collect_ticks:
-            events.extend(result.ticks)
     else:
         for burst in train:
             beta1 = burst.signal.phase
@@ -410,22 +414,22 @@ def simulate_plan(
             gap = wrap_phase(delta - planned)
             prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
             if 1e-12 < delta < math.pi - 1e-12:
-                state = _apply_phase_advance(state, config, burst, events)
+                state = _apply_phase_advance(state, config, burst, sink)
             else:
                 if burst.start > state.wall_time:
-                    state = _step(state, config, burst.start, events)
-                state = _with_injection(state, config, burst.signal, events)
-                state = _step(state, config, burst.end, events)
-                state = _with_injection(state, config, None, events)
+                    state = _step(state, config, burst.start, sink)
+                state = _with_injection(state, config, burst.signal, sink)
+                state = _step(state, config, burst.end, sink)
+                state = _with_injection(state, config, None, sink)
 
     if until is not None and until > state.wall_time:
-        state = _step(state, config, until, events)
+        state = _step(state, config, until, sink)
 
     ticks_emitted = round((state.rtc_time - start_rtc) / config.tick_period)
     crossings = ticks_emitted * config.divider_reload + (start_counter - state.counter)
     return PlanRun(
         state=state,
-        ticks=events or [],
+        ticks=events,
         drift=measure_drift(state) - (start_rtc - start_wall),
         crossings_counted=crossings,
         phase_prediction_error=prediction_error,

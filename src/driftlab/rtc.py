@@ -6,8 +6,8 @@ crosses the edge-trigger threshold upward have a closed form.  The divider
 decrements once per upward crossing and emits one tick (resetting itself)
 each time it reaches zero, so time never needs to be sampled -- the engine
 advances from event to event.  A stretch costs the same however many ticks it
-holds: the RTC time advances by whole ticks in one multiply, and tick events
-are built only when the caller asks for them.
+holds: the RTC time advances by whole ticks in one multiply, and tick times
+are computed only when the caller passes a sink for them.
 
 Two injection mechanisms exist, matching the two drift directions:
 
@@ -24,13 +24,20 @@ snaps exactly onto the injected phase, which keeps long-run drift accounting
 exact.  One inverter, ``_burst_crossing_time``, recovers crossing times
 during a burst: once the offset has settled they have the closed form, and
 only a crossing inside the relaxation stretch needs a bracketed solve.
+
+Ticks go to an optional sink, a callable that receives ``(wall_times,
+rtc_times)`` float64 arrays in time order, at most ``TICK_CHUNK`` ticks a
+call, so no call holds more than one chunk however long the stretch.  A list
+is one sink (``tick_collector``), which the ``*_with_events`` functions use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .signals import TWO_PI, Sinusoid, superpose, wrap_phase
 
@@ -42,6 +49,12 @@ DIVIDER_MAX = 65535  # 16-bit divider counter
 # Bursts at least this many time constants long count as fully converged.
 FULL_CONVERGENCE_FACTOR = 5.0
 
+# Most ticks handed to a sink in one call.
+TICK_CHUNK = 4096
+
+# Receives (wall_times, rtc_times) of consecutive ticks.
+TickSink = Callable[[np.ndarray, np.ndarray], None]
+
 
 class PlanError(ValueError):
     """Injection request violates the engine's preconditions."""
@@ -52,6 +65,13 @@ class TickEvent(NamedTuple):
 
     time: float
     rtc_time: float
+
+
+def tick_collector(events: list) -> TickSink:
+    """A sink that appends every tick it receives to ``events``."""
+    def collect(wall_times: np.ndarray, rtc_times: np.ndarray) -> None:
+        events.extend(map(TickEvent, wall_times.tolist(), rtc_times.tolist()))
+    return collect
 
 
 @dataclass(frozen=True)
@@ -220,16 +240,18 @@ def _cross(
     n0: int,
     n1: int,
     time_of,
-    events: Optional[list],
+    sink: Optional[TickSink],
+    closed_form: bool = False,
     **changes,
 ) -> RtcState:
     """``state`` with ``changes`` applied and crossings ``n0 + 1 .. n1`` counted.
 
     Every transition ends here.  ``time_of(n)`` is the wall time of crossing
-    ``n``.  The freeze watchdog latches on the first crossing or the
+    ``n``; with ``closed_form`` it also maps a float64 array of crossing
+    numbers.  The freeze watchdog latches on the first crossing or the
     crossings go through the divider: the RTC time advances by whole ticks
-    in one multiply, tick events go to ``events`` unless it is None, and the
-    last crossing becomes the last edge.
+    in one multiply, the ticks go to ``sink`` a chunk at a time unless it is
+    None, and the last crossing becomes the last edge.
     """
     count = n1 - n0
     if count <= 0:
@@ -239,12 +261,20 @@ def _cross(
         return replace(state, frozen=True, **changes)
     counter, reload, rtc_time = state.counter, config.divider_reload, state.rtc_time
     ticks = 0 if count < counter else (count - counter) // reload + 1
-    if events is not None:
-        events.extend(
-            TickEvent(time_of(n0 + counter + i * reload),
-                      rtc_time + (i + 1) * config.tick_period)
-            for i in range(ticks)
-        )
+    if sink is not None:
+        # Tick i fires at crossing n + i * reload.  As float64, as the closed
+        # form takes them, crossing numbers below 2**53 are exact.
+        n = n0 + counter
+        for lo in range(0, ticks, TICK_CHUNK):
+            hi = min(lo + TICK_CHUNK, ticks)
+            i = np.arange(lo, hi, dtype=np.float64)
+            if closed_form:
+                wall_times = time_of(float(n) + reload * i)
+            else:
+                wall_times = np.fromiter(
+                    map(time_of, range(n + lo * reload, n + hi * reload, reload)),
+                    np.float64, hi - lo)
+            sink(wall_times, rtc_time + (i + 1.0) * config.tick_period)
     return replace(
         state,
         counter=counter - count + ticks * reload,
@@ -255,7 +285,7 @@ def _cross(
 
 
 def _step(
-    state: RtcState, config: RtcConfig, until: float, events: Optional[list]
+    state: RtcState, config: RtcConfig, until: float, sink: Optional[TickSink]
 ) -> RtcState:
     if until <= state.wall_time:
         raise ValueError(f"until ({until}) must exceed wall_time ({state.wall_time})")
@@ -277,7 +307,7 @@ def _step(
         _crossing_index(state.wall_time, freq, wave.phase, theta_star),
         _crossing_index(until, freq, wave.phase, theta_star),
         lambda n: _crossing_time(n, freq, wave.phase, theta_star),
-        events, wall_time=until,
+        sink, closed_form=True, wall_time=until,
     )
 
 
@@ -289,7 +319,7 @@ def step_with_events(
     Returns the new state and the divider ticks emitted on the way.
     """
     events: list[TickEvent] = []
-    return _step(state, config, until, events), events
+    return _step(state, config, until, tick_collector(events)), events
 
 
 def step(state: RtcState, config: RtcConfig, until: float) -> RtcState:
@@ -300,7 +330,7 @@ def _with_injection(
     state: RtcState,
     config: RtcConfig,
     signal: Optional[Sinusoid],
-    events: Optional[list],
+    sink: Optional[TickSink],
 ) -> RtcState:
     if signal is not None:
         _check_frequency("injection", signal, config)
@@ -312,7 +342,7 @@ def _with_injection(
     before = _active_waveform(state, config, state.injection).value_at(t)
     after = _active_waveform(state, config, signal).value_at(t)
     jump = int(before <= config.trigger_threshold < after)
-    return _cross(state, config, 0, jump, lambda n: t, events, injection=signal)
+    return _cross(state, config, 0, jump, lambda n: t, sink, injection=signal)
 
 
 def with_injection(
@@ -325,11 +355,12 @@ def with_injection(
     an edge, which is counted here.
     """
     events: list[TickEvent] = []
-    return _with_injection(state, config, signal, events), events
+    return _with_injection(state, config, signal, tick_collector(events)), events
 
 
 def _apply_phase_advance(
-    state: RtcState, config: RtcConfig, burst: InjectionBurst, events: Optional[list]
+    state: RtcState, config: RtcConfig, burst: InjectionBurst,
+    sink: Optional[TickSink],
 ) -> RtcState:
     _check_frequency("burst", burst.signal, config)
     if burst.start < state.wall_time:
@@ -337,7 +368,7 @@ def _apply_phase_advance(
             f"burst starts at {burst.start} s before wall time {state.wall_time} s"
         )
     if burst.start > state.wall_time:
-        state = _step(state, config, burst.start, events)
+        state = _step(state, config, burst.start, sink)
 
     beta1 = burst.signal.phase
     beta2 = state.osc_phase
@@ -346,7 +377,7 @@ def _apply_phase_advance(
     te = burst.start + burst.duration
     if delta <= 1e-12 or TWO_PI - delta <= 1e-12:
         # Already aligned: the burst only holds the phase where it is.
-        return _step(state, config, te, events)
+        return _step(state, config, te, sink)
 
     if delta >= math.pi:
         raise PlanError(
@@ -382,7 +413,7 @@ def _apply_phase_advance(
         lambda n: _burst_crossing_time(
             n, theta_star, freq, beta2, delta, tau, t0, burst.duration
         ),
-        events, wall_time=te, osc_phase=final_phase,
+        sink, wall_time=te, osc_phase=final_phase,
     )
 
 
@@ -399,7 +430,7 @@ def apply_phase_advance_with_events(
     settled, bracketed inside the relaxation stretch.
     """
     events: list[TickEvent] = []
-    return _apply_phase_advance(state, config, burst, events), events
+    return _apply_phase_advance(state, config, burst, tick_collector(events)), events
 
 
 def apply_phase_advance(state: RtcState, config: RtcConfig, burst: InjectionBurst) -> RtcState:
@@ -424,6 +455,7 @@ def run_uniform_train(
     delta: float,
     start: Optional[float] = None,
     collect_ticks: bool = False,
+    sink: Optional[TickSink] = None,
 ) -> TrainResult:
     """Closed-form run of ``count`` identical fully-converging bursts.
 
@@ -434,7 +466,8 @@ def run_uniform_train(
     for, need no search over the train: the total phase at burst starts grows
     by exactly ``2 pi f period + delta`` per burst, so the burst holding a
     crossing follows by division, and ``_burst_crossing_time`` places the
-    crossing within it.
+    crossing within it.  Ticks go to ``sink`` when given, else to
+    ``TrainResult.ticks`` with ``collect_ticks``.
     """
     if not 0.0 < delta < math.pi:
         raise PlanError(f"phase step must lie in (0, pi), got {delta}")
@@ -449,9 +482,11 @@ def run_uniform_train(
         start = state.wall_time
     if start < state.wall_time:
         raise PlanError("train cannot start in the past")
-    events: Optional[list[TickEvent]] = [] if collect_ticks else None
+    events: list[TickEvent] = []
+    if sink is None and collect_ticks:
+        sink = tick_collector(events)
     if start > state.wall_time:
-        state = _step(state, config, start, events)
+        state = _step(state, config, start, sink)
     t_end = start + (count - 1) * period + duration
     beta2 = state.osc_phase
     advanced = count * delta
@@ -460,7 +495,7 @@ def run_uniform_train(
         # nothing is counted.
         return TrainResult(replace(state, wall_time=t_end,
                                    osc_phase=wrap_phase(beta2 + advanced)),
-                           0, events or [], advanced)
+                           0, events, advanced)
 
     freq = config.nominal_freq
     thr = config.trigger_threshold
@@ -483,8 +518,8 @@ def run_uniform_train(
         )
 
     new_state = _cross(
-        state, config, n0, n1, time_of, events,
+        state, config, n0, n1, time_of, sink,
         wall_time=t_end, osc_phase=wrap_phase(beta2 + advanced),
     )
     crossings = 0 if new_state.frozen else n1 - n0
-    return TrainResult(new_state, crossings, events or [], phase_advanced=advanced)
+    return TrainResult(new_state, crossings, events, phase_advanced=advanced)

@@ -3,10 +3,11 @@
 ``CASES`` names each run: a scenario (``BASE_CONFIG`` from ``test_cli``
 with overrides, or the ``perfbench`` base scenario file), a subcommand and
 its extra arguments.  ``record`` runs ``cli.main`` in-process with ``--out``
-in a scratch directory and returns the exit code, the stderr text and the
-output: its text, or for ``simulate`` (whose tables run to tens of thousands
-of rows) its sha256, row count and ``end`` row.  ``tests/test_cli_pins.py``
-compares every case with ``data/cli_pins.json``.
+in a scratch directory, or for the cases in ``TO_STDOUT`` with none, and
+returns the exit code, the stderr text and the output: its text, or for
+``simulate`` (whose tables run to tens of thousands of rows) its sha256,
+row count and ``end`` row.  ``tests/test_cli_pins.py`` compares every case
+with ``data/cli_pins.json``.
 
 A refactor must leave these outputs unchanged.  A change that alters one
 on purpose regenerates the file with
@@ -87,7 +88,11 @@ CASES: dict[str, tuple] = {
         "attack": {"single_duration_t1_s": 1e-5, "phase_step_rad": math.pi / 2},
     }, ["plan"]),
     "refuse-numeric-exit-4": ({"rtc.nominal_freq_hz": 1e9}, ["dispersion"]),
+    "stdout-simulate-backward": ({}, ["simulate"]),
+    "stdout-simulate-forward-32bit": (FORWARD_32BIT, ["simulate"]),
 }
+# Cases that write to standard output instead of ``--out``.
+TO_STDOUT = {"stdout-simulate-backward", "stdout-simulate-forward-32bit"}
 
 
 def _scenario(overrides: dict) -> dict:
@@ -111,13 +116,20 @@ def record(name: str) -> dict:
             config = str(Path(tmp) / "scenario.json")
             Path(config).write_text(json.dumps(_scenario(scenario)))
         out = Path(tmp) / "out"
-        argv = [tail[0], "--config", config, "--out", str(out), *tail[1:]]
+        to_stdout = name in TO_STDOUT
+        argv = [tail[0], "--config", config,
+                *([] if to_stdout else ["--out", str(out)]), *tail[1:]]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
-        text = out.read_text(encoding="utf-8") if out.exists() else None
-    result = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
-    if text is not None and tail[0] == "simulate":
+        if to_stdout:
+            text = stdout.getvalue()
+        else:
+            text = out.read_text(encoding="utf-8") if out.exists() else None
+    result = {"exit": code, "stderr": stderr.getvalue()}
+    if not to_stdout:
+        result["stdout"] = stdout.getvalue()
+    if text and tail[0] == "simulate":
         lines = text.splitlines()
         result["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         result["rows"] = len(lines)

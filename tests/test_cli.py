@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import driftlab
-from driftlab import cli
+from driftlab import cli, rtc
 from driftlab.cli import main
 from driftlab.config import CAPTURE_SAMPLES_MAX, ConfigError, parse_scenario
 from driftlab.lamb import dispersion_residual, load_media, solve_dispersion
-from driftlab.rtc import TickEvent
 from driftlab.fingerprint import save_trace_bin, save_trace_csv
 from driftlab.signals import SampledTrace
 
@@ -270,9 +270,9 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         rows = _rows(out)
         assert float(rows[-1][3]) > 0.0
-        # Rows joined a few at a time, with a short last batch, give the
+        # Ticks streamed a few at a time, with a short last chunk, give the
         # same bytes.
-        monkeypatch.setattr(cli, "_TICK_BATCH", 7)
+        monkeypatch.setattr(rtc, "TICK_CHUNK", 7)
         again = tmp_path / "again.csv"
         assert main(["simulate", "--config", path, "--out", str(again)]) == 0
         assert (len(rows) - 2) % 7 != 0
@@ -295,13 +295,46 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == ""
         assert _rows(out)[-1][0] == "end"
 
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_huge_window_refused_before_the_header(self, config_path, tmp_path,
+                                                   capsys, to_stdout):
+        path = config_path(overrides={"goal.window_a_s": 1e300})
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier result\n")
+        start = time.perf_counter()
+        rc = main(["simulate", "--config", path,
+                   *([] if to_stdout else ["--out", str(out)])])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert out.read_bytes() == b"earlier result\n"
+        assert captured.err == (
+            "config error: $.goal.window_a_s: a 1e+300 s run at a 1.0 s tick "
+            f"period is about 1e+300 rows, above the cap of "
+            f"{cli.SIMULATE_ROWS_MAX} rows\n")
+
+    @pytest.mark.parametrize("cap, rc", [(4, 0), (3, 2)])
+    def test_row_cap_edge(self, config_path, tmp_path, monkeypatch, cap, rc):
+        # Two 0.5 s stalls in a 3 s window span it exactly: 3 / 1 s + 1 rows.
+        monkeypatch.setattr(cli, "SIMULATE_ROWS_MAX", cap)
+        path = config_path(overrides={"goal.window_a_s": 3.0,
+                                      "goal.drift_b_s": 1.0})
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == rc
+        if rc == 0:
+            assert _rows(out)[-1] == ["end", "3.0", "2.0", "-1.0"]
+
+    def test_thirty_days_fit_the_row_cap(self):
+        assert 30 * 86400 + 1 <= cli.SIMULATE_ROWS_MAX
+
     @given(i=st.integers(0, 2**40), time=st.floats(), rtc_time=st.floats())
     def test_tick_row_is_the_csv_writer_row(self, i, time, rtc_time):
-        tick = TickEvent(time, rtc_time)
         buf = io.StringIO()
         csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow(
             [i, cli._fmt(time), cli._fmt(rtc_time), cli._fmt(rtc_time - time)])
-        assert cli._tick_row(i, tick) == buf.getvalue()
+        with np.errstate(invalid="ignore"):     # inf - inf
+            row = cli._tick_rows(i, np.array([time]), np.array([rtc_time]))
+        assert row == buf.getvalue()
 
 
 class TestClassifyCommand:

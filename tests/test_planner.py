@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,11 @@ class TestPlanForward:
                                 phase_step_delta=None)
             slow = simulate_plan(loop_plan, cfg, until=window)
             assert trains == [k, k]
+            streamed = []
+            sunk = simulate_plan(plan, cfg, until=window, sink=lambda wall, rtc:
+                                 streamed.extend(zip(wall.tolist(), rtc.tolist())))
+            assert sunk.state == fast.state and sunk.ticks == []
+            assert streamed == [tuple(t) for t in fast.ticks]
             assert fast.crossings_counted == slow.crossings_counted
             assert fast.state.rtc_time == slow.state.rtc_time
             assert len(fast.ticks) == len(slow.ticks) > 0
@@ -183,6 +189,33 @@ class TestPlanForward:
             for a, b in zip(fast.ticks, slow.ticks):
                 assert a.rtc_time == b.rtc_time
                 assert abs(a.time - b.time) <= 1e-12
+
+
+class TestSimulateSink:
+    @staticmethod
+    def _peak(window):
+        """The tracemalloc peak of a 12-burst backward plan simulated over
+        ``window`` seconds in calendar mode, ticks discarded."""
+        cfg = RtcConfig()
+        plan = plan_backward(_backward_goal(window, 6.0), 0.5, amplitude=0.1)
+        tracemalloc.start()
+        try:
+            run = simulate_plan(plan, cfg, until=window,
+                                sink=lambda wall, rtc: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return run, peak
+
+    def test_peak_does_not_grow_with_the_horizon(self):
+        hour, hour_peak = self._peak(3600.0)
+        day, day_peak = self._peak(86400.0)
+        assert (hour.state.rtc_time, day.state.rtc_time) == (3594.0, 86394.0)
+        assert day.ticks == hour.ticks == []
+        # The margin is about the arrays of one chunk (the day's stretches
+        # fill whole chunks, the hour's do not); the day's 86,394 ticks as a
+        # list would take about 10 MB.
+        assert abs(day_peak - hour_peak) < 256 * 1024, (hour_peak, day_peak)
 
 
 class TestBurstTrain:

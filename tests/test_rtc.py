@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from driftlab import rtc
 from driftlab.planner import BurstTrain
 from driftlab.rtc import (
     InjectionBurst,
     PlanError,
     RtcConfig,
     RtcState,
+    TickEvent,
     apply_phase_advance,
     apply_phase_advance_with_events,
     initial_state,
@@ -337,6 +339,66 @@ def _stalled(cfg, free_until, quiet):
     return state
 
 
+def _start(kind, cfg, free_until, quiet, late):
+    """A fresh, stalled, overdue or frozen clock for the kernel properties."""
+    timeout = cfg.freeze_timeout
+    # A free run's last edge is less than a cycle behind its wall time.
+    if kind == "fresh":
+        state = step(initial_state(cfg), cfg, free_until)
+    elif kind == "stalled":
+        state = _stalled(cfg, free_until, (1.0 + quiet * (timeout * F - 2.0)) / F)
+    elif kind == "overdue":     # the next crossing may come past the timeout
+        state = _stalled(cfg, free_until, timeout - late / F)
+    else:   # last_edge_time + timeout alone can round to just below it
+        state = _stalled(cfg, free_until, timeout * (1.0 + quiet) + 1e-9)
+    assert state.frozen == (kind == "frozen")
+    return state
+
+
+# The start states and trains the kernel properties draw.
+KERNEL_CASES = dict(
+    kind=st.sampled_from(["fresh", "stalled", "overdue", "frozen"]),
+    reload=st.sampled_from([1, 3, 32, 32768]),
+    timeout=st.sampled_from([1e-3, 2.5e-3]),
+    free_until=st.floats(1e-6, 5e-4),
+    quiet=st.floats(0.0, 0.98),
+    late=st.floats(0.01, 0.99),
+    count=st.integers(1, 40),
+    delta=st.floats(0.05, 3.0),
+    duration=st.floats(1.5e-5, 6e-5),
+    pause=st.one_of(st.just(0.0), st.floats(0.0, 2e-4)),
+    lead=st.sampled_from([0.0, 3.7e-6, 1e-4]),
+)
+
+
+def _through_sink(transition, *args):
+    """The state ``transition(*args, sink)`` returns and the ticks its sink
+    received, each batch no longer than one chunk."""
+    received = []
+
+    def sink(wall_times, rtc_times):
+        assert 0 < len(wall_times) == len(rtc_times) <= rtc.TICK_CHUNK
+        received.extend(zip(wall_times.tolist(), rtc_times.tolist()))
+
+    return transition(*args, sink), [TickEvent(*tick) for tick in received]
+
+
+def _bits(ticks):
+    return [(t.time.hex(), t.rtc_time.hex()) for t in ticks]
+
+
+def _scalar_ticks(state, cfg, count):
+    """The first ``count`` ticks of a free run from ``state``, each from the
+    scalar crossing-time formula."""
+    freq = cfg.nominal_freq
+    theta = math.asin(cfg.trigger_threshold / state.osc_amplitude)
+    n = rtc._crossing_index(state.wall_time, freq, state.osc_phase, theta) + state.counter
+    return [TickEvent(rtc._crossing_time(n + i * cfg.divider_reload, freq,
+                                         state.osc_phase, theta),
+                      state.rtc_time + (i + 1) * cfg.tick_period)
+            for i in range(count)]
+
+
 class TestOneCrossingKernel:
     """Every transition counts crossings, checks the freeze watchdog and sets
     the last edge the same way, so the closed-form train and the per-burst
@@ -386,33 +448,12 @@ class TestOneCrossingKernel:
         assert (result.crossings, result.ticks, result.phase_advanced) == (0, [], 4.0)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        kind=st.sampled_from(["fresh", "stalled", "overdue", "frozen"]),
-        reload=st.sampled_from([1, 3, 32, 32768]),
-        timeout=st.sampled_from([1e-3, 2.5e-3]),
-        free_until=st.floats(1e-6, 5e-4),
-        quiet=st.floats(0.0, 0.98),
-        late=st.floats(0.01, 0.99),
-        count=st.integers(1, 40),
-        delta=st.floats(0.05, 3.0),
-        duration=st.floats(1.5e-5, 6e-5),
-        pause=st.one_of(st.just(0.0), st.floats(0.0, 2e-4)),
-        lead=st.sampled_from([0.0, 3.7e-6, 1e-4]),
-    )
+    @given(**KERNEL_CASES)
     def test_train_matches_the_burst_loop_from_any_start(
             self, kind, reload, timeout, free_until, quiet, late, count, delta,
             duration, pause, lead):
         cfg = RtcConfig(divider_reload=reload, freeze_timeout=timeout)
-        # A free run's last edge is less than a cycle behind its wall time.
-        if kind == "fresh":
-            state = step(initial_state(cfg), cfg, free_until)
-        elif kind == "stalled":
-            state = _stalled(cfg, free_until, (1.0 + quiet * (timeout * F - 2.0)) / F)
-        elif kind == "overdue":     # the next crossing may come past the timeout
-            state = _stalled(cfg, free_until, timeout - late / F)
-        else:   # last_edge_time + timeout alone can round to just below it
-            state = _stalled(cfg, free_until, timeout * (1.0 + quiet) + 1e-9)
-        assert state.frozen == (kind == "frozen")
+        state = _start(kind, cfg, free_until, quiet, late)
         train = dict(count=count, period=duration + pause, duration=duration,
                      delta=delta, start=state.wall_time + lead)
         bursts = _train_bursts(state, **train)
@@ -424,6 +465,81 @@ class TestOneCrossingKernel:
         assert fast.frozen == loop.frozen
         assert abs(fast.last_edge_time - loop.last_edge_time) <= 1e-12
         assert _phase_gap(fast.osc_phase, loop.osc_phase) <= 1e-12
+
+    # With reload 1 a stretch of up to 0.3 s holds up to 9,830 ticks, more
+    # than two chunks.
+    @settings(max_examples=150, deadline=None)
+    @given(**KERNEL_CASES, stretch=st.floats(1e-6, 0.3))
+    def test_sinks_receive_the_listed_ticks_from_any_start(
+            self, kind, reload, timeout, free_until, quiet, late, count, delta,
+            duration, pause, lead, stretch):
+        cfg = RtcConfig(divider_reload=reload, freeze_timeout=timeout)
+        state = _start(kind, cfg, free_until, quiet, late)
+        train = dict(count=count, period=duration + pause, duration=duration,
+                     delta=delta, start=state.wall_time + lead)
+        bursts = _train_bursts(state, **train)
+        until = state.wall_time + stretch
+
+        got, ticks = _through_sink(rtc._step, state, cfg, until)
+        want, listed = step_with_events(state, cfg, until)
+        assert got == want and _bits(ticks) == _bits(listed)
+        assert _bits(listed) == _bits(_scalar_ticks(state, cfg, len(listed)))
+
+        signal = bursts[0].signal
+        got, ticks = _through_sink(rtc._with_injection, state, cfg, signal)
+        want, listed = with_injection(state, cfg, signal)
+        assert got == want and _bits(ticks) == _bits(listed)
+        got, ticks = _through_sink(rtc._with_injection, got, cfg, None)
+        want, listed = with_injection(want, cfg, None)
+        assert got == want and _bits(ticks) == _bits(listed)
+
+        got, ticks = _through_sink(rtc._apply_phase_advance, state, cfg, bursts[0])
+        want, listed = apply_phase_advance_with_events(state, cfg, bursts[0])
+        assert got == want and _bits(ticks) == _bits(listed)
+
+        train["period"] = bursts.period
+        got, ticks = _through_sink(
+            lambda state, cfg, sink: run_uniform_train(state, cfg, sink=sink, **train),
+            state, cfg)
+        want = run_uniform_train(state, cfg, collect_ticks=True, **train)
+        assert got.state == want.state and got.ticks == []
+        assert _bits(ticks) == _bits(want.ticks)
+
+    def test_long_stretch_streams_in_chunks(self):
+        # 0.3 s at reload 1 is 9,600 ticks: two whole chunks and a short one.
+        # 1 / 32000 s is not a binary64 number, so every tick's RTC time is
+        # rounded.
+        cfg = RtcConfig(nominal_freq=32000.0, divider_reload=1)
+        state = step(initial_state(cfg, 1.0), cfg, 1e3 + 1e-4)
+        sizes = []
+        end = rtc._step(state, cfg, state.wall_time + 0.3,
+                        lambda wall, rtc_times: sizes.append(len(wall)))
+        assert sizes == [rtc.TICK_CHUNK, rtc.TICK_CHUNK, 9600 - 2 * rtc.TICK_CHUNK]
+        want, listed = step_with_events(state, cfg, end.wall_time)
+        assert want == end and len(listed) == 9600
+        assert _bits(listed) == _bits(_scalar_ticks(state, cfg, 9600))
+
+    @pytest.mark.parametrize("n0", [0, 2**31 + 5, 2**45 + 3, 2**53 - 2**16])
+    @pytest.mark.parametrize("reload", [1, 32, 32768])
+    def test_closed_form_chunks_match_per_tick_times(self, n0, reload):
+        # One chunk from the float64 closed form and from the scalar formula
+        # per crossing, for crossing numbers up to 2**53.
+        cfg = RtcConfig(nominal_freq=32000.0, divider_reload=reload)
+        theta = math.asin(0.5)
+        count = (rtc.TICK_CHUNK - 1) * reload + 1
+        state = RtcState(counter=1, rtc_time=12345.0)
+
+        def time_of(n):
+            return rtc._crossing_time(n, 32000.0, 1.25, theta)
+
+        batches = []
+        for closed_form in (True, False):
+            _, ticks = _through_sink(
+                lambda sink: rtc._cross(state, cfg, n0, n0 + count, time_of, sink,
+                                        closed_form=closed_form))
+            batches.append(ticks)
+        assert len(batches[0]) == rtc.TICK_CHUNK
+        assert _bits(batches[0]) == _bits(batches[1])
 
 
 class SampledOracle:
