@@ -46,6 +46,14 @@ FORWARD_32BIT = {
     "rtc.divider_reload": 32,
 }
 
+# 1e-5 s is below five convergence time constants (15 us), so the bursts
+# run one by one instead of as a closed-form train.
+FORWARD_LOOP = {
+    "goal": {"direction": "forward", "window_a_s": 1.0, "drift_b_cycles": 100.0},
+    "attack": {"single_duration_t1_s": 1e-5, "phase_step_rad": math.pi / 2},
+    "rtc.mode": "thirtytwo_bit",
+}
+
 # name -> (scenario overrides of BASE_CONFIG, or PERFBENCH_BASE; argv tail)
 CASES: dict[str, tuple] = {
     **{f"base-{c}": ({}, [c]) for c in COMMANDS},
@@ -65,14 +73,11 @@ CASES: dict[str, tuple] = {
     "simulate-forward-32bit": (FORWARD_32BIT, ["simulate"]),
     "simulate-forward-32bit-freeze": (
         {**FORWARD_32BIT, "rtc.freeze_timeout_s": 0.6}, ["simulate"]),
-    # 1e-5 s is below five convergence time constants (15 us), so the
-    # bursts run one by one instead of as a closed-form train.
-    "simulate-forward-loop": ({
-        "goal": {"direction": "forward", "window_a_s": 1.0,
-                 "drift_b_cycles": 100.0},
-        "attack": {"single_duration_t1_s": 1e-5, "phase_step_rad": math.pi / 2},
-        "rtc.mode": "thirtytwo_bit",
-    }, ["simulate"]),
+    "simulate-forward-loop": (FORWARD_LOOP, ["simulate"]),
+    # A gap of 30 us between two crossings latches the watchdog early in
+    # the run, so the later bursts of the loop meet a frozen clock.
+    "simulate-forward-loop-freeze": (
+        {**FORWARD_LOOP, "rtc.freeze_timeout_s": 3e-5}, ["simulate"]),
     "dispersion-sweep-freq": ({}, ["dispersion", "--sweep",
                                    "freq_hz=20000:40000:5"]),
     "dispersion-sweep-thickness": ({}, ["dispersion", "--sweep",
