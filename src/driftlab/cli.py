@@ -1,13 +1,15 @@
 """Scenario runner: one subcommand per pipeline, CSV/JSON-lines out.
 
-Exit codes: 0 success, 2 configuration or input validation failure,
-3 infeasible plan, 4 numeric failure.  Given the same config file and seed,
-every subcommand writes byte-identical output on every run.
+Exit codes: 0 success, 1 output pipe closed by its reader, 2 configuration
+or input validation failure, 3 infeasible plan, 4 numeric failure.  Given
+the same config file and seed, every subcommand writes byte-identical output
+on every run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -47,13 +49,15 @@ from .planner import (
 from .rtc import PlanError, initial_state
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
 # Most points one --sweep may ask for, refused before anything is allocated.
 SWEEP_STEPS_MAX = 100_000
 # Most tick rows ``simulate`` may write, refused before the header: about 46
-# days at a 1 s tick, or 65 minutes at the 32-bit mode's 0.98 ms.
+# days at a 1 s tick, or 65 minutes at the 32-bit mode's 0.98 ms.  ``plan``
+# refuses a plan of more bursts before its first line.
 SIMULATE_ROWS_MAX = 4_000_000
 
 
@@ -214,6 +218,11 @@ def _build_plan(scenario: Scenario):
 
 def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
+    if plan.burst_count_k > SIMULATE_ROWS_MAX:
+        raise ConfigError([
+            f"$.goal: the plan has {plan.burst_count_k:.6g} bursts, one line "
+            f"each, above the cap of {SIMULATE_ROWS_MAX} lines"
+        ])
     export_plan_jsonl(plan, fh)
     return EXIT_OK
 
@@ -424,6 +433,13 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # an overflow or a division by zero in a model
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # The reader stopped early, which is no bad input.  Standard output
+        # goes to the null device, so the flush at exit cannot raise again.
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -211,7 +211,8 @@ def _burst_crossing_time(
     converge, is bisected inside ``[t0, t0 + min(duration, 5 tau)]`` until
     the bracket stops shrinking.
     """
-    settled = t0 + min(duration, FULL_CONVERGENCE_FACTOR * tau)
+    converged = FULL_CONVERGENCE_FACTOR * tau
+    settled = t0 + min(duration, converged)
     t = _crossing_time(n, freq, p0 + delta, theta_star)
     if t >= settled:
         return t
@@ -221,7 +222,9 @@ def _burst_crossing_time(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        gap = _burst_phase_path(delta, tau, mid - t0)
+        # ``_burst_phase_path(delta, tau, mid - t0)``, without a call per step.
+        elapsed = mid - t0
+        gap = 0.0 if elapsed >= converged else delta * math.exp(-elapsed / tau)
         if TWO_PI * freq * mid + (p0 + (delta - gap)) < target:
             lo = mid
         else:
@@ -358,6 +361,55 @@ def with_injection(
     return _with_injection(state, config, signal, tick_collector(events)), events
 
 
+def _advance(
+    state: RtcState, config: RtcConfig, start: float, count: int, period: float,
+    duration: float, delta: float, advanced: float, final_phase: float,
+    sink: Optional[TickSink],
+) -> tuple[RtcState, int]:
+    """Run ``count`` bursts ``period`` apart from ``start``, each ``duration``
+    long and ``delta`` ahead of the oscillation; returns the new state and
+    the crossings counted.
+
+    The bursts drag the phase ``advanced`` forward: ``count * delta`` less
+    the residual gap of a burst too short to converge, which only a train of
+    one may have.  The total phase is monotone through the train, so the
+    crossing count follows from its unwrapped endpoint values (an advance
+    across 2 pi still adds its cycle).  It grows by exactly ``2 pi f period
+    + delta`` from one burst start to the next, so the burst holding a
+    crossing follows by division, and ``_burst_crossing_time`` places the
+    crossing within it.  The state ends at ``final_phase``.
+    """
+    if start > state.wall_time:
+        state = _step(state, config, start, sink)
+    t_end = start + (count - 1) * period + duration
+    thr = config.trigger_threshold
+    if state.frozen or state.osc_amplitude <= thr:
+        # No crossing to count, but the bursts still drag the phase: the
+        # watchdog stops the counter, not the oscillator.
+        frozen = state.frozen or _freeze_due(config, t_end, state.last_edge_time)
+        return replace(state, wall_time=t_end, osc_phase=final_phase, frozen=frozen), 0
+
+    freq, tau = config.nominal_freq, config.convergence_time_constant
+    theta_star = math.asin(thr / state.osc_amplitude)
+    beta2 = state.osc_phase
+    n0 = _crossing_index(start, freq, beta2, theta_star)
+    n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
+    phase0 = TWO_PI * freq * start + beta2
+    burst_gain = TWO_PI * freq * period + delta
+
+    def time_of(n: int) -> float:
+        i = math.floor((theta_star + TWO_PI * n - phase0) / burst_gain)
+        i = min(max(i, 0), count - 1)
+        return _burst_crossing_time(
+            n, theta_star, freq, beta2 + i * delta, delta, tau,
+            start + i * period, duration,
+        )
+
+    state = _cross(state, config, n0, n1, time_of, sink,
+                   wall_time=t_end, osc_phase=final_phase)
+    return state, 0 if state.frozen else n1 - n0
+
+
 def _apply_phase_advance(
     state: RtcState, config: RtcConfig, burst: InjectionBurst,
     sink: Optional[TickSink],
@@ -367,68 +419,31 @@ def _apply_phase_advance(
         raise PlanError(
             f"burst starts at {burst.start} s before wall time {state.wall_time} s"
         )
-    if burst.start > state.wall_time:
-        state = _step(state, config, burst.start, sink)
-
     beta1 = burst.signal.phase
-    beta2 = state.osc_phase
-    delta = wrap_phase(beta1 - beta2)
-    t0 = burst.start
-    te = burst.start + burst.duration
+    delta = wrap_phase(beta1 - state.osc_phase)
     if delta <= 1e-12 or TWO_PI - delta <= 1e-12:
         # Already aligned: the burst only holds the phase where it is.
-        return _step(state, config, te, sink)
-
+        if burst.start > state.wall_time:
+            state = _step(state, config, burst.start, sink)
+        return _step(state, config, burst.end, sink)
     if delta >= math.pi:
         raise PlanError(
             f"phase offset {delta:.6f} rad outside (0, pi); a leading burst "
             "cannot drag the phase backward"
         )
-
-    tau = config.convergence_time_constant
-    residual = _burst_phase_path(delta, tau, burst.duration)
-    advanced = delta - residual
-    # Counting works on the unwrapped phase so an advance across 2*pi still
-    # contributes its full cycle; the stored phase snaps exactly onto the
-    # injected one at full convergence.
-    end_unwrapped = beta2 + advanced
-    final_phase = beta1 if residual == 0.0 else wrap_phase(end_unwrapped)
-    if state.frozen:
-        # The watchdog stops the counter, not the oscillator: the burst
-        # still drags its phase.
-        return replace(state, wall_time=te, osc_phase=final_phase)
-    freq = config.nominal_freq
-    thr = config.trigger_threshold
-    amp = state.osc_amplitude
-
-    if amp <= thr:
-        frozen = _freeze_due(config, te, state.last_edge_time)
-        return replace(state, wall_time=te, osc_phase=final_phase, frozen=frozen)
-
-    theta_star = math.asin(thr / amp)
-    return _cross(
-        state, config,
-        _crossing_index(t0, freq, beta2, theta_star),
-        _crossing_index(te, freq, end_unwrapped, theta_star),
-        lambda n: _burst_crossing_time(
-            n, theta_star, freq, beta2, delta, tau, t0, burst.duration
-        ),
-        sink, wall_time=te, osc_phase=final_phase,
-    )
+    advanced = delta - _burst_phase_path(delta, config.convergence_time_constant,
+                                         burst.duration)
+    # At full convergence the phase snaps exactly onto the injected one.
+    final_phase = beta1 if advanced == delta else wrap_phase(state.osc_phase + advanced)
+    return _advance(state, config, burst.start, 1, burst.duration, burst.duration,
+                    delta, advanced, final_phase, sink)[0]
 
 
 def apply_phase_advance_with_events(
     state: RtcState, config: RtcConfig, burst: InjectionBurst
 ) -> tuple[RtcState, list[TickEvent]]:
-    """Run one phase-dragging burst, counting crossings exactly.
-
-    The total phase (carrier plus offset) increases monotonically through the
-    burst, so the crossing count depends only on its endpoint value.  Crossing
-    times inside the burst, needed only for the first crossing (the freeze
-    watchdog), the last one (the last edge) and crossings that produce a
-    tick, come from ``_burst_crossing_time``: closed form once the offset has
-    settled, bracketed inside the relaxation stretch.
-    """
+    """Run one phase-dragging burst, a train of one, counting crossings
+    exactly; returns the new state and the divider ticks emitted."""
     events: list[TickEvent] = []
     return _apply_phase_advance(state, config, burst, tick_collector(events)), events
 
@@ -441,7 +456,6 @@ def apply_phase_advance(state: RtcState, config: RtcConfig, burst: InjectionBurs
 class TrainResult:
     state: RtcState
     crossings: int
-    ticks: list[TickEvent]
     phase_advanced: float
 
 
@@ -454,20 +468,14 @@ def run_uniform_train(
     duration: float,
     delta: float,
     start: Optional[float] = None,
-    collect_ticks: bool = False,
     sink: Optional[TickSink] = None,
 ) -> TrainResult:
     """Closed-form run of ``count`` identical fully-converging bursts.
 
     Each burst steps the injected phase ``delta`` ahead of the oscillation,
     so the phase offset grows by exactly ``count * delta`` over the train.
-    Because the total phase is monotone through the whole train, the crossing
-    count follows from its endpoint values alone.  Per-tick times, when asked
-    for, need no search over the train: the total phase at burst starts grows
-    by exactly ``2 pi f period + delta`` per burst, so the burst holding a
-    crossing follows by division, and ``_burst_crossing_time`` places the
-    crossing within it.  Ticks go to ``sink`` when given, else to
-    ``TrainResult.ticks`` with ``collect_ticks``.
+    The cost does not grow with ``count`` (see ``_advance``).  Ticks go to
+    ``sink`` when given.
     """
     if not 0.0 < delta < math.pi:
         raise PlanError(f"phase step must lie in (0, pi), got {delta}")
@@ -482,44 +490,7 @@ def run_uniform_train(
         start = state.wall_time
     if start < state.wall_time:
         raise PlanError("train cannot start in the past")
-    events: list[TickEvent] = []
-    if sink is None and collect_ticks:
-        sink = tick_collector(events)
-    if start > state.wall_time:
-        state = _step(state, config, start, sink)
-    t_end = start + (count - 1) * period + duration
-    beta2 = state.osc_phase
     advanced = count * delta
-    if state.frozen:
-        # As burst by burst: on a frozen clock the bursts drag the phase but
-        # nothing is counted.
-        return TrainResult(replace(state, wall_time=t_end,
-                                   osc_phase=wrap_phase(beta2 + advanced)),
-                           0, events, advanced)
-
-    freq = config.nominal_freq
-    thr = config.trigger_threshold
-    amp = state.osc_amplitude
-    if amp <= thr:
-        raise PlanError("oscillation amplitude at or below threshold; no edges")
-    theta_star = math.asin(thr / amp)
-    tau = config.convergence_time_constant
-    n0 = _crossing_index(start, freq, beta2, theta_star)
-    n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
-    phase0 = TWO_PI * freq * start + beta2
-    burst_gain = TWO_PI * freq * period + delta
-
-    def time_of(n: int) -> float:
-        i = math.floor((theta_star + TWO_PI * n - phase0) / burst_gain)
-        i = min(max(i, 0), count - 1)
-        return _burst_crossing_time(
-            n, theta_star, freq, beta2 + i * delta, delta, tau,
-            start + i * period, duration,
-        )
-
-    new_state = _cross(
-        state, config, n0, n1, time_of, sink,
-        wall_time=t_end, osc_phase=wrap_phase(beta2 + advanced),
-    )
-    crossings = 0 if new_state.frozen else n1 - n0
-    return TrainResult(new_state, crossings, events, phase_advanced=advanced)
+    state, crossings = _advance(state, config, start, count, period, duration, delta,
+                                advanced, wrap_phase(state.osc_phase + advanced), sink)
+    return TrainResult(state, crossings, advanced)

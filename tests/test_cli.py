@@ -238,6 +238,35 @@ class TestPlanCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 48
 
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_huge_plan_refused_before_the_first_line(self, config_path, tmp_path,
+                                                     capsys, to_stdout):
+        # 1.5 s of stalls in bursts of the smallest normal float is about
+        # 6.7e307 bursts, one line each.
+        path = config_path(overrides={"goal.drift_b_s": 1.5,
+                                      "attack.burst_duration_s": 2.2250738585072014e-308})
+        out = tmp_path / "plan.jsonl"
+        out.write_bytes(b"earlier result\n")
+        start = time.perf_counter()
+        rc = main(["plan", "--config", path,
+                   *([] if to_stdout else ["--out", str(out)])])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert out.read_bytes() == b"earlier result\n"
+        assert captured.err == (
+            "config error: $.goal: the plan has 6.74135e+307 bursts, one line "
+            f"each, above the cap of {cli.SIMULATE_ROWS_MAX} lines\n")
+
+    @pytest.mark.parametrize("cap, rc", [(12, 0), (11, 2)])
+    def test_burst_cap_edge(self, config_path, tmp_path, monkeypatch, cap, rc):
+        # BASE_CONFIG's goal is 12 stalls of 0.5 s.
+        monkeypatch.setattr(cli, "SIMULATE_ROWS_MAX", cap)
+        out = tmp_path / "plan.jsonl"
+        assert main(["plan", "--config", config_path(), "--out", str(out)]) == rc
+        if rc == 0:
+            assert len(out.read_text().splitlines()) == 12
+
 
 class TestSimulateCommand:
     def test_backward_drift_visible(self, config_path, tmp_path):
@@ -323,6 +352,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(out)]) == rc
         if rc == 0:
             assert _rows(out)[-1] == ["end", "3.0", "2.0", "-1.0"]
+
+    def test_closed_pipe_exits_1_quietly(self, config_path):
+        # 30 s of 32-bit ticks is about 2 MB of rows, far more than a pipe
+        # holds, so the writer meets the closed pipe.
+        path = config_path(overrides={"rtc.mode": "thirtytwo_bit"})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "driftlab.cli", "simulate", "--config", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline() == b"tick_index,wall_time_s,rtc_time_s,drift_s\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 1
+        assert err == b""
 
     def test_thirty_days_fit_the_row_cap(self):
         assert 30 * 86400 + 1 <= cli.SIMULATE_ROWS_MAX

@@ -9,9 +9,7 @@ unknown key beside it.
 
 ``classify`` is left out: at about 0.2 s a call on the reference config it
 would add most of a minute.  ``simulate`` refuses a window whose tick rows
-would pass ``cli.SIMULATE_ROWS_MAX``.  ``plan`` writes one line per burst
-with no cap; only two mutations together (a drift of 1.5 s and the smallest
-normal burst length) ask it for an unbounded number.
+would pass ``cli.SIMULATE_ROWS_MAX``, and ``plan`` a plan of more bursts.
 """
 
 import contextlib
@@ -111,9 +109,10 @@ def test_parse_gives_scenario_or_config_error(cfg):
         pass
 
 
-# Counterexamples: the first made simulate run without end; each other one
-# raised out of main or exited 1 from the command line, or (the last four)
-# exited 0 with nan in its output or 2 on a numeric failure.
+# Counterexamples: the first made simulate run without end, and the last
+# made plan write without end; each other one raised out of main or exited 1
+# from the command line, or (the four before the last) exited 0 with nan in
+# its output or 2 on a numeric failure.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs())
@@ -128,6 +127,8 @@ def test_parse_gives_scenario_or_config_error(cfg):
 @example(cfg=_with("crystal.thickness_m", 2.2250738585072014e-308))
 @example(cfg=_with("damping.natural_freq_rad_s", 4.5e307))
 @example(cfg=_with("medium.thickness_mm", 2.2250738585072014e-308))
+@example(cfg=_with("attack.burst_duration_s", sys.float_info.min,
+                   _with("goal.drift_b_s", 1.5)))
 def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
