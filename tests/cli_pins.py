@@ -74,8 +74,8 @@ CASES: dict[str, tuple] = {
     "simulate-forward-32bit-freeze": (
         {**FORWARD_32BIT, "rtc.freeze_timeout_s": 0.6}, ["simulate"]),
     "simulate-forward-loop": (FORWARD_LOOP, ["simulate"]),
-    # A gap of 30 us between two crossings latches the watchdog early in
-    # the run, so the later bursts of the loop meet a frozen clock.
+    # A 30 us timeout, just under one cycle, latches the watchdog after 18
+    # ticks, so the later bursts of the loop meet a frozen clock.
     "simulate-forward-loop-freeze": (
         {**FORWARD_LOOP, "rtc.freeze_timeout_s": 3e-5}, ["simulate"]),
     "dispersion-sweep-freq": ({}, ["dispersion", "--sweep",
