@@ -173,10 +173,6 @@ def plan_backward(
             f"burst length {t} s reaches the freeze timeout ({freeze_timeout} s)"
         )
     a, b = goal.window, goal.drift
-    if b >= a:
-        raise InfeasiblePlanError(
-            f"cannot stall {b} s inside a {a} s window", constraint="drift < window"
-        )
     k = math.ceil(b / t)
     pause = 0.0 if k == 1 else (a - k * t) / (k - 1)
     if pause < 0.0:

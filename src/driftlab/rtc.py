@@ -21,9 +21,9 @@ Phase convergence during a burst follows first-order relaxation toward the
 injected phase with a configurable time constant; a burst lasting at least
 five time constants is treated as fully converged and the oscillator phase
 snaps exactly onto the injected phase, which keeps long-run drift accounting
-exact.  One inverter, ``_burst_crossing_time``, recovers crossing times
-during a burst: once the offset has settled they have the closed form, and
-only a crossing inside the relaxation stretch needs a bracketed solve.
+exact.  Crossings are timed a float64 array at a time: in a free stretch,
+and in a burst once the offset has settled, their times have the closed
+form; only a crossing inside the relaxation stretch is bisected.
 
 Ticks go to an optional sink, a callable that receives ``(wall_times,
 rtc_times)`` float64 arrays in time order, at most ``TICK_CHUNK`` ticks a
@@ -194,30 +194,18 @@ def _burst_phase_path(delta: float, tau: float, duration: float) -> float:
 
 
 def _burst_crossing_time(
-    n: int,
-    theta_star: float,
-    freq: float,
-    p0: float,
-    delta: float,
-    tau: float,
-    t0: float,
-    duration: float,
+    n: float, theta_star: float, freq: float, p0: float, delta: float,
+    tau: float, t0: float, settle: float,
 ) -> float:
     """Time at which ``2 pi f t + offset(t)`` reaches crossing ``n`` in a burst.
 
-    The offset relaxes from ``p0`` toward ``p0 + delta`` from ``t0`` on and
-    sits at ``p0 + delta`` from five time constants on.  A crossing there has
-    the closed form; one earlier, or anywhere in a burst too short to
-    converge, is bisected inside ``[t0, t0 + min(duration, 5 tau)]`` until
-    the bracket stops shrinking.
+    The offset relaxes from ``p0`` toward ``p0 + delta`` from ``t0`` on; the
+    crossing lies in ``[t0, t0 + settle]``, which is bisected until the
+    bracket stops shrinking.
     """
     converged = FULL_CONVERGENCE_FACTOR * tau
-    settled = t0 + min(duration, converged)
-    t = _crossing_time(n, freq, p0 + delta, theta_star)
-    if t >= settled:
-        return t
     target = theta_star + TWO_PI * n
-    lo, hi = t0, settled
+    lo, hi = t0, t0 + settle
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -244,45 +232,38 @@ def _cross(
     n1: int,
     time_of,
     sink: Optional[TickSink],
-    closed_form: bool = False,
     **changes,
 ) -> RtcState:
     """``state`` with ``changes`` applied and crossings ``n0 + 1 .. n1`` counted.
 
-    Every transition ends here.  ``time_of(n)`` is the wall time of crossing
-    ``n``; with ``closed_form`` it also maps a float64 array of crossing
-    numbers.  The freeze watchdog latches on the first crossing or the
-    crossings go through the divider: the RTC time advances by whole ticks
-    in one multiply, the ticks go to ``sink`` a chunk at a time unless it is
+    Every transition ends here.  ``time_of`` maps a float64 array of crossing
+    numbers to their wall times; as float64, crossing numbers below 2**53 are
+    exact.  The freeze watchdog latches on the first crossing or the
+    crossings go through the divider: the RTC time advances by whole ticks in
+    one multiply, the ticks go to ``sink`` a chunk at a time unless it is
     None, and the last crossing becomes the last edge.
     """
     count = n1 - n0
     if count <= 0:
         return replace(state, **changes)
-    first = time_of(n0 + 1)
+    # A lone crossing is timed once: inside a burst it may cost a bisection.
+    edges = time_of(np.array((n0 + 1, n1) if count > 1 else (n1,), np.float64)).tolist()
+    first, last = edges[0], edges[-1]
     if _freeze_due(config, first, state.last_edge_time):
         return replace(state, frozen=True, **changes)
     counter, reload, rtc_time = state.counter, config.divider_reload, state.rtc_time
     ticks = 0 if count < counter else (count - counter) // reload + 1
     if sink is not None:
-        # Tick i fires at crossing n + i * reload.  As float64, as the closed
-        # form takes them, crossing numbers below 2**53 are exact.
-        n = n0 + counter
+        # Tick i fires at crossing n + i * reload.
+        n = float(n0 + counter)
         for lo in range(0, ticks, TICK_CHUNK):
-            hi = min(lo + TICK_CHUNK, ticks)
-            i = np.arange(lo, hi, dtype=np.float64)
-            if closed_form:
-                wall_times = time_of(float(n) + reload * i)
-            else:
-                wall_times = np.fromiter(
-                    map(time_of, range(n + lo * reload, n + hi * reload, reload)),
-                    np.float64, hi - lo)
-            sink(wall_times, rtc_time + (i + 1.0) * config.tick_period)
+            i = np.arange(lo, min(lo + TICK_CHUNK, ticks), dtype=np.float64)
+            sink(time_of(n + reload * i), rtc_time + (i + 1.0) * config.tick_period)
     return replace(
         state,
         counter=counter - count + ticks * reload,
         rtc_time=rtc_time + ticks * config.tick_period,
-        last_edge_time=first if count == 1 else time_of(n1),
+        last_edge_time=last,
         **changes,
     )
 
@@ -310,7 +291,7 @@ def _step(
         _crossing_index(state.wall_time, freq, wave.phase, theta_star),
         _crossing_index(until, freq, wave.phase, theta_star),
         lambda n: _crossing_time(n, freq, wave.phase, theta_star),
-        sink, closed_form=True, wall_time=until,
+        sink, wall_time=until,
     )
 
 
@@ -345,7 +326,8 @@ def _with_injection(
     before = _active_waveform(state, config, state.injection).value_at(t)
     after = _active_waveform(state, config, signal).value_at(t)
     jump = int(before <= config.trigger_threshold < after)
-    return _cross(state, config, 0, jump, lambda n: t, sink, injection=signal)
+    return _cross(state, config, 0, jump, lambda n: np.full_like(n, t), sink,
+                  injection=signal)
 
 
 def with_injection(
@@ -376,9 +358,13 @@ def _advance(
     crossing count follows from its unwrapped endpoint values (an advance
     across 2 pi still adds its cycle).  It grows by exactly ``2 pi f period
     + delta`` from one burst start to the next, so the burst holding a
-    crossing follows by division, and ``_burst_crossing_time`` places the
-    crossing within it.  The state ends at ``final_phase``.
+    crossing follows by division.  Within its burst a crossing has the
+    settled closed form unless it lands before the offset settles, where
+    ``_burst_crossing_time`` bisects it.  The state ends at ``final_phase``.
     """
+    if state.injection is not None:
+        raise PlanError("a phase-advance burst cannot run while a sustained "
+                        "injection is on")
     if start > state.wall_time:
         state = _step(state, config, start, sink)
     t_end = start + (count - 1) * period + duration
@@ -396,14 +382,16 @@ def _advance(
     n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
     phase0 = TWO_PI * freq * start + beta2
     burst_gain = TWO_PI * freq * period + delta
+    settle = min(duration, FULL_CONVERGENCE_FACTOR * tau)
 
-    def time_of(n: int) -> float:
-        i = math.floor((theta_star + TWO_PI * n - phase0) / burst_gain)
-        i = min(max(i, 0), count - 1)
-        return _burst_crossing_time(
-            n, theta_star, freq, beta2 + i * delta, delta, tau,
-            start + i * period, duration,
-        )
+    def time_of(n: np.ndarray) -> np.ndarray:
+        i = np.floor((theta_star + TWO_PI * n - phase0) / burst_gain).clip(0, count - 1)
+        t = _crossing_time(n, freq, beta2 + i * delta + delta, theta_star)
+        for k in (t < start + i * period + settle).nonzero()[0].tolist():
+            b = float(i[k])
+            t[k] = _burst_crossing_time(float(n[k]), theta_star, freq, beta2 + b * delta,
+                                        delta, tau, start + b * period, settle)
+        return t
 
     state = _cross(state, config, n0, n1, time_of, sink,
                    wall_time=t_end, osc_phase=final_phase)
@@ -477,6 +465,8 @@ def run_uniform_train(
     The cost does not grow with ``count`` (see ``_advance``).  Ticks go to
     ``sink`` when given.
     """
+    if count < 1:
+        raise PlanError(f"a train needs at least one burst, got {count}")
     if not 0.0 < delta < math.pi:
         raise PlanError(f"phase step must lie in (0, pi), got {delta}")
     if duration <= 0.0 or period < duration:

@@ -52,6 +52,36 @@ def crossing_times(samples, times, threshold):
     return times[idx + 1]
 
 
+# --- one crossing of a phase-advance burst, placed by scalar bisection ------
+
+def burst_crossing_time(n, theta_star, freq, p0, delta, tau, t0, duration):
+    """Time at which ``2 pi f t + offset(t)`` reaches crossing ``n`` (an int)
+    in a burst whose offset relaxes from ``p0`` toward ``p0 + delta`` from
+    ``t0`` on and sits at ``p0 + delta`` from five time constants on.
+
+    A scalar transcription, one call per crossing: the settled closed form
+    when the crossing lands after the offset settles, else a bisection of
+    ``[t0, t0 + min(duration, 5 tau)]`` until the bracket stops shrinking.
+    """
+    converged = 5.0 * tau
+    settled = t0 + min(duration, converged)
+    t = (theta_star - (p0 + delta) + TWO_PI * n) / (TWO_PI * freq)
+    if t >= settled:
+        return t
+    target = theta_star + TWO_PI * n
+    lo, hi = t0, settled
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        elapsed = mid - t0
+        gap = 0.0 if elapsed >= converged else delta * math.exp(-elapsed / tau)
+        if TWO_PI * freq * mid + (p0 + (delta - gap)) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 # --- dispersion oracle -------------------------------------------------------
 
 def characteristic_ratio_gap(c_s, freq, c_l, c_t, h):

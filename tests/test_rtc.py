@@ -27,7 +27,7 @@ from driftlab.rtc import (
 )
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
-from oracles import count_upward_crossings, crossing_times
+from oracles import burst_crossing_time, count_upward_crossings, crossing_times
 
 F = 32768.0
 CAL = RtcConfig()  # calendar mode: 0.08 V amplitude, 0.04 V threshold
@@ -405,6 +405,28 @@ def _scalar_ticks(state, cfg, count):
             for i in range(count)]
 
 
+def _reference_train_ticks(state, cfg, count, period, duration, delta):
+    """The ticks of a uniform train that starts at ``state``'s wall time,
+    each crossing's burst found by scalar division and the crossing placed
+    by the scalar inverter, one call per tick."""
+    freq, tau = cfg.nominal_freq, cfg.convergence_time_constant
+    theta = math.asin(cfg.trigger_threshold / state.osc_amplitude)
+    beta2, start = state.osc_phase, state.wall_time
+    t_end = start + (count - 1) * period + duration
+    n0 = rtc._crossing_index(start, freq, beta2, theta)
+    n1 = rtc._crossing_index(t_end, freq, beta2 + count * delta, theta)
+    phase0 = TWO_PI * freq * start + beta2
+    burst_gain = TWO_PI * freq * period + delta
+    ticks = []
+    for k, n in enumerate(range(n0 + state.counter, n1 + 1, cfg.divider_reload)):
+        i = math.floor((theta + TWO_PI * n - phase0) / burst_gain)
+        i = min(max(i, 0), count - 1)
+        time = burst_crossing_time(n, theta, freq, beta2 + i * delta, delta, tau,
+                                   start + i * period, duration)
+        ticks.append(TickEvent(time, state.rtc_time + (k + 1) * cfg.tick_period))
+    return ticks
+
+
 class TestOneCrossingKernel:
     """Every transition counts crossings, checks the freeze watchdog and sets
     the last edge the same way, so the closed-form train and the per-burst
@@ -529,8 +551,8 @@ class TestOneCrossingKernel:
     @pytest.mark.parametrize("n0", [0, 2**31 + 5, 2**45 + 3, 2**53 - 2**16])
     @pytest.mark.parametrize("reload", [1, 32, 32768])
     def test_closed_form_chunks_match_per_tick_times(self, n0, reload):
-        # One chunk from the float64 closed form and from the scalar formula
-        # per crossing, for crossing numbers up to 2**53.
+        # One chunk from the float64 closed form, against the scalar formula
+        # once per crossing on Python ints, for crossing numbers up to 2**53.
         cfg = RtcConfig(nominal_freq=32000.0, divider_reload=reload)
         theta = math.asin(0.5)
         count = (rtc.TICK_CHUNK - 1) * reload + 1
@@ -539,14 +561,53 @@ class TestOneCrossingKernel:
         def time_of(n):
             return rtc._crossing_time(n, 32000.0, 1.25, theta)
 
-        batches = []
-        for closed_form in (True, False):
-            _, ticks = _through_sink(
-                lambda sink: rtc._cross(state, cfg, n0, n0 + count, time_of, sink,
-                                        closed_form=closed_form))
-            batches.append(ticks)
-        assert len(batches[0]) == rtc.TICK_CHUNK
-        assert _bits(batches[0]) == _bits(batches[1])
+        _, ticks = _through_sink(
+            lambda sink: rtc._cross(state, cfg, n0, n0 + count, time_of, sink))
+        want = [TickEvent(time_of(n0 + 1 + k * reload),
+                          12345.0 + (k + 1) * cfg.tick_period)
+                for k in range(rtc.TICK_CHUNK)]
+        assert len(ticks) == rtc.TICK_CHUNK
+        assert _bits(ticks) == _bits(want)
+
+    @pytest.mark.parametrize("cfg, train", [
+        # perfbench attack's forward plan: 1,430 bursts of 2e-5 s in 30 s.
+        (RtcConfig(mode="thirtytwo_bit"),
+         dict(count=1430, period=2e-5 + (30.0 - 2e-5 * 1430) / 1429,
+              duration=2e-5, delta=11 * math.pi / 12)),
+        # Every crossing a tick, and about three of them in each burst's
+        # 5 tau relaxation stretch.
+        (RtcConfig(divider_reload=1, convergence_time_constant=2e-5),
+         dict(count=50, period=3e-4, duration=1e-4, delta=2.0)),
+    ], ids=["attack-forward", "relaxing"])
+    def test_train_ticks_match_the_scalar_inverter(self, cfg, train):
+        state = step(initial_state(cfg, 0.4), cfg, 3.3e-4)
+        got = []
+        run_uniform_train(state, cfg, sink=rtc.tick_collector(got), **train)
+        want = _reference_train_ticks(state, cfg, **train)
+        settle = 5.0 * cfg.convergence_time_constant
+        relaxing = sum((t.time - state.wall_time) % train["period"] < settle
+                       for t in want)
+        assert relaxing > 0 and len(want) > 400
+        assert _bits(got) == _bits(want)
+
+    def test_train_refuses_fewer_than_one_burst(self):
+        for count in (0, -3):
+            with pytest.raises(PlanError, match="at least one burst"):
+                run_uniform_train(initial_state(CAL), CAL, count=count,
+                                  period=1e-4, duration=2e-5, delta=1.0)
+
+    def test_bursts_refused_while_an_injection_is_on(self):
+        # A 0.05 V opposing injection stalls the 0.08 V clock; a burst on top
+        # of it would count the bare oscillation's crossings.
+        state, _ = with_injection(initial_state(CAL), CAL, _opposing(0.05))
+        state = step(state, CAL, 0.01)
+        assert state.counter == CAL.divider_reload
+        burst = InjectionBurst(0.01, 2e-3, Sinusoid(0.005, F, 1.0))
+        with pytest.raises(PlanError, match="sustained injection"):
+            apply_phase_advance(state, CAL, burst)
+        with pytest.raises(PlanError, match="sustained injection"):
+            run_uniform_train(state, CAL, count=3, period=1e-4, duration=2e-5,
+                              delta=1.0)
 
 
 class SampledOracle:
