@@ -45,6 +45,7 @@ from .planner import (
     plan_backward,
     plan_forward,
     simulate_plan,
+    stall_gap,
 )
 from .rtc import PlanError, initial_state
 
@@ -216,6 +217,22 @@ def _build_plan(scenario: Scenario):
     )
 
 
+def _refuse_stall_gap(scenario: Scenario, plan) -> None:
+    """Refuse a backward plan on which the freeze watchdog would latch: one
+    whose longest wait for an edge, from the last before a stall to the first
+    after it, reaches the timeout.  Its cost grows with the bursts, so each
+    subcommand calls it after its size cap."""
+    timeout = scenario.rtc.freeze_timeout
+    if timeout is None or scenario.goal.direction != "backward":
+        return
+    gap = stall_gap(plan, scenario.rtc, max(scenario.goal.window, plan.span))
+    if gap >= timeout:
+        raise FreezeRiskError(
+            f"a stall leaves {gap!r} s between two edges, which reaches the "
+            f"freeze timeout ({timeout!r} s)"
+        )
+
+
 def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
     if plan.burst_count_k > SIMULATE_ROWS_MAX:
@@ -223,6 +240,7 @@ def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
             f"$.goal: the plan has {plan.burst_count_k:.6g} bursts, one line "
             f"each, above the cap of {SIMULATE_ROWS_MAX} lines"
         ])
+    _refuse_stall_gap(scenario, plan)
     export_plan_jsonl(plan, fh)
     return EXIT_OK
 
@@ -238,6 +256,7 @@ def _cmd_simulate(scenario: Scenario, sweep, fh) -> int:
             f"period is about {rows:.6g} rows, above the cap of "
             f"{SIMULATE_ROWS_MAX} rows"
         ])
+    _refuse_stall_gap(scenario, plan)
     writer = _csv_writer(fh)
     writer.writerow(["tick_index", "wall_time_s", "rtc_time_s", "drift_s"])
     written = 0

@@ -309,6 +309,10 @@ def _rtc(**values) -> RtcConfig:
     if threshold is not None and threshold >= amplitude:
         raise ConfigError([f"$.rtc.trigger_threshold_v: must be below the nominal "
                            f"amplitude ({amplitude})"])
+    timeout, cycle = values["freeze_timeout"], 1.0 / values["nominal_freq"]
+    if timeout is not None and timeout <= cycle:
+        raise ConfigError([f"$.rtc.freeze_timeout_s: must exceed one oscillator "
+                           f"period (1/nominal_freq_hz = {cycle!r} s), got {timeout!r}"])
     return RtcConfig(**values)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .rtc import (
     TickEvent,
     TickSink,
     _apply_phase_advance,
+    _stall_train,
     _step,
     _with_injection,
     initial_state,
@@ -334,6 +335,36 @@ def calibrate_phase_map(context, z: float, phase_grid: int = 64) -> PhaseMap:
     return PhaseMap(grid_resolution=step, anchors={z: (phi_star, beta1_star)})
 
 
+def _advances(delta: float) -> bool:
+    """Whether a burst ``delta`` ahead of the oscillation drags its phase;
+    any other burst stalls it."""
+    return 1e-12 < delta < math.pi - 1e-12
+
+
+def _stall_train_runs(bursts, state: RtcState) -> bool:
+    """Whether ``bursts`` is a train that the per-burst loop would run from
+    ``state`` as stalls, each stall ending after it starts."""
+    return (
+        isinstance(bursts, BurstTrain)
+        and bursts.phase_step == 0.0
+        and bursts.start >= state.wall_time
+        and not _advances(wrap_phase(bursts[0].signal.phase - state.osc_phase))
+        and bursts.duration >= math.ulp(abs(bursts.start) + (bursts.count - 1) * bursts.period)
+    )
+
+
+def stall_gap(plan: AttackPlan, config: RtcConfig, until: Optional[float] = None) -> float:
+    """The longest the freeze watchdog waits for an edge while
+    ``simulate_plan`` runs the stall plan ``plan`` on a fresh clock to
+    ``until``, by the stall kernel's own arithmetic."""
+    config = replace(config, freeze_timeout=None)
+    state, train = initial_state(config), plan.bursts
+    if not _stall_train_runs(train, state):
+        raise ValueError("stall_gap needs a train of stall bursts")
+    return _stall_train(state, config, train.start, train.count, train.period,
+                        train.duration, train[0].signal, until, None)[1]
+
+
 @dataclass(frozen=True)
 class PlanRun:
     """Outcome of simulating a plan against the clock emulator.
@@ -364,11 +395,14 @@ def simulate_plan(
 
     Bursts whose phase leads the oscillation by less than pi are dispatched
     to the phase-advance mechanism; all others act through plain waveform
-    superposition (the stall mechanism).  A uniform forward train of fully
-    converging bursts that starts phase-aligned, whatever its length, goes
-    through the closed-form ``run_uniform_train``; every other plan runs
-    burst by burst.  Ticks go to ``sink`` as they are counted when one is
-    given, else to ``PlanRun.ticks`` with ``collect_ticks``.
+    superposition (the stall mechanism).  Two kinds of ``BurstTrain`` run in
+    closed form whatever their length: a train of stalls, as every backward
+    plan is, through ``rtc._stall_train``, and a uniform forward train of
+    fully converging bursts that starts phase-aligned through
+    ``run_uniform_train``.  A plain list of bursts, and a forward train of
+    bursts too short to converge, run burst by burst.  Ticks go to ``sink``
+    as they are counted when one is given, else to ``PlanRun.ticks`` with
+    ``collect_ticks``.
     """
     if state is None:
         state = initial_state(config)
@@ -381,7 +415,18 @@ def simulate_plan(
     prediction_error = 0.0
 
     train, step_delta = plan.bursts, plan.phase_step_delta
-    if (
+    # Planned offset: the phase step for advance bursts, pi for stall
+    # bursts; the gap to the offset found on arrival is the prediction error
+    # of the free-running assumption.
+    planned = step_delta if step_delta is not None else math.pi
+    if _stall_train_runs(train, state):
+        # No stall moves the phase, so every burst arrives at one offset.
+        signal = train[0].signal
+        gap = wrap_phase(wrap_phase(signal.phase - state.osc_phase) - planned)
+        prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
+        state = _stall_train(state, config, train.start, train.count, train.period,
+                             train.duration, signal, until, sink)[0]
+    elif (
         isinstance(train, BurstTrain)
         and step_delta is not None
         and train.phase_step == step_delta
@@ -403,13 +448,9 @@ def simulate_plan(
         for burst in train:
             beta1 = burst.signal.phase
             delta = wrap_phase(beta1 - state.osc_phase)
-            # Planned offset: the phase step for advance bursts, pi for
-            # stall bursts; the gap to the offset found on arrival is the
-            # prediction error of the free-running assumption.
-            planned = step_delta if step_delta is not None else math.pi
             gap = wrap_phase(delta - planned)
             prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
-            if 1e-12 < delta < math.pi - 1e-12:
+            if _advances(delta):
                 state = _apply_phase_advance(state, config, burst, sink)
             else:
                 if burst.start > state.wall_time:

@@ -25,6 +25,12 @@ exact.  Crossings are timed a float64 array at a time: in a free stretch,
 and in a burst once the offset has settled, their times have the closed
 form; only a crossing inside the relaxation stretch is bisected.
 
+A train of stall bursts is counted in closed form as well.  A stall moves no
+phase, so the waveform only switches between the free oscillation and one
+superposed sinusoid, and the crossings, jump edges and watchdog checks of a
+block of bursts follow from arrays of their start and end times
+(``_stall_train``).
+
 Ticks go to an optional sink, a callable that receives ``(wall_times,
 rtc_times)`` float64 arrays in time order, at most ``TICK_CHUNK`` ticks a
 call, so no call holds more than one chunk however long the stretch.  A list
@@ -125,8 +131,11 @@ class RtcConfig:
             object.__setattr__(self, "divider_reload", reload)
         if not 1 <= self.divider_reload <= DIVIDER_MAX:
             raise ValueError(f"divider_reload must lie in [1, {DIVIDER_MAX}]")
-        if self.freeze_timeout is not None and self.freeze_timeout <= 0.0:
-            raise ValueError("freeze_timeout must be > 0 when set")
+        # A stretch checks the watchdog at its first crossing only, which
+        # misses no gap while one cycle is shorter than the timeout.
+        if self.freeze_timeout is not None and self.freeze_timeout <= 1.0 / self.nominal_freq:
+            raise ValueError("freeze_timeout must exceed one oscillator period "
+                             "(1/nominal_freq) when set")
         if self.convergence_time_constant <= 0.0:
             raise ValueError("convergence_time_constant must be > 0")
 
@@ -396,6 +405,131 @@ def _advance(
     state = _cross(state, config, n0, n1, time_of, sink,
                    wall_time=t_end, osc_phase=final_phase)
     return state, 0 if state.frozen else n1 - n0
+
+
+def _stall_train(
+    state: RtcState, config: RtcConfig, start: float, count: int, period: float,
+    duration: float, signal: Sinusoid, until: Optional[float],
+    sink: Optional[TickSink],
+) -> tuple[RtcState, float]:
+    """Run ``count`` bursts of ``signal`` ``period`` apart from ``start``,
+    each ``duration`` long, as sustained injections, then run free to
+    ``until``; returns the new state and the largest gap the freeze watchdog
+    checked.
+
+    Burst by burst this is four transitions: the injection on, a step to the
+    burst's end, the injection off and a step to the next start.  None moves
+    the oscillation phase, so the waveform switches between two fixed
+    sinusoids, and a block of bursts is counted as arrays of those four
+    segments: a jump edge, a stretch, a jump edge, a stretch.  A stretch
+    counts as ``_step`` does and an edge is decided as ``_with_injection``
+    does, with ``value_at`` wherever ``np.sin`` lands too near the threshold
+    to be trusted to its last bit.  The watchdog checks each segment's first
+    edge, or a quiet stretch's end, against the last edge before it; the
+    first check that fails latches it, and the rest only moves wall time.
+    """
+    if start > state.wall_time:
+        state = _step(state, config, start, sink)
+    _check_frequency("injection", signal, config)
+    t_end = start + (count - 1) * period + duration
+    stop = t_end if until is None or until <= t_end else until
+    if state.frozen:
+        return replace(state, wall_time=stop, injection=None), 0.0
+    freq, thr, reload = config.nominal_freq, config.trigger_threshold, config.divider_reload
+    free = _active_waveform(state, config, None)
+    held = superpose(free, signal)
+    # The first burst's edge starts from whatever injection was on before it.
+    lead = _active_waveform(state, config, state.injection).value_at(start)
+    counter, rtc_time, last_edge = state.counter, state.rtc_time, state.last_edge_time
+    # A block of bursts is a sixteenth of a chunk, so its arrays stay small
+    # beside the chunk a sink receives.
+    largest, block = 0.0, TICK_CHUNK // 16
+
+    def value(wave, t):
+        v = wave.amplitude * np.sin(TWO_PI * wave.frequency * t + wave.phase)
+        for k in (abs(v - thr) <= 1e-9 * wave.amplitude).nonzero()[0].tolist():
+            v[k] = wave.value_at(float(t[k]))
+        return v
+
+    def stretch(wave, t0, t1):
+        """Crossings, check time, last crossing, crossing number before the
+        first and theta* - phase, over each ``(t0, t1]``."""
+        if wave.amplitude <= thr:
+            none = np.zeros_like(t0)
+            return none, np.where(t1 > t0, t1, -np.inf), none, none, none
+        theta = math.asin(thr / wave.amplitude)
+        n0, n1 = (np.floor(freq * t + (wave.phase - theta) / TWO_PI) for t in (t0, t1))
+        n = np.maximum(n1 - n0, 0.0)
+        first = _crossing_time(n0 + 1.0, freq, wave.phase, theta)
+        last = _crossing_time(n1, freq, wave.phase, theta)
+        return (n, np.where(n > 0, first, -np.inf), last, n0,
+                np.full_like(t0, theta - wave.phase))
+
+    for lo in range(0, count, block):
+        i = np.arange(lo, min(lo + block, count), dtype=np.float64)
+        s = start + i * period
+        e = s + duration
+        nxt = start + (i + 1.0) * period
+        if lo + block >= count:
+            nxt[-1] = stop
+        before = value(free, s)
+        if lo == 0:
+            before[0] = lead
+        on = (before <= thr) & (thr < value(held, s))
+        off = (value(held, e) <= thr) & (thr < value(free, e))
+        n1, check1, last1, base1, a1 = stretch(held, s, e)
+        n3, check3, last3, base3, a3 = stretch(free, e, nxt)
+        # Segment j of the block is burst j // 4's segment j % 4.
+        n = np.stack((on, n1, off, n3), 1).ravel()
+        edge = np.stack((s, last1, e, last3), 1).ravel()
+        check = np.stack((np.where(on, s, -np.inf), check1,
+                          np.where(off, e, -np.inf), check3), 1).ravel()
+        # ``edges[prior[j]]`` is the last edge before segment j.
+        edges = np.concatenate(((last_edge,), edge))
+        prior = np.maximum.accumulate(np.arange(len(edges))
+                                      * np.concatenate(((True,), n > 0)))
+        gaps = check - edges[prior[:-1]]
+        late = (() if config.freeze_timeout is None
+                else (gaps >= config.freeze_timeout).nonzero()[0])
+        kept = late[0] if len(late) else len(n)
+        largest = gaps[:kept + 1].max(initial=largest)
+        total = np.cumsum(n[:kept])
+        crossings = int(total[-1]) if kept else 0
+        if crossings >= counter:
+            # Tick g fires at the block's crossing counter + g * reload.
+            # Segment j holds ticks ticks_to[j] - added[j] on, counted from
+            # RTC time rtc_at[j], which sums segment by segment as ``_cross``.
+            ticks_to = np.where(total >= counter, (total - counter) // reload + 1.0, 0.0)
+            added = np.diff(ticks_to, prepend=0.0)
+            rtc_at = np.cumsum(np.concatenate(((rtc_time,), added * config.tick_period)))
+            ticks = int(ticks_to[-1])
+            if sink is not None:
+                # A tick in a stretch has the closed form, and one on an edge
+                # the edge's time: -inf in the other drops it out of the max.
+                ninf = np.full_like(s, -np.inf)
+                origin = np.stack((ninf, base1, ninf, base3), 1).ravel()
+                lag = np.stack((ninf, a1, ninf, a3), 1).ravel()
+                at = np.stack((s, ninf, e, ninf), 1).ravel()
+
+                def chunk(g):
+                    """Wall and RTC times of ticks ``g``, as ``_cross`` gives them."""
+                    m = counter + reload * g
+                    j = np.searchsorted(total, m)
+                    crossing = origin[j] + (m - total[j] + n[j])
+                    times = np.maximum((lag[j] + TWO_PI * crossing) / (TWO_PI * freq), at[j])
+                    i = g - ticks_to[j] + added[j]
+                    return times, rtc_at[j] + (i + 1.0) * config.tick_period
+
+                for g0 in range(0, ticks, TICK_CHUNK):
+                    sink(*chunk(np.arange(g0, min(g0 + TICK_CHUNK, ticks), dtype=np.float64)))
+            counter += ticks * reload
+            rtc_time = float(rtc_at[-1])
+        counter -= crossings
+        last_edge = float(edges[prior[kept]])
+        if len(late):
+            break
+    return replace(state, counter=counter, rtc_time=rtc_time, last_edge_time=last_edge,
+                   frozen=len(late) > 0, wall_time=stop, injection=None), float(largest)
 
 
 def _apply_phase_advance(

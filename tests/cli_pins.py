@@ -60,8 +60,9 @@ CASES: dict[str, tuple] = {
     **{f"perfbench-{c}": (PERFBENCH_BASE, [c]) for c in COMMANDS},
     "simulate-backward-32bit": ({"rtc.mode": "thirtytwo_bit"}, ["simulate"]),
     # The 0.5 s stalls leave at most 0.50003 to 0.500035 s between two
-    # crossings: a freeze timeout below that latches, one above does not,
-    # and would if the last edge were taken one crossing early.
+    # crossings: a freeze timeout below that is refused with exit 3, one
+    # above runs, and would latch if the last edge were taken one crossing
+    # early.
     "simulate-backward-freeze-latches": ({"rtc.freeze_timeout_s": 0.50002},
                                          ["simulate"]),
     "simulate-backward-freeze-clear": ({"rtc.freeze_timeout_s": 0.50005},
@@ -74,8 +75,8 @@ CASES: dict[str, tuple] = {
     "simulate-forward-32bit-freeze": (
         {**FORWARD_32BIT, "rtc.freeze_timeout_s": 0.6}, ["simulate"]),
     "simulate-forward-loop": (FORWARD_LOOP, ["simulate"]),
-    # A 30 us timeout, just under one cycle, latches the watchdog after 18
-    # ticks, so the later bursts of the loop meet a frozen clock.
+    # A 30 us timeout, just under one cycle, is refused with exit 2: a
+    # stretch checks the watchdog at its first crossing only.
     "simulate-forward-loop-freeze": (
         {**FORWARD_LOOP, "rtc.freeze_timeout_s": 3e-5}, ["simulate"]),
     "dispersion-sweep-freq": ({}, ["dispersion", "--sweep",

@@ -82,6 +82,30 @@ def burst_crossing_time(n, theta_star, freq, p0, delta, tau, t0, duration):
             hi = mid
 
 
+# --- a train of stall bursts, counted stretch by stretch ----------------------
+
+def stall_train_crossings(freq, amplitude, threshold, phase, starts, duration,
+                          injected):
+    """Crossings a clock counts over stall bursts of ``duration`` at
+    ``starts``, each injecting ``injected`` volts against it, from time 0 to
+    the last burst's end: the whole cycles whose threshold crossing falls in
+    each free stretch between bursts, plus one jump edge at each burst end
+    that finds the free oscillation above the threshold.  The bursts must
+    hold the clock at or below the threshold, and the first must start at 0.
+    """
+    assert abs(amplitude - injected) <= threshold and starts[0] == 0.0
+    ends = starts + duration
+    # Crossing n of the free oscillation sits at cycle n + (theta* - phase) / 2 pi.
+    lag = (math.asin(threshold / amplitude) - phase) / TWO_PI
+
+    def crossings_by(t):
+        return np.floor(freq * t - lag)
+
+    free = crossings_by(starts[1:]) - crossings_by(ends[:-1])
+    jumps = amplitude * np.sin(TWO_PI * freq * ends + phase) > threshold
+    return int(free.sum()) + int(np.count_nonzero(jumps))
+
+
 # --- dispersion oracle -------------------------------------------------------
 
 def characteristic_ratio_gap(c_s, freq, c_l, c_t, h):

@@ -111,6 +111,13 @@ def _cross_field_cases():
             "rtc.nominal_amplitude_v": MISSING, "rtc.trigger_threshold_v": 0.09},
         "rtc.threshold=amplitude after an error": {
             "rtc.trigger_threshold_v": 0.08, "medium.thickness_mm": 0.0},
+        "rtc.freeze_timeout=one cycle": {"rtc.freeze_timeout_s": 1.0 / 32768.0},
+        "rtc.freeze_timeout=one cycle+1ulp": {
+            "rtc.freeze_timeout_s": math.nextafter(1.0 / 32768.0, math.inf)},
+        "rtc.freeze_timeout<one cycle at 1 kHz": {
+            "rtc.nominal_freq_hz": 1000.0, "rtc.freeze_timeout_s": 9e-4},
+        "rtc.freeze_timeout<one cycle after an error": {
+            "rtc.freeze_timeout_s": 3e-5, "medium.thickness_mm": 0.0},
         "goal.backward without seconds": {"goal.drift_b_s": MISSING},
         "goal.backward with cycles only": {
             "goal.drift_b_s": MISSING, "goal.drift_b_cycles": 10.0},

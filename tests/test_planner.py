@@ -1,17 +1,20 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import rtc
 from driftlab.chain import TransducerSpec, build_context
 from driftlab.crystal import CrystalSpec
 from driftlab.lamb import load_media
 from driftlab import planner
 from driftlab.planner import (
+    AttackPlan,
     BurstTrain,
     CalibrationError,
     DriftGoal,
@@ -24,9 +27,19 @@ from driftlab.planner import (
     plan_backward,
     plan_forward,
     simulate_plan,
+    stall_gap,
 )
-from driftlab.rtc import RtcConfig, initial_state, run_uniform_train, step
+from driftlab.rtc import (
+    RtcConfig,
+    initial_state,
+    run_uniform_train,
+    step,
+    with_injection,
+)
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
+
+from oracles import stall_train_crossings
+from test_rtc import _opposing, _start
 
 F = 32768.0
 
@@ -216,6 +229,143 @@ class TestSimulateSink:
         # fill whole chunks, the hour's do not); the day's 86,394 ticks as a
         # list would take about 10 MB.
         assert abs(day_peak - hour_peak) < 256 * 1024, (hour_peak, day_peak)
+
+
+def _stall_plan(start, count, period, duration, amplitude, phase0):
+    train = BurstTrain(start=start, period=period, duration=duration, count=count,
+                       amplitude=amplitude, frequency=F, phase0=phase0)
+    return AttackPlan(bursts=train, burst_count_k=count, single_duration_t1=duration,
+                      pause_t2=period - duration)
+
+
+def _kernel_and_loop(plan, cfg, state, until):
+    """``simulate_plan`` on ``plan`` and on its bursts as a plain list, each
+    with the ticks its sink received, and the burst counts the stall kernel
+    was called with."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    def run(plan):
+        ticks = []
+
+        def sink(wall_times, rtc_times):
+            assert 0 < len(wall_times) == len(rtc_times) <= rtc.TICK_CHUNK
+            ticks.extend(zip(wall_times.tolist(), rtc_times.tolist()))
+
+        return simulate_plan(plan, cfg, state, until=until, sink=sink), ticks
+
+    real = planner._stall_train
+    with mock.patch.object(planner, "_stall_train", spy):
+        kernel = run(plan)
+        loop = run(replace(plan, bursts=list(plan.bursts)))
+    return kernel, loop, calls
+
+
+def _same_bits(a, b):
+    return [(x.hex(), y.hex()) for x, y in a] == [(x.hex(), y.hex()) for x, y in b]
+
+
+class TestStallTrain:
+    """A backward train runs as one closed-form stall train, held to the
+    per-burst loop over the same bursts."""
+
+    # reload 1 makes every crossing a tick; 2,500 bursts span ten blocks.
+    @pytest.mark.parametrize("reload", [1, 3, 32768])
+    @pytest.mark.parametrize("amplitude", [0.1, 0.17, 0.19])
+    def test_blocks_of_bursts_match_the_loop(self, reload, amplitude):
+        cfg = RtcConfig(divider_reload=reload, freeze_timeout=2e-3)
+        plan = plan_backward(_backward_goal(0.3, 0.1), 4e-5, amplitude=amplitude,
+                             osc_phase=1.1)
+        assert plan.burst_count_k == 2500
+        (kernel, got), (loop, want), calls = _kernel_and_loop(
+            plan, cfg, initial_state(cfg, 1.1), 0.31)
+        assert calls == [2500]
+        assert kernel == loop and _same_bits(got, want)
+        assert len(got) > 1000 or reload == 32768
+
+    # Starts: a free run, a clock held by an injection that is still on, one
+    # whose next crossing may come past the timeout, a frozen one and one
+    # oscillating at or below the threshold.  |A - a| = swing * threshold,
+    # so a swing above 1 lets the stall count crossings; the timeout lies
+    # within a few cycles of the burst length, about the largest gap.
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["fresh", "held", "overdue", "frozen", "weak"]),
+           reload=st.one_of(st.integers(1, 8), st.integers(1, 65535)),
+           free_until=st.floats(1e-6, 5e-4),
+           quiet=st.floats(0.0, 0.98),
+           late=st.floats(0.01, 0.99),
+           count=st.integers(1, 40),
+           duration=st.floats(1e-4, 1e-3),
+           pause=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+           lead=st.sampled_from([0.0, 3.7e-6, 1e-4]),
+           swing=st.floats(0.2, 1.8),
+           above=st.booleans(),
+           offset=st.one_of(st.just(0.0), st.floats(-1e-12, 3.0)),
+           slack=st.floats(-1.0, 3.0),
+           tail=st.one_of(st.none(), st.floats(0.0, 2e-3)))
+    def test_kernel_matches_the_loop_from_any_start(
+            self, kind, reload, free_until, quiet, late, count, duration, pause,
+            lead, swing, above, offset, slack, tail):
+        timeout = max(duration + slack / F, 2.5 / F)
+        cfg = RtcConfig(divider_reload=reload, freeze_timeout=timeout)
+        if kind == "held":
+            state = step(initial_state(cfg), cfg, free_until)
+            state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
+            state = step(state, cfg, state.last_edge_time
+                         + (1.0 + quiet * (timeout * F - 2.0)) / F)
+        else:
+            state = _start(kind, cfg, free_until, quiet, late)
+        amp, thr = cfg.nominal_amplitude, cfg.trigger_threshold
+        amplitude = amp + swing * thr if above else amp - swing * thr
+        start = state.wall_time + lead
+        plan = _stall_plan(start, count, duration + pause, duration, amplitude,
+                           state.osc_phase + math.pi + offset)
+        until = None if tail is None else start + count * (duration + pause) + tail
+        (kernel, got), (loop, want), calls = _kernel_and_loop(plan, cfg, state, until)
+        assert calls == [count]
+        assert _same_bits(got, want)
+        k, w = kernel.state, loop.state
+        assert (k.counter, k.frozen, k.injection) == (w.counter, w.frozen, w.injection)
+        assert [k.rtc_time.hex(), k.last_edge_time.hex(), k.wall_time.hex()] == [
+            w.rtc_time.hex(), w.last_edge_time.hex(), w.wall_time.hex()]
+        assert k == w
+        assert kernel.phase_prediction_error == loop.phase_prediction_error
+
+    def test_thirty_days_back_one_day(self):
+        # 172,800 bursts of 0.5 s; the loop takes about 48 us a burst.
+        cfg = RtcConfig(mode="thirtytwo_bit")
+        goal = DriftGoal(window=30 * 86400.0, drift=86400.0, direction="backward")
+        plan = plan_backward(goal, 0.5, amplitude=0.1)
+        assert plan.burst_count_k == 172_800
+        run = simulate_plan(plan, cfg, collect_ticks=False)
+        train = plan.bursts
+        starts = train.start + np.arange(train.count) * train.period
+        crossings = stall_train_crossings(F, cfg.nominal_amplitude, cfg.trigger_threshold,
+                                          0.0, starts, train.duration, 0.1)
+        ticks, rest = divmod(crossings - cfg.divider_reload, cfg.divider_reload)
+        assert run.state.counter == cfg.divider_reload - rest
+        assert run.state.rtc_time == (ticks + 1) * cfg.tick_period
+        assert run.state.wall_time == plan.span and not run.state.frozen
+        # One day of stalls, less the cycles the edges at burst ends regain.
+        assert -86400.0 < run.drift < -86400.0 + 3.0
+
+    def test_largest_gap_decides_the_freeze(self):
+        # BASE_CONFIG's goal: 12 stalls of 0.5 s.  The gap from the last
+        # crossing before a stall to the first after it is at most two
+        # cycles longer than the stall.
+        cfg = RtcConfig()
+        plan = plan_backward(_backward_goal(), 0.5, amplitude=0.1)
+        gap = stall_gap(plan, cfg, 30.0)
+        assert 0.5 < gap < 0.5 + 2.0 / F
+        for timeout, frozen in ((gap, True), (math.nextafter(gap, 1.0), False)):
+            run = simulate_plan(plan, replace(cfg, freeze_timeout=timeout), until=30.0)
+            assert run.state.frozen == frozen
+        with pytest.raises(ValueError, match="stall bursts"):
+            stall_gap(plan_forward(_forward_goal(1.0, 12.0), 1e-5, 1.0,
+                                   amplitude=0.005), cfg)
 
 
 class TestBurstTrain:

@@ -183,6 +183,23 @@ class TestFreeze:
         assert st.frozen
         assert st.rtc_time == 0.0
 
+    def test_timeout_must_exceed_one_cycle(self):
+        # A stretch checks the watchdog at its first crossing only.
+        for timeout in (3e-5, 1.0 / F):
+            with pytest.raises(ValueError, match="one oscillator period"):
+                RtcConfig(freeze_timeout=timeout)
+        RtcConfig(freeze_timeout=math.nextafter(1.0 / F, 1.0))
+
+    # A 3e-5 s timeout, now refused, ended one step to 1 s running and two
+    # steps frozen at 0.0.
+    @pytest.mark.parametrize("timeout", [1.5 / F, 2.0 / F, 1e-3, 0.1])
+    @pytest.mark.parametrize("cut", [1e-6, 0.5, 0.5 + 0.25 / F, 1.0 - 1e-9])
+    def test_a_step_cut_in_two_ends_as_one_step(self, timeout, cut):
+        cfg = RtcConfig(freeze_timeout=timeout, divider_reload=1)
+        one = step(initial_state(cfg), cfg, 1.0)
+        two = step(step(initial_state(cfg), cfg, cut), cfg, 1.0)
+        assert one == two and not one.frozen and one.rtc_time == 1.0
+
     def test_short_quiet_does_not_freeze(self):
         cfg = RtcConfig(freeze_timeout=0.1)
         st = initial_state(cfg)

@@ -42,6 +42,14 @@ DELETE, EXTRA = object(), object()
 SWAPS = [None, "text", True, False, [1.0], {"x": 1.0}, 1.5, 7, -1]
 MAGNITUDES = [10 ** 400, -10 ** 400, 1e308, -1e308, 1e300, 5e-324, -5e-324,
               sys.float_info.min, 0, 0.0, -0.0, math.nan, math.inf, -math.inf]
+# Values near a limit that a leaf meets against other leaves: the freeze
+# timeout against one cycle of the reference 32,768 Hz clock, below which it
+# is refused, and against the 0.5 s stall bursts, whose largest gap between
+# edges is 0.50003 to 0.500035 s.
+CYCLE = 1.0 / 32768.0
+NEAR = {"freeze_timeout_s": [math.nextafter(CYCLE, 0.0), CYCLE,
+                             math.nextafter(CYCLE, 1.0), 2.0 * CYCLE, 0.5, 0.50002,
+                             0.5 + CYCLE, 0.50005, 0.5 + 2.0 * CYCLE]}
 COMMANDS = ["dispersion", "calibrate", "plan", "simulate", "bp", "counter"]
 BEFORE = b"earlier result\n"
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
@@ -83,7 +91,7 @@ def mutated_configs(draw):
                 child = node[part] = {}
             node = child
         value = draw(st.sampled_from([DELETE, EXTRA] + SWAPS + MAGNITUDES
-                                     + _edges(row)))
+                                     + _edges(row) + NEAR.get(row.key, [])))
         if value is DELETE:
             node.pop(row.key, None)
         elif value is EXTRA:
@@ -109,10 +117,12 @@ def test_parse_gives_scenario_or_config_error(cfg):
         pass
 
 
-# Counterexamples: the first made simulate run without end, and the last
-# made plan write without end; each other one raised out of main or exited 1
-# from the command line, or (the four before the last) exited 0 with nan in
-# its output or 2 on a numeric failure.
+# Counterexamples: the first made simulate run without end, and the one
+# before the last two made plan write without end; each other one before it
+# raised out of main or exited 1 from the command line, or (the four before
+# it) exited 0 with nan in its output or 2 on a numeric failure.  The last
+# two exited 0: a timeout below the stalls' largest gap latched the freeze
+# watchdog, and one below a cycle latched it or not by how a stretch was cut.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs())
@@ -129,6 +139,8 @@ def test_parse_gives_scenario_or_config_error(cfg):
 @example(cfg=_with("medium.thickness_mm", 2.2250738585072014e-308))
 @example(cfg=_with("attack.burst_duration_s", sys.float_info.min,
                    _with("goal.drift_b_s", 1.5)))
+@example(cfg=_with("rtc.freeze_timeout_s", 0.50002))
+@example(cfg=_with("rtc.freeze_timeout_s", 3e-5))
 def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
