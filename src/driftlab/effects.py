@@ -123,7 +123,9 @@ def damping_attenuation(spec: DampingSpec, omega: float) -> float:
     if omega < 0.0:
         raise ValueError("omega must be >= 0")
     r = omega / spec.omega_n
-    return 1.0 / math.sqrt((1.0 - r * r) ** 2 + (2.0 * spec.zeta * r) ** 2)
+    # zeta * r first: 2 * zeta overflows for zeta near the float maximum, and
+    # inf * 0 at omega = 0 would be nan.
+    return 1.0 / math.sqrt((1.0 - r * r) ** 2 + (2.0 * (spec.zeta * r)) ** 2)
 
 
 def synth_output_freq(cfg: ClockSynthConfig):

@@ -120,9 +120,10 @@ def test_parse_gives_scenario_or_config_error(cfg):
 # Counterexamples: the first made simulate run without end, and the one
 # before the last two made plan write without end; each other one before it
 # raised out of main or exited 1 from the command line, or (the four before
-# it) exited 0 with nan in its output or 2 on a numeric failure.  The last
-# two exited 0: a timeout below the stalls' largest gap latched the freeze
-# watchdog, and one below a cycle latched it or not by how a stretch was cut.
+# it) exited 0 with nan in its output or 2 on a numeric failure.  The two
+# after it exited 0: a timeout below the stalls' largest gap latched the
+# freeze watchdog, and one below a cycle latched it or not by how a stretch
+# was cut.  The last made counter write nan at omega = 0.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs())
@@ -141,6 +142,7 @@ def test_parse_gives_scenario_or_config_error(cfg):
                    _with("goal.drift_b_s", 1.5)))
 @example(cfg=_with("rtc.freeze_timeout_s", 0.50002))
 @example(cfg=_with("rtc.freeze_timeout_s", 3e-5))
+@example(cfg=_with("damping.zeta", 1e308))
 def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
