@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -58,7 +59,7 @@ EXIT_NUMERIC = 4
 SWEEP_STEPS_MAX = 100_000
 # Most tick rows ``simulate`` may write, refused before the header: about 46
 # days at a 1 s tick, or 65 minutes at the 32-bit mode's 0.98 ms.  ``plan``
-# refuses a plan of more bursts before its first line.
+# and ``simulate`` refuse a plan of more bursts before their first line.
 SIMULATE_ROWS_MAX = 4_000_000
 
 
@@ -110,8 +111,9 @@ def _csv_writer(fh):
 
 
 def _fmt(value) -> str:
+    # A NumPy float is a float, but its own repr names its type.
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -125,7 +127,7 @@ def _tick_rows(first: int, wall_times, rtc_times) -> str:
 
 
 def _parse_sweep(text: str):
-    """key=start:stop:steps -> (key, inclusive linspace)."""
+    """key=start:stop:steps -> (key, inclusive linspace as Python floats)."""
     try:
         key, spec = text.split("=", 1)
         start_s, stop_s, steps_s = spec.split(":")
@@ -142,7 +144,7 @@ def _parse_sweep(text: str):
         raise ConfigError(
             [f"--sweep: steps must be in [1, {SWEEP_STEPS_MAX}], got {steps}"]
         )
-    values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+    values = np.linspace(start, stop, steps).tolist() if steps > 1 else [start]
     return key, values
 
 
@@ -167,7 +169,7 @@ def _cmd_dispersion(scenario: Scenario, sweep, fh) -> int:
         mode = solve_dispersion(medium, f)
         residual = dispersion_residual(medium, mode.omega, mode.k_a)
         writer.writerow(
-            [medium.name, _fmt(float(d_mm)), _fmt(float(f)), _fmt(mode.c_s),
+            [medium.name, _fmt(d_mm), _fmt(f), _fmt(mode.c_s),
              _fmt(mode.k_a), _fmt(residual)]
         )
     return EXIT_OK
@@ -217,6 +219,17 @@ def _build_plan(scenario: Scenario):
     )
 
 
+def _refuse_burst_count(plan) -> None:
+    """Refuse a plan of more bursts than ``plan`` may write lines, one a
+    burst.  Every later check and step walks the bursts, so each subcommand
+    calls this before them."""
+    if plan.burst_count_k > SIMULATE_ROWS_MAX:
+        raise ConfigError([
+            f"$.goal: the plan has {plan.burst_count_k:.6g} bursts, above the "
+            f"cap of {SIMULATE_ROWS_MAX} bursts"
+        ])
+
+
 def _refuse_stall_gap(scenario: Scenario, plan) -> None:
     """Refuse a backward plan on which the freeze watchdog would latch: one
     whose longest wait for an edge, from the last before a stall to the first
@@ -235,11 +248,7 @@ def _refuse_stall_gap(scenario: Scenario, plan) -> None:
 
 def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
-    if plan.burst_count_k > SIMULATE_ROWS_MAX:
-        raise ConfigError([
-            f"$.goal: the plan has {plan.burst_count_k:.6g} bursts, one line "
-            f"each, above the cap of {SIMULATE_ROWS_MAX} lines"
-        ])
+    _refuse_burst_count(plan)
     _refuse_stall_gap(scenario, plan)
     export_plan_jsonl(plan, fh)
     return EXIT_OK
@@ -256,6 +265,7 @@ def _cmd_simulate(scenario: Scenario, sweep, fh) -> int:
             f"period is about {rows:.6g} rows, above the cap of "
             f"{SIMULATE_ROWS_MAX} rows"
         ])
+    _refuse_burst_count(plan)
     _refuse_stall_gap(scenario, plan)
     writer = _csv_writer(fh)
     writer.writerow(["tick_index", "wall_time_s", "rtc_time_s", "drift_s"])
@@ -326,12 +336,10 @@ def _cmd_bp(scenario: Scenario, sweep, fh) -> int:
         key, values = sweep
         try:
             if key == "freq_shift_hz":
-                cases = [replace(base, freq_shift=float(v)) for v in values]
+                cases = [replace(base, freq_shift=v) for v in values]
             else:
-                cases = [
-                    rtc_drift_to_bp(float(v), base, scenario.bp_tick_freq)
-                    for v in values
-                ]
+                cases = [rtc_drift_to_bp(v, base, scenario.bp_tick_freq)
+                         for v in values]
         except SubnormalShiftError as exc:
             raise ConfigError([f"--sweep {key}: {exc}"]) from None
     writer = _csv_writer(fh)
@@ -362,14 +370,14 @@ def _cmd_counter(scenario: Scenario, sweep, fh) -> int:
                 f"$.damping: the omega_rad_s sweep runs to 4 * omega_n = "
                 f"4 * {damping.omega_n!r} rad/s, which overflows"
             )
-        sweep = ("omega_rad_s", np.linspace(0.0, top, 81))
+        sweep = ("omega_rad_s", np.linspace(0.0, top, 81).tolist())
     writer = _csv_writer(fh)
     writer.writerow(["section", "x", "value"])
     if damping is not None:
         for omega in sweep[1]:
             writer.writerow(
-                ["h_of_omega", _fmt(float(omega)),
-                 _fmt(damping_attenuation(damping, float(omega)))]
+                ["h_of_omega", _fmt(omega),
+                 _fmt(damping_attenuation(damping, omega))]
             )
     if scenario.clock_synth is not None:
         writer.writerow(
@@ -396,7 +404,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="driftlab",
         description="Deterministic simulator of acoustic timing-drift attacks "

@@ -94,6 +94,10 @@ CASES: dict[str, tuple] = {
         "attack": {"single_duration_t1_s": 1e-5, "phase_step_rad": math.pi / 2},
     }, ["plan"]),
     "refuse-numeric-exit-4": ({"rtc.nominal_freq_hz": 1e9}, ["dispersion"]),
+    # 1 s of 1e-8 s stalls is 1e8 bursts in a window of 31 rows: refused by
+    # the burst cap that ``plan`` has, before the stalls are walked.
+    "refuse-simulate-burst-cap-exit-2": ({"attack.burst_duration_s": 1e-8,
+                                          "goal.drift_b_s": 1.0}, ["simulate"]),
     "stdout-simulate-backward": ({}, ["simulate"]),
     "stdout-simulate-forward-32bit": (FORWARD_32BIT, ["simulate"]),
 }

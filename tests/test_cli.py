@@ -82,6 +82,23 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
+# A 3-point range on BASE_CONFIG for each key a subcommand sweeps, and the
+# fields of their rows that are not numbers.
+SWEEP_RANGES = {"freq_hz": "20000:40000", "thickness_mm": "1:20",
+                "freq_shift_hz": "-1200:200", "drift_rate": "0.5:8",
+                "omega_rad_s": "0:400000"}
+LITERALS = {BASE_CONFIG["medium"]["name"], "h_of_omega", "synth_output_hz",
+            "stall", "ok", "true", "false", ""}
+
+
+def _is_number(field):
+    try:
+        float(field)    # every int field parses as a float too
+    except ValueError:
+        return False
+    return True
+
+
 class TestDispersionCommand:
     def test_thickness_sweep(self, config_path, tmp_path):
         out = tmp_path / "disp.csv"
@@ -145,6 +162,24 @@ class TestSweepKeys:
         assert capsys.readouterr().err == (
             "config error: --sweep: counter sweeps omega_rad_s, got 'bogus'\n")
 
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (_, _, keys) in cli.COMMANDS.items()
+        for key in keys])
+    def test_every_field_is_a_number_or_a_literal(self, command, key,
+                                                  config_path, tmp_path):
+        out = tmp_path / "out.csv"
+        rc = main([command, "--config", config_path(), "--out", str(out),
+                   "--sweep", f"{key}={SWEEP_RANGES[key]}:3"])
+        assert rc == 0
+        text = out.read_text()
+        assert "np." not in text
+        header, *rows = _rows(out)
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for field in row:
+                assert field in LITERALS or _is_number(field), (row, field)
+
     @pytest.mark.parametrize("sweep", [None, "freq_hz=19500.5:60500.5:4",
                                        "thickness_mm=0.7:33.3:4"])
     @pytest.mark.parametrize("medium", ["aluminum", "polyethylene"])
@@ -162,7 +197,10 @@ class TestSweepKeys:
         d_mm, f = (thickness_mm * 1e-3) * 1e3, 32768.0
         points = [(d_mm, f)]
         if sweep:
-            key, values = cli._parse_sweep(sweep)
+            # Python floats, so every field below is a float's repr.
+            key, spec = sweep.split("=")
+            start, stop, steps = spec.split(":")
+            values = np.linspace(float(start), float(stop), int(steps)).tolist()
             points = [(d_mm, v) if key == "freq_hz" else (v, f) for v in values]
         want = ["medium,thickness_mm,freq_hz,c_s_m_per_s,k_a_rad_per_m,residual"]
         for d, freq in points:
@@ -255,8 +293,8 @@ class TestPlanCommand:
         assert rc == 2 and captured.out == ""
         assert out.read_bytes() == b"earlier result\n"
         assert captured.err == (
-            "config error: $.goal: the plan has 6.74135e+307 bursts, one line "
-            f"each, above the cap of {cli.SIMULATE_ROWS_MAX} lines\n")
+            "config error: $.goal: the plan has 6.74135e+307 bursts, above the "
+            f"cap of {cli.SIMULATE_ROWS_MAX} bursts\n")
 
     @pytest.mark.parametrize("cap, rc", [(12, 0), (11, 2)])
     def test_burst_cap_edge(self, config_path, tmp_path, monkeypatch, cap, rc):
@@ -348,6 +386,37 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "SIMULATE_ROWS_MAX", cap)
         path = config_path(overrides={"goal.window_a_s": 3.0,
                                       "goal.drift_b_s": 1.0})
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == rc
+        if rc == 0:
+            assert _rows(out)[-1] == ["end", "3.0", "2.0", "-1.0"]
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_huge_plan_refused_before_the_header(self, config_path, tmp_path,
+                                                 capsys, to_stdout):
+        # 1 s of 1e-8 s stalls is 1e8 bursts in a window of 31 rows.
+        path = config_path(overrides={"goal.drift_b_s": 1.0,
+                                      "attack.burst_duration_s": 1e-8})
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier result\n")
+        start = time.perf_counter()
+        rc = main(["simulate", "--config", path,
+                   *([] if to_stdout else ["--out", str(out)])])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert out.read_bytes() == b"earlier result\n"
+        assert captured.err == (
+            "config error: $.goal: the plan has 1e+08 bursts, above the cap of "
+            f"{cli.SIMULATE_ROWS_MAX} bursts\n")
+
+    @pytest.mark.parametrize("cap, rc", [(10, 0), (9, 2)])
+    def test_burst_cap_edge(self, config_path, tmp_path, monkeypatch, cap, rc):
+        # Ten 0.1 s stalls in a 3 s window: 4 rows, 10 bursts.
+        monkeypatch.setattr(cli, "SIMULATE_ROWS_MAX", cap)
+        path = config_path(overrides={"goal.window_a_s": 3.0,
+                                      "goal.drift_b_s": 1.0,
+                                      "attack.burst_duration_s": 0.1})
         out = tmp_path / "run.csv"
         assert main(["simulate", "--config", path, "--out", str(out)]) == rc
         if rc == 0:
@@ -622,6 +691,59 @@ class TestValidationAndDeterminism:
         assert main([command, "--config", path, "--out", str(out1)]) == 0
         assert main([command, "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+        code = ("import driftlab.cli; "
+                "print(driftlab.cli.build_parser.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              check=True)
+        assert proc.stdout.strip() == "0"
+
+    def test_no_option_leaks_into_the_next_call(self, config_path, monkeypatch):
+        seen = []
+
+        def record(scenario, sweep, fh):
+            seen.append((scenario.seed, sweep))
+            return cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "COMMANDS", {
+            name: (record, *rest) for name, (_, *rest) in cli.COMMANDS.items()})
+        path = config_path()
+        for argv in (["dispersion", "--seed", "3", "--sweep", "freq_hz=1:2:3"],
+                     ["dispersion"], ["calibrate", "--seed", "3"], ["calibrate"],
+                     ["bp", "--sweep", "drift_rate=1:2:2"], ["bp"]):
+            assert main([argv[0], "--config", path, *argv[1:]]) == 0
+        seed = BASE_CONFIG["seed"]
+        assert seen == [(3, ("freq_hz", [1.0, 1.5, 2.0])), (seed, None),
+                        (3, None), (seed, None),
+                        (seed, ("drift_rate", [1.0, 2.0])), (seed, None)]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], ["simulate", "--help"], ["dispersion", "--help"],
+        [], ["bogus"], ["simulate"], ["plan", "--config"],
+        ["bp", "--config", "x.json", "--seed", "three"],
+    ])
+    def test_exits_the_same_on_the_first_call_and_later(self, argv, capsys):
+        def exit_of():
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            out, err = capsys.readouterr()
+            return exc.value.code, out, err
+
+        cli.build_parser.cache_clear()
+        first = exit_of()
+        assert first[0] in (0, 2) and (first[1] or first[2])
+        assert exit_of() == first
+        assert exit_of() == first
 
 
 class TestOutputFile:

@@ -9,7 +9,8 @@ unknown key beside it.
 
 ``classify`` is left out: at about 0.2 s a call on the reference config it
 would add most of a minute.  ``simulate`` refuses a window whose tick rows
-would pass ``cli.SIMULATE_ROWS_MAX``, and ``plan`` a plan of more bursts.
+would pass ``cli.SIMULATE_ROWS_MAX``, and ``plan`` and ``simulate`` a plan of
+more bursts.
 """
 
 import contextlib
@@ -117,13 +118,14 @@ def test_parse_gives_scenario_or_config_error(cfg):
         pass
 
 
-# Counterexamples: the first made simulate run without end, and the one
-# before the last two made plan write without end; each other one before it
-# raised out of main or exited 1 from the command line, or (the four before
-# it) exited 0 with nan in its output or 2 on a numeric failure.  The two
-# after it exited 0: a timeout below the stalls' largest gap latched the
-# freeze watchdog, and one below a cycle latched it or not by how a stretch
-# was cut.  The last made counter write nan at omega = 0.
+# Counterexamples: the first made simulate run without end, and the one of
+# smallest-normal bursts made plan write without end; each other one before
+# it raised out of main or exited 1 from the command line, or (the four
+# before it) exited 0 with nan in its output or 2 on a numeric failure.  The
+# two freeze timeouts exited 0: one below the stalls' largest gap latched the
+# watchdog, and one below a cycle latched it or not by how a stretch was cut.
+# A zeta of 1e308 made counter write nan at omega = 0, and 1e-8 s bursts
+# made simulate walk 1e8 stalls, about 90 s, for a window of 31 rows.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs())
@@ -143,6 +145,7 @@ def test_parse_gives_scenario_or_config_error(cfg):
 @example(cfg=_with("rtc.freeze_timeout_s", 0.50002))
 @example(cfg=_with("rtc.freeze_timeout_s", 3e-5))
 @example(cfg=_with("damping.zeta", 1e308))
+@example(cfg=_with("attack.burst_duration_s", 1e-8, _with("goal.drift_b_s", 1.0)))
 def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
