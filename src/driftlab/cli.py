@@ -43,6 +43,7 @@ from .planner import (
     InfeasiblePlanError,
     calibrate_phase_map,
     export_plan_jsonl,
+    forward_offsets,
     plan_backward,
     plan_forward,
     simulate_plan,
@@ -144,6 +145,10 @@ def _parse_sweep(text: str):
         raise ConfigError(
             [f"--sweep: steps must be in [1, {SWEEP_STEPS_MAX}], got {steps}"]
         )
+    if not math.isfinite(stop - start):
+        raise ConfigError([f"--sweep {key}: the span {stop!r} - {start!r} is "
+                           "not finite"])
+    # Every point then lies between start and stop, so it is finite too.
     values = np.linspace(start, stop, steps).tolist() if steps > 1 else [start]
     return key, values
 
@@ -219,37 +224,31 @@ def _build_plan(scenario: Scenario):
     )
 
 
-def _refuse_burst_count(plan) -> None:
-    """Refuse a plan of more bursts than ``plan`` may write lines, one a
-    burst.  Every later check and step walks the bursts, so each subcommand
-    calls this before them."""
+def _refuse_plan(scenario: Scenario, plan) -> None:
+    """Refuse, before any output, a plan of more bursts than ``plan`` may
+    write lines, then a forward plan with a burst that would not lead, or a
+    backward plan whose longest wait for an edge, from the last before a
+    stall to the first after it, reaches the freeze timeout."""
     if plan.burst_count_k > SIMULATE_ROWS_MAX:
         raise ConfigError([
             f"$.goal: the plan has {plan.burst_count_k:.6g} bursts, above the "
             f"cap of {SIMULATE_ROWS_MAX} bursts"
         ])
-
-
-def _refuse_stall_gap(scenario: Scenario, plan) -> None:
-    """Refuse a backward plan on which the freeze watchdog would latch: one
-    whose longest wait for an edge, from the last before a stall to the first
-    after it, reaches the timeout.  Its cost grows with the bursts, so each
-    subcommand calls it after its size cap."""
     timeout = scenario.rtc.freeze_timeout
-    if timeout is None or scenario.goal.direction != "backward":
-        return
-    gap = stall_gap(plan, scenario.rtc, max(scenario.goal.window, plan.span))
-    if gap >= timeout:
-        raise FreezeRiskError(
-            f"a stall leaves {gap!r} s between two edges, which reaches the "
-            f"freeze timeout ({timeout!r} s)"
-        )
+    if scenario.goal.direction == "forward":
+        forward_offsets(plan, scenario.rtc)
+    elif timeout is not None:
+        gap = stall_gap(plan, scenario.rtc, max(scenario.goal.window, plan.span))
+        if gap >= timeout:
+            raise FreezeRiskError(
+                f"a stall leaves {gap!r} s between two edges, which reaches the "
+                f"freeze timeout ({timeout!r} s)"
+            )
 
 
 def _cmd_plan(scenario: Scenario, sweep, fh) -> int:
     plan = _build_plan(scenario)
-    _refuse_burst_count(plan)
-    _refuse_stall_gap(scenario, plan)
+    _refuse_plan(scenario, plan)
     export_plan_jsonl(plan, fh)
     return EXIT_OK
 
@@ -265,8 +264,7 @@ def _cmd_simulate(scenario: Scenario, sweep, fh) -> int:
             f"period is about {rows:.6g} rows, above the cap of "
             f"{SIMULATE_ROWS_MAX} rows"
         ])
-    _refuse_burst_count(plan)
-    _refuse_stall_gap(scenario, plan)
+    _refuse_plan(scenario, plan)
     writer = _csv_writer(fh)
     writer.writerow(["tick_index", "wall_time_s", "rtc_time_s", "drift_s"])
     written = 0

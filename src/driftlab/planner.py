@@ -2,10 +2,11 @@
 
 Backward plans spread stall bursts evenly over the attack window so the
 divider never goes quiet long enough to freeze; forward plans emit a train
-of short bursts, each dragging the oscillation phase one step ahead.  The
-phase map links the attacker-side excitation phase to the phase of the
-signal actually induced at the crystal, recovered experimentally by finding
-the excitation phase that minimises the superposed amplitude.
+of short bursts, each dragging the oscillation phase up to one step ahead;
+``simulate_plan`` runs either kind in closed form.  The phase map links the
+attacker-side excitation phase to the phase of the signal actually induced
+at the crystal, recovered experimentally by finding the excitation phase
+that minimises the superposed amplitude.
 """
 
 from __future__ import annotations
@@ -18,20 +19,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rtc import (
-    FULL_CONVERGENCE_FACTOR,
     InjectionBurst,
     PlanError,
     RtcConfig,
     RtcState,
     TickEvent,
     TickSink,
-    _apply_phase_advance,
+    _advance,
+    _check_frequency,
+    _leads,
     _stall_train,
     _step,
-    _with_injection,
+    _train_offsets,
     initial_state,
     measure_drift,
-    run_uniform_train,
     tick_collector,
 )
 from .signals import TWO_PI, Sinusoid, superpose, wrap_phase
@@ -259,23 +260,6 @@ def export_plan_jsonl(plan: AttackPlan, fh) -> None:
         fh.write("\n")
 
 
-def load_plan_jsonl(fh, frequency: float = 32768.0) -> list[InjectionBurst]:
-    bursts = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        bursts.append(
-            InjectionBurst(
-                start=rec["start_s"],
-                duration=rec["duration_s"],
-                signal=Sinusoid(rec["amplitude_v"], frequency, rec["phase_rad"]),
-            )
-        )
-    return bursts
-
-
 @dataclass(frozen=True)
 class PhaseMap:
     """Calibrated (distance, excitation phase) -> injected phase table.
@@ -335,20 +319,13 @@ def calibrate_phase_map(context, z: float, phase_grid: int = 64) -> PhaseMap:
     return PhaseMap(grid_resolution=step, anchors={z: (phi_star, beta1_star)})
 
 
-def _advances(delta: float) -> bool:
-    """Whether a burst ``delta`` ahead of the oscillation drags its phase;
-    any other burst stalls it."""
-    return 1e-12 < delta < math.pi - 1e-12
-
-
 def _stall_train_runs(bursts, state: RtcState) -> bool:
-    """Whether ``bursts`` is a train that the per-burst loop would run from
-    ``state`` as stalls, each stall ending after it starts."""
+    """Whether ``bursts`` is a train of stalls from ``state``: all meet one
+    offset, at which none leads, and each ends after it starts."""
     return (
-        isinstance(bursts, BurstTrain)
-        and bursts.phase_step == 0.0
+        bursts.phase_step == 0.0
         and bursts.start >= state.wall_time
-        and not _advances(wrap_phase(bursts[0].signal.phase - state.osc_phase))
+        and not _leads(wrap_phase(bursts.phase0 - state.osc_phase))
         and bursts.duration >= math.ulp(abs(bursts.start) + (bursts.count - 1) * bursts.period)
     )
 
@@ -363,6 +340,23 @@ def stall_gap(plan: AttackPlan, config: RtcConfig, until: Optional[float] = None
         raise ValueError("stall_gap needs a train of stall bursts")
     return _stall_train(state, config, train.start, train.count, train.period,
                         train.duration, train[0].signal, until, None)[1]
+
+
+def forward_offsets(plan: AttackPlan, config: RtcConfig,
+                    state: Optional[RtcState] = None) -> tuple[float, float]:
+    """The offsets the first and last bursts of ``plan`` meet when
+    ``simulate_plan`` runs it from ``state`` (a fresh clock by default) as
+    phase advances.  Bursts too short to converge drift the offsets toward
+    ``phase_step / (1 - g)`` (``rtc._train_offsets``); a plan on which one
+    would not lead is refused with ``PlanError`` naming the first such burst.
+    """
+    if state is None:
+        state = initial_state(config)
+    train = plan.bursts
+    offset = wrap_phase(train.phase0 - state.osc_phase)
+    lag, kept = _train_offsets(offset, train.phase_step, train.count, train.duration,
+                               config.convergence_time_constant)
+    return offset, offset - lag * float(kept(train.count - 1.0))
 
 
 @dataclass(frozen=True)
@@ -391,19 +385,19 @@ def simulate_plan(
     collect_ticks: bool = True,
     sink: Optional[TickSink] = None,
 ) -> PlanRun:
-    """Run a plan against the emulator and measure the resulting drift.
+    """Run a plan's ``BurstTrain`` against the emulator and measure the
+    resulting drift, in closed form whatever the train's length.
 
-    Bursts whose phase leads the oscillation by less than pi are dispatched
-    to the phase-advance mechanism; all others act through plain waveform
-    superposition (the stall mechanism).  Two kinds of ``BurstTrain`` run in
-    closed form whatever their length: a train of stalls, as every backward
-    plan is, through ``rtc._stall_train``, and a uniform forward train of
-    fully converging bursts that starts phase-aligned through
-    ``run_uniform_train``.  A plain list of bursts, and a forward train of
-    bursts too short to converge, run burst by burst.  Ticks go to ``sink``
-    as they are counted when one is given, else to ``PlanRun.ticks`` with
-    ``collect_ticks``.
+    A train whose bursts do not lead the oscillation only superposes, as a
+    train of stalls (``rtc._stall_train``); every backward plan is one.  Any
+    other train drags the phase (``rtc._advance``) from whatever offset its
+    first burst meets, or is refused as ``forward_offsets`` refuses it.
+    Ticks go to ``sink`` as they are counted when one is given, else to
+    ``PlanRun.ticks`` with ``collect_ticks``.
     """
+    train = plan.bursts
+    if not isinstance(train, BurstTrain):
+        raise TypeError(f"simulate_plan runs a BurstTrain, not a {type(train).__name__}")
     if state is None:
         state = initial_state(config)
     start_wall = state.wall_time
@@ -412,56 +406,25 @@ def simulate_plan(
     events: list[TickEvent] = []
     if sink is None and collect_ticks:
         sink = tick_collector(events)
-    prediction_error = 0.0
 
-    train, step_delta = plan.bursts, plan.phase_step_delta
-    # Planned offset: the phase step for advance bursts, pi for stall
-    # bursts; the gap to the offset found on arrival is the prediction error
-    # of the free-running assumption.
-    planned = step_delta if step_delta is not None else math.pi
     if _stall_train_runs(train, state):
         # No stall moves the phase, so every burst arrives at one offset.
-        signal = train[0].signal
-        gap = wrap_phase(wrap_phase(signal.phase - state.osc_phase) - planned)
-        prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
+        first = last = wrap_phase(train.phase0 - state.osc_phase)
         state = _stall_train(state, config, train.start, train.count, train.period,
-                             train.duration, signal, until, sink)[0]
-    elif (
-        isinstance(train, BurstTrain)
-        and step_delta is not None
-        and train.phase_step == step_delta
-        and train.duration >= FULL_CONVERGENCE_FACTOR * config.convergence_time_constant
-        and abs(wrap_phase(train.phase0 - state.osc_phase) - step_delta) < 1e-9
-    ):
-        result = run_uniform_train(
-            state,
-            config,
-            count=train.count,
-            period=train.period,
-            duration=train.duration,
-            delta=step_delta,
-            start=train.start,
-            sink=sink,
-        )
-        state = result.state
+                             train.duration, train[0].signal, until, sink)[0]
     else:
-        for burst in train:
-            beta1 = burst.signal.phase
-            delta = wrap_phase(beta1 - state.osc_phase)
-            gap = wrap_phase(delta - planned)
-            prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
-            if _advances(delta):
-                state = _apply_phase_advance(state, config, burst, sink)
-            else:
-                if burst.start > state.wall_time:
-                    state = _step(state, config, burst.start, sink)
-                state = _with_injection(state, config, burst.signal, sink)
-                state = _step(state, config, burst.end, sink)
-                state = _with_injection(state, config, None, sink)
-
+        _check_frequency("burst", train[0].signal, config)
+        first, last = forward_offsets(plan, config, state)
+        state = _advance(state, config, train.start, train.count, train.period,
+                         train.duration, first, train.phase_step, sink).state
     if until is not None and until > state.wall_time:
         state = _step(state, config, until, sink)
 
+    # Planned offset: the phase step for advance bursts, pi for stall
+    # bursts; the gap to the offset found on arrival is the prediction error
+    # of the free-running assumption.  The offsets are monotone.
+    planned = math.pi if plan.phase_step_delta is None else plan.phase_step_delta
+    gaps = [wrap_phase(offset - planned) for offset in (first, last)]
     ticks_emitted = round((state.rtc_time - start_rtc) / config.tick_period)
     crossings = ticks_emitted * config.divider_reload + (start_counter - state.counter)
     return PlanRun(
@@ -469,5 +432,5 @@ def simulate_plan(
         ticks=events,
         drift=measure_drift(state) - (start_rtc - start_wall),
         crossings_counted=crossings,
-        phase_prediction_error=prediction_error,
+        phase_prediction_error=max(min(gap, TWO_PI - gap) for gap in gaps),
     )

@@ -19,11 +19,11 @@ Two injection mechanisms exist, matching the two drift directions:
 
 Phase convergence during a burst follows first-order relaxation toward the
 injected phase with a configurable time constant; a burst lasting at least
-five time constants is treated as fully converged and the oscillator phase
-snaps exactly onto the injected phase, which keeps long-run drift accounting
-exact.  Crossings are timed a float64 array at a time: in a free stretch,
-and in a burst once the offset has settled, their times have the closed
-form; only a crossing inside the relaxation stretch is bisected.
+five time constants is treated as fully converged and closes its whole
+offset; a shorter one leaves a share of it, so a train's offsets follow a
+geometric series, summed in closed form (``_advance``).  Crossings are timed a float64 array at a time: in a free
+stretch, and in a burst once the offset has settled, their times have the
+closed form; only a crossing inside the relaxation stretch is bisected.
 
 A train of stall bursts is counted in closed form as well.  A stall moves no
 phase, so the waveform only switches between the free oscillation and one
@@ -57,6 +57,9 @@ FULL_CONVERGENCE_FACTOR = 5.0
 
 # Most ticks handed to a sink in one call.
 TICK_CHUNK = 4096
+
+# A burst drags the phase when it leads by (LEAD_MARGIN, pi - LEAD_MARGIN).
+LEAD_MARGIN = 1e-12
 
 # Receives (wall_times, rtc_times) of consecutive ticks.
 TickSink = Callable[[np.ndarray, np.ndarray], None]
@@ -195,11 +198,47 @@ def _freeze_due(config: RtcConfig, t: float, last_edge: float) -> bool:
     return config.freeze_timeout is not None and t - last_edge >= config.freeze_timeout
 
 
-def _burst_phase_path(delta: float, tau: float, duration: float) -> float:
-    """Residual phase gap left after a burst of the given duration."""
-    if duration >= FULL_CONVERGENCE_FACTOR * tau:
-        return 0.0
-    return delta * math.exp(-duration / tau)
+def _leads(offset: float) -> bool:
+    """Whether a burst ``offset`` ahead of the oscillation drags its phase."""
+    return LEAD_MARGIN < offset < math.pi - LEAD_MARGIN
+
+
+def _train_offsets(offset: float, delta: float, count: int, duration: float,
+                   tau: float):
+    """``(lag, kept)``: burst i of a train meets the offset
+    ``offset - lag * kept(i)`` and starts when the phase has advanced
+    ``i * delta + lag * kept(i)``, for a float64 array of i.
+
+    A burst leaves g = exp(-duration / tau) of its offset, none from five
+    time constants on, and each next signal is ``delta`` further on, so burst
+    i meets L + (offset - L) g**i, L = delta / (1 - g): lag = offset - L and
+    kept(i) = 1 - g**i.  The offsets are monotone, so a bisection finds the
+    first burst that would not lead, which is refused with ``PlanError``.
+    """
+    converged, rate = duration >= FULL_CONVERGENCE_FACTOR * tau, duration / tau
+
+    def kept(i):
+        return np.minimum(i, 1.0) if converged else -np.expm1(-rate * i)
+
+    drag = float(kept(np.float64(1.0)))
+    limit = delta / drag if drag else math.inf
+    if not math.isfinite(limit):
+        raise PlanError(f"a burst of {duration!r} s drags too little phase at a "
+                        f"convergence time constant of {tau!r} s")
+    lag = offset - limit
+
+    def at(i: int) -> float:
+        return float(offset - lag * kept(np.float64(i)))
+
+    lo, hi = 0, count - 1 if _leads(offset) else 0
+    if _leads(at(hi)):
+        return lag, kept
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if _leads(at(mid)) else (lo, mid)
+    raise PlanError(f"burst {hi} meets a phase offset of {at(hi)!r} rad, outside "
+                    f"({LEAD_MARGIN!r}, pi - {LEAD_MARGIN!r}), so it cannot drag the "
+                    f"phase forward: this train's offsets tend to L = {limit!r} rad")
 
 
 def _burst_crossing_time(
@@ -219,7 +258,7 @@ def _burst_crossing_time(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        # ``_burst_phase_path(delta, tau, mid - t0)``, without a call per step.
+        # The share of ``delta`` left after ``mid - t0`` of relaxation.
         elapsed = mid - t0
         gap = 0.0 if elapsed >= converged else delta * math.exp(-elapsed / tau)
         if TWO_PI * freq * mid + (p0 + (delta - gap)) < target:
@@ -352,28 +391,40 @@ def with_injection(
     return _with_injection(state, config, signal, tick_collector(events)), events
 
 
+@dataclass(frozen=True)
+class TrainResult:
+    state: RtcState
+    crossings: int
+    phase_advanced: float
+
+
 def _advance(
     state: RtcState, config: RtcConfig, start: float, count: int, period: float,
-    duration: float, delta: float, advanced: float, final_phase: float,
-    sink: Optional[TickSink],
-) -> tuple[RtcState, int]:
+    duration: float, offset: float, delta: float, sink: Optional[TickSink],
+) -> TrainResult:
     """Run ``count`` bursts ``period`` apart from ``start``, each ``duration``
-    long and ``delta`` ahead of the oscillation; returns the new state and
-    the crossings counted.
+    long, the first ``offset`` ahead of the oscillation and each next signal
+    ``delta`` further on.
 
-    The bursts drag the phase ``advanced`` forward: ``count * delta`` less
-    the residual gap of a burst too short to converge, which only a train of
-    one may have.  The total phase is monotone through the train, so the
+    Burst i meets offset d_i and starts when the phase has advanced A_i, in
+    closed form (``_train_offsets``).  The total phase is monotone, so the
     crossing count follows from its unwrapped endpoint values (an advance
-    across 2 pi still adds its cycle).  It grows by exactly ``2 pi f period
-    + delta`` from one burst start to the next, so the burst holding a
-    crossing follows by division.  Within its burst a crossing has the
-    settled closed form unless it lands before the offset settles, where
-    ``_burst_crossing_time`` bisects it.  The state ends at ``final_phase``.
+    across 2 pi still adds its cycle), and the burst holding a crossing from
+    the total phase at each burst start, 2 pi f i period + A_i on from the
+    first: by division where the bursts converge, which makes that linear
+    in i, else by a vectorised bisection.  A crossing inside burst i's
+    relaxation stretch is bisected by ``_burst_crossing_time`` from A_i and
+    d_i; any other has the settled closed form at A_{i+1}.
     """
     if state.injection is not None:
         raise PlanError("a phase-advance burst cannot run while a sustained "
                         "injection is on")
+    if start < state.wall_time:
+        raise PlanError(f"burst starts at {start} s before wall time {state.wall_time} s")
+    freq, tau = config.nominal_freq, config.convergence_time_constant
+    lag, kept = _train_offsets(offset, delta, count, duration, tau)
+    advanced = count * delta + float(lag * kept(np.float64(count)))
+    final_phase = wrap_phase(state.osc_phase + advanced)
     if start > state.wall_time:
         state = _step(state, config, start, sink)
     t_end = start + (count - 1) * period + duration
@@ -382,29 +433,45 @@ def _advance(
         # No crossing to count, but the bursts still drag the phase: the
         # watchdog stops the counter, not the oscillator.
         frozen = state.frozen or _freeze_due(config, t_end, state.last_edge_time)
-        return replace(state, wall_time=t_end, osc_phase=final_phase, frozen=frozen), 0
+        state = replace(state, wall_time=t_end, osc_phase=final_phase, frozen=frozen)
+        return TrainResult(state, 0, advanced)
 
-    freq, tau = config.nominal_freq, config.convergence_time_constant
     theta_star = math.asin(thr / state.osc_amplitude)
     beta2 = state.osc_phase
     n0 = _crossing_index(start, freq, beta2, theta_star)
     n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
     phase0 = TWO_PI * freq * start + beta2
     burst_gain = TWO_PI * freq * period + delta
-    settle = min(duration, FULL_CONVERGENCE_FACTOR * tau)
+    converged = duration >= FULL_CONVERGENCE_FACTOR * tau
+    settle = FULL_CONVERGENCE_FACTOR * tau if converged else duration
+
+    def burst_of(n: np.ndarray) -> np.ndarray:
+        """The last burst that starts at or before each crossing ``n``."""
+        target = theta_star + TWO_PI * n - phase0
+        if converged:   # burst i >= 1 starts i * burst_gain + lag on
+            return np.floor((target - lag) / burst_gain).clip(0, count - 1)
+        lo, hi = np.zeros_like(n), np.full_like(n, count - 1.0)
+        while (lo < hi).any():
+            mid = np.ceil(0.5 * (lo + hi))
+            started = mid * burst_gain + lag * kept(mid) <= target
+            lo, hi = np.where(started, mid, lo), np.where(started, hi, mid - 1.0)
+        return lo
 
     def time_of(n: np.ndarray) -> np.ndarray:
-        i = np.floor((theta_star + TWO_PI * n - phase0) / burst_gain).clip(0, count - 1)
-        t = _crossing_time(n, freq, beta2 + i * delta + delta, theta_star)
-        for k in (t < start + i * period + settle).nonzero()[0].tolist():
-            b = float(i[k])
-            t[k] = _burst_crossing_time(float(n[k]), theta_star, freq, beta2 + b * delta,
-                                        delta, tau, start + b * period, settle)
+        i = burst_of(n)
+        t = _crossing_time(n, freq, beta2 + i * delta + (delta + lag * kept(i + 1.0)),
+                           theta_star)
+        relaxing = (t < start + i * period + settle).nonzero()[0]
+        for k, b, gained in zip(relaxing.tolist(), i[relaxing].tolist(),
+                                (lag * kept(i[relaxing])).tolist()):
+            t[k] = _burst_crossing_time(float(n[k]), theta_star, freq,
+                                        beta2 + (b * delta + gained), offset - gained,
+                                        tau, start + b * period, settle)
         return t
 
     state = _cross(state, config, n0, n1, time_of, sink,
                    wall_time=t_end, osc_phase=final_phase)
-    return state, 0 if state.frozen else n1 - n0
+    return TrainResult(state, 0 if state.frozen else n1 - n0, advanced)
 
 
 def _stall_train(
@@ -541,24 +608,14 @@ def _apply_phase_advance(
         raise PlanError(
             f"burst starts at {burst.start} s before wall time {state.wall_time} s"
         )
-    beta1 = burst.signal.phase
-    delta = wrap_phase(beta1 - state.osc_phase)
-    if delta <= 1e-12 or TWO_PI - delta <= 1e-12:
+    offset = wrap_phase(burst.signal.phase - state.osc_phase)
+    if offset <= LEAD_MARGIN or TWO_PI - offset <= LEAD_MARGIN:
         # Already aligned: the burst only holds the phase where it is.
         if burst.start > state.wall_time:
             state = _step(state, config, burst.start, sink)
         return _step(state, config, burst.end, sink)
-    if delta >= math.pi:
-        raise PlanError(
-            f"phase offset {delta:.6f} rad outside (0, pi); a leading burst "
-            "cannot drag the phase backward"
-        )
-    advanced = delta - _burst_phase_path(delta, config.convergence_time_constant,
-                                         burst.duration)
-    # At full convergence the phase snaps exactly onto the injected one.
-    final_phase = beta1 if advanced == delta else wrap_phase(state.osc_phase + advanced)
     return _advance(state, config, burst.start, 1, burst.duration, burst.duration,
-                    delta, advanced, final_phase, sink)[0]
+                    offset, offset, sink).state
 
 
 def apply_phase_advance_with_events(
@@ -574,13 +631,6 @@ def apply_phase_advance(state: RtcState, config: RtcConfig, burst: InjectionBurs
     return _apply_phase_advance(state, config, burst, None)
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    state: RtcState
-    crossings: int
-    phase_advanced: float
-
-
 def run_uniform_train(
     state: RtcState,
     config: RtcConfig,
@@ -592,29 +642,14 @@ def run_uniform_train(
     start: Optional[float] = None,
     sink: Optional[TickSink] = None,
 ) -> TrainResult:
-    """Closed-form run of ``count`` identical fully-converging bursts.
-
-    Each burst steps the injected phase ``delta`` ahead of the oscillation,
-    so the phase offset grows by exactly ``count * delta`` over the train.
-    The cost does not grow with ``count`` (see ``_advance``).  Ticks go to
-    ``sink`` when given.
-    """
+    """Closed-form run of ``count`` identical bursts, the first ``delta``
+    ahead of the oscillation and each next signal ``delta`` further on (see
+    ``_advance``): bursts too short to converge meet growing offsets, and a
+    train on which one would not lead is refused.  Ticks go to ``sink``."""
     if count < 1:
         raise PlanError(f"a train needs at least one burst, got {count}")
-    if not 0.0 < delta < math.pi:
-        raise PlanError(f"phase step must lie in (0, pi), got {delta}")
     if duration <= 0.0 or period < duration:
         raise PlanError("bursts must have positive duration and not overlap")
-    if duration < FULL_CONVERGENCE_FACTOR * config.convergence_time_constant:
-        raise PlanError(
-            "uniform-train fast path requires full convergence "
-            f"(duration >= {FULL_CONVERGENCE_FACTOR} time constants)"
-        )
     if start is None:
         start = state.wall_time
-    if start < state.wall_time:
-        raise PlanError("train cannot start in the past")
-    advanced = count * delta
-    state, crossings = _advance(state, config, start, count, period, duration, delta,
-                                advanced, wrap_phase(state.osc_phase + advanced), sink)
-    return TrainResult(state, crossings, advanced)
+    return _advance(state, config, start, count, period, duration, delta, delta, sink)

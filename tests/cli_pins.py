@@ -9,8 +9,12 @@ returns the exit code, the stderr text and the output: its text, or for
 row count and ``end`` row.  ``tests/test_cli_pins.py`` compares every case
 with ``data/cli_pins.json``.
 
-A refactor must leave these outputs unchanged.  A change that alters one
-on purpose regenerates the file with
+A refactor must leave these outputs unchanged.
+
+    PYTHONPATH=src python tests/cli_pins.py --check
+
+lists the cases whose output differs from the file and writes nothing.  A
+change that alters one on purpose regenerates the file with
 
     PYTHONPATH=src python tests/cli_pins.py
 
@@ -25,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,11 +51,18 @@ FORWARD_32BIT = {
     "rtc.divider_reload": 32,
 }
 
-# 1e-5 s is below five convergence time constants (15 us), so the bursts
-# run one by one instead of as a closed-form train.
+# 1e-5 s is below five convergence time constants (15 us), so each burst
+# leaves part of its offset: the bursts meet offsets that grow from pi/2
+# toward 1.63 rad.
 FORWARD_LOOP = {
     "goal": {"direction": "forward", "window_a_s": 1.0, "drift_b_cycles": 100.0},
     "attack": {"single_duration_t1_s": 1e-5, "phase_step_rad": math.pi / 2},
+    "rtc.mode": "thirtytwo_bit",
+}
+
+FORWARD_PAST_PI = {
+    "goal": {"direction": "forward", "window_a_s": 1.0, "drift_b_cycles": 100.0},
+    "attack.single_duration_t1_s": 2e-6,
     "rtc.mode": "thirtytwo_bit",
 }
 
@@ -79,6 +91,11 @@ CASES: dict[str, tuple] = {
     # stretch checks the watchdog at its first crossing only.
     "simulate-forward-loop-freeze": (
         {**FORWARD_LOOP, "rtc.freeze_timeout_s": 3e-5}, ["simulate"]),
+    # 2 us bursts and the default step of 11 pi / 12: the offsets tend to
+    # 5.9 rad, and the second burst would meet 4.36 rad, past pi, where it
+    # no longer leads.  Refused with exit 3.
+    "plan-forward-offset-past-pi": (FORWARD_PAST_PI, ["plan"]),
+    "simulate-forward-offset-past-pi": (FORWARD_PAST_PI, ["simulate"]),
     "dispersion-sweep-freq": ({}, ["dispersion", "--sweep",
                                    "freq_hz=20000:40000:5"]),
     "dispersion-sweep-thickness": ({}, ["dispersion", "--sweep",
@@ -94,6 +111,9 @@ CASES: dict[str, tuple] = {
         "attack": {"single_duration_t1_s": 1e-5, "phase_step_rad": math.pi / 2},
     }, ["plan"]),
     "refuse-numeric-exit-4": ({"rtc.nominal_freq_hz": 1e9}, ["dispersion"]),
+    # A sweep whose span stop - start overflows is refused with exit 2.
+    "refuse-sweep-overflow-exit-2": ({}, ["bp", "--sweep",
+                                          "freq_shift_hz=-1.7e308:1.7e308:3"]),
     # 1 s of 1e-8 s stalls is 1e8 bursts in a window of 31 rows: refused by
     # the burst cap that ``plan`` has, before the stalls are walked.
     "refuse-simulate-burst-cap-exit-2": ({"attack.burst_duration_s": 1e-8,
@@ -149,12 +169,26 @@ def record(name: str) -> dict:
     return result
 
 
-def main() -> None:
+def main(argv) -> int:
+    """Regenerate the pin file, or with ``--check`` list the cases whose
+    output differs from it (or that it lacks or no longer has) and exit 1 if
+    there are any."""
     pins = {name: record(name) for name in CASES}
+    if argv == ["--check"]:
+        pinned = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+        changed = sorted(name for name in pins.keys() | pinned.keys()
+                         if pins.get(name) != pinned.get(name))
+        for name in changed:
+            print(name)
+        return 1 if changed else 0
+    if argv:
+        print("usage: cli_pins.py [--check]", file=sys.stderr)
+        return 2
     PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n",
                          encoding="utf-8")
     print(f"wrote {len(pins)} cases to {PINS_PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -8,6 +8,7 @@ or direct transcription of closed forms.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -104,6 +105,85 @@ def stall_train_crossings(freq, amplitude, threshold, phase, starts, duration,
     free = crossings_by(starts[1:]) - crossings_by(ends[:-1])
     jumps = amplitude * np.sin(TWO_PI * freq * ends + phase) > threshold
     return int(free.sum()) + int(np.count_nonzero(jumps))
+
+
+# --- a plan run burst by burst ------------------------------------------------
+
+def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,
+              sink=None):
+    """``planner.simulate_plan`` burst by burst: the reference both of its
+    closed-form kernels, the stall train and the phase-advance train, are
+    held to.  Takes any sequence of bursts and returns a ``PlanRun``.
+
+    Each burst meets the offset between its signal's phase and the
+    oscillation's.  A burst that leads (``rtc._leads``) runs as one
+    phase-advance burst; any other as a stall, four transitions: a step to
+    its start, the injection on, a step to its end and the injection off.  A
+    plan whose phase step is nonzero, or whose first burst leads, is a
+    forward plan: a burst of it that does not lead is refused with
+    ``PlanError`` naming it, as the phase-advance train refuses it.
+    """
+    from driftlab.planner import PlanRun
+    from driftlab.rtc import (PlanError, _apply_phase_advance, _leads, _step,
+                              _with_injection, initial_state, measure_drift,
+                              tick_collector)
+    from driftlab.signals import wrap_phase
+
+    if state is None:
+        state = initial_state(config)
+    start_wall, start_rtc, start_counter = state.wall_time, state.rtc_time, state.counter
+    events = []
+    if sink is None and collect_ticks:
+        sink = tick_collector(events)
+    planned = math.pi if plan.phase_step_delta is None else plan.phase_step_delta
+    forward = getattr(plan.bursts, "phase_step", 0.0) != 0.0
+    prediction_error = 0.0
+    for i, burst in enumerate(plan.bursts):
+        delta = wrap_phase(burst.signal.phase - state.osc_phase)
+        gap = wrap_phase(delta - planned)
+        prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
+        forward = forward or (i == 0 and _leads(delta))
+        if _leads(delta):
+            state = _apply_phase_advance(state, config, burst, sink)
+        elif forward:
+            raise PlanError(f"burst {i} meets a phase offset of {delta!r} rad")
+        else:
+            if burst.start > state.wall_time:
+                state = _step(state, config, burst.start, sink)
+            state = _with_injection(state, config, burst.signal, sink)
+            state = _step(state, config, burst.end, sink)
+            state = _with_injection(state, config, None, sink)
+    if until is not None and until > state.wall_time:
+        state = _step(state, config, until, sink)
+    ticks = round((state.rtc_time - start_rtc) / config.tick_period)
+    return PlanRun(
+        state=state,
+        ticks=events,
+        drift=measure_drift(state) - (start_rtc - start_wall),
+        crossings_counted=ticks * config.divider_reload + (start_counter - state.counter),
+        phase_prediction_error=prediction_error,
+    )
+
+
+def load_plan_jsonl(fh, frequency=32768.0):
+    """The bursts of a plan that ``planner.export_plan_jsonl`` wrote."""
+    from driftlab.rtc import InjectionBurst
+    from driftlab.signals import Sinusoid
+
+    bursts = []
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        rec = json.loads(line)
+        bursts.append(
+            InjectionBurst(
+                start=rec["start_s"],
+                duration=rec["duration_s"],
+                signal=Sinusoid(rec["amplitude_v"], frequency, rec["phase_rad"]),
+            )
+        )
+    return bursts
 
 
 # --- dispersion oracle -------------------------------------------------------

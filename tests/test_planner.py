@@ -1,11 +1,13 @@
 import math
+import re
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from driftlab import rtc
@@ -23,23 +25,23 @@ from driftlab.planner import (
     PhaseMap,
     calibrate_phase_map,
     export_plan_jsonl,
-    load_plan_jsonl,
+    forward_offsets,
     plan_backward,
     plan_forward,
     simulate_plan,
     stall_gap,
 )
 from driftlab.rtc import (
+    PlanError,
     RtcConfig,
     initial_state,
-    run_uniform_train,
     step,
     with_injection,
 )
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
-from oracles import stall_train_crossings
-from test_rtc import _opposing, _start
+from oracles import load_plan_jsonl, plan_loop, stall_train_crossings
+from test_rtc import _opposing, _phase_gap, _start
 
 F = 32768.0
 
@@ -165,15 +167,16 @@ class TestPlanForward:
         assert run.crossings_counted - free == 12
 
     def test_fast_path_agrees_with_loop(self, monkeypatch):
-        # Uniform forward trains of every length take the closed form; the
+        # Forward trains of every length run as one closed-form train; the
         # per-burst loop over the same bursts is the reference.
         trains = []
 
-        def spy(*args, **kwargs):
-            trains.append(kwargs["count"])
-            return run_uniform_train(*args, **kwargs)
+        def spy(*args):
+            trains.append(args[3])
+            return real(*args)
 
-        monkeypatch.setattr(planner, "run_uniform_train", spy)
+        real = planner._advance
+        monkeypatch.setattr(planner, "_advance", spy)
         cfg = RtcConfig(divider_reload=32, mode="thirtytwo_bit")
         for window, cycles, k in ((1.0, 12.0, 48), (2.0, 600.0, 2400)):
             trains.clear()
@@ -183,10 +186,7 @@ class TestPlanForward:
             fast = simulate_plan(plan, cfg, until=window)
             quiet = simulate_plan(plan, cfg, until=window, collect_ticks=False)
             assert quiet.state == fast.state and quiet.ticks == []
-            # a plain burst list without a phase step runs burst by burst
-            loop_plan = replace(plan, bursts=list(plan.bursts),
-                                phase_step_delta=None)
-            slow = simulate_plan(loop_plan, cfg, until=window)
+            slow = plan_loop(plan, cfg, until=window)
             assert trains == [k, k]
             streamed = []
             sunk = simulate_plan(plan, cfg, until=window, sink=lambda wall, rtc:
@@ -202,6 +202,46 @@ class TestPlanForward:
             for a, b in zip(fast.ticks, slow.ticks):
                 assert a.rtc_time == b.rtc_time
                 assert abs(a.time - b.time) <= 1e-12
+
+    def test_plain_list_refused(self):
+        plan = plan_forward(_forward_goal(1.0, 1.0), 1e-5, math.pi / 2,
+                            amplitude=0.005)
+        with pytest.raises(TypeError, match="BurstTrain, not a list"):
+            simulate_plan(replace(plan, bursts=list(plan.bursts)), RtcConfig())
+
+    def test_hundred_thousand_short_bursts(self):
+        # 1e-5 s bursts, under five time constants; the loop takes about
+        # 70 us a burst, 7 s for these.
+        cfg = RtcConfig(mode="thirtytwo_bit")
+        plan = plan_forward(_forward_goal(100.0, 25_000.0), 1e-5, math.pi / 2,
+                            amplitude=0.005)
+        assert plan.burst_count_k == 100_000
+        began = time.perf_counter()
+        run = simulate_plan(plan, cfg, collect_ticks=False)
+        assert time.perf_counter() - began < 0.1
+        # The offsets grow from pi/2 toward L = (pi/2) / (1 - g), where each
+        # burst drags a whole step, so the plan falls short of its 25,000
+        # cycles by (L - pi/2) / 2 pi, 0.009 of a cycle.
+        g = math.exp(-1e-5 / cfg.convergence_time_constant)
+        shortfall = math.pi / 2 / (1.0 - g) - math.pi / 2
+        assert _phase_gap(run.state.osc_phase, -shortfall) < 1e-9
+        assert run.crossings_counted - simulate_free(cfg, plan.span) in (24_999, 25_000)
+        assert run.phase_prediction_error == pytest.approx(shortfall, rel=1e-9)
+
+    def test_offset_past_pi_refused(self):
+        # 2 us bursts leave g = exp(-2/3) of each offset, so the default step
+        # of 11 pi / 12 drives the offsets toward 5.9 rad: the second burst
+        # already meets 4.36 rad.  The per-burst loop ran it as a stall.
+        cfg = RtcConfig(mode="thirtytwo_bit")
+        plan = plan_forward(_forward_goal(1.0, 100.0), 2e-6, 11 * math.pi / 12,
+                            amplitude=0.005)
+        named = r"^burst 1 meets a phase offset of 4\.358.* L = 5\.918"
+        with pytest.raises(PlanError, match=named):
+            forward_offsets(plan, cfg)
+        with pytest.raises(PlanError, match=named):
+            simulate_plan(plan, cfg)
+        with pytest.raises(PlanError, match=r"^burst 1 meets"):
+            plan_loop(plan, cfg)
 
 
 class TestSimulateSink:
@@ -239,28 +279,28 @@ def _stall_plan(start, count, period, duration, amplitude, phase0):
 
 
 def _kernel_and_loop(plan, cfg, state, until):
-    """``simulate_plan`` on ``plan`` and on its bursts as a plain list, each
-    with the ticks its sink received, and the burst counts the stall kernel
-    was called with."""
+    """``simulate_plan`` and the per-burst loop oracle on ``plan``, each with
+    the ticks its sink received, and the burst counts the stall kernel was
+    called with."""
     calls = []
 
     def spy(*args):
         calls.append(args[3])
         return real(*args)
 
-    def run(plan):
+    def run(simulate):
         ticks = []
 
         def sink(wall_times, rtc_times):
             assert 0 < len(wall_times) == len(rtc_times) <= rtc.TICK_CHUNK
             ticks.extend(zip(wall_times.tolist(), rtc_times.tolist()))
 
-        return simulate_plan(plan, cfg, state, until=until, sink=sink), ticks
+        return simulate(plan, cfg, state, until=until, sink=sink), ticks
 
     real = planner._stall_train
     with mock.patch.object(planner, "_stall_train", spy):
-        kernel = run(plan)
-        loop = run(replace(plan, bursts=list(plan.bursts)))
+        kernel = run(simulate_plan)
+        loop = run(plan_loop)
     return kernel, loop, calls
 
 
@@ -368,6 +408,120 @@ class TestStallTrain:
                                    amplitude=0.005), cfg)
 
 
+def _forward_plan(start, count, period, duration, step, phase0):
+    train = BurstTrain(start=start, period=period, duration=duration, count=count,
+                       amplitude=0.005, frequency=F, phase0=phase0, phase_step=step)
+    return AttackPlan(bursts=train, burst_count_k=count, single_duration_t1=duration,
+                      pause_t2=period - duration, phase_step_delta=step)
+
+
+def _offsets(first, step, count, duration, tau):
+    """Every offset a forward train's bursts meet, by the recurrence
+    d_{i+1} = g d_i + step with g = exp(-duration / tau), or 0 from 5 tau."""
+    g = 0.0 if duration >= 5.0 * tau else math.exp(-duration / tau)
+    offsets = [first]
+    for _ in range(count - 1):
+        offsets.append(g * offsets[-1] + step)
+    return offsets
+
+
+def _run(simulate, plan, cfg, state, until):
+    """The run, or the burst its ``PlanError`` names, and the ticks."""
+    ticks = []
+
+    def sink(wall_times, rtc_times):
+        ticks.extend(zip(wall_times.tolist(), rtc_times.tolist()))
+
+    try:
+        return simulate(plan, cfg, state, until=until, sink=sink), ticks
+    except PlanError as exc:
+        return int(re.match(r"burst (\d+) ", str(exc))[1]), ticks
+
+
+def _close(run, ticks, want, want_ticks):
+    """Equal counts and freeze state; times and phases within 1e-12."""
+    k, w = run.state, want.state
+    assert (k.counter, k.rtc_time, k.frozen) == (w.counter, w.rtc_time, w.frozen)
+    assert abs(k.last_edge_time - w.last_edge_time) <= 1e-12
+    assert abs(k.wall_time - w.wall_time) <= 1e-12
+    assert _phase_gap(k.osc_phase, w.osc_phase) <= 1e-12
+    assert [r for _, r in ticks] == [r for _, r in want_ticks]
+    assert all(abs(a - b) <= 1e-12 for (a, _), (b, _) in zip(ticks, want_ticks))
+
+
+# Forward trains for the kernel properties: bursts on both sides of five
+# time constants (15 us), a step in (0, pi), and a first burst that meets
+# either the step or an offset of its own.
+FORWARD_CASES = dict(
+    kind=st.sampled_from(["fresh", "stalled", "overdue", "frozen", "weak"]),
+    reload=st.sampled_from([1, 3, 32, 32768]),
+    timeout=st.sampled_from([1e-3, 2.5e-3]),
+    free_until=st.floats(1e-6, 5e-4),
+    quiet=st.floats(0.0, 0.98),
+    late=st.floats(0.01, 0.99),
+    count=st.integers(1, 40),
+    step=st.floats(1e-3, math.pi - 1e-3),
+    first=st.one_of(st.none(), st.floats(1e-3, math.pi - 1e-3)),
+    duration=st.one_of(st.floats(1e-7, 1.5e-5), st.floats(1.5e-5, 6e-5)),
+    pause=st.one_of(st.just(0.0), st.floats(0.0, 2e-4)),
+    lead=st.sampled_from([0.0, 3.7e-6, 1e-4]),
+)
+
+
+def _forward_case(kind, reload, timeout, free_until, quiet, late, count, step,
+                  first, duration, pause, lead):
+    """A start state and a forward plan from it; every offset its bursts meet
+    lies at least 1e-9 from the bounds (1e-12, pi - 1e-12) of a lead."""
+    cfg = RtcConfig(divider_reload=reload, freeze_timeout=timeout)
+    state = _start(kind, cfg, free_until, quiet, late)
+    first = step if first is None else first
+    offsets = _offsets(first, step, count, duration, cfg.convergence_time_constant)
+    assume(all(abs(d - bound) > 1e-9 for d in offsets
+               for bound in (1e-12, math.pi - 1e-12)))
+    plan = _forward_plan(state.wall_time + lead, count, duration + pause, duration,
+                         step, state.osc_phase + first)
+    return cfg, state, plan
+
+
+class TestForwardTrain:
+    """Every forward train runs as one closed-form train, held to the
+    per-burst loop oracle over the same bursts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**FORWARD_CASES, tail=st.one_of(st.none(), st.floats(0.0, 2e-3)))
+    def test_kernel_matches_the_loop_from_any_start(self, tail, **case):
+        cfg, state, plan = _forward_case(**case)
+        until = None if tail is None else plan.span + plan.bursts.start + tail
+        kernel, ticks = _run(simulate_plan, plan, cfg, state, until)
+        loop, want = _run(plan_loop, plan, cfg, state, until)
+        if isinstance(loop, int) or isinstance(kernel, int):
+            assert kernel == loop       # the same burst is refused
+            return
+        _close(kernel, ticks, loop, want)
+        assert kernel.phase_prediction_error == pytest.approx(
+            loop.phase_prediction_error, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**FORWARD_CASES, cut=st.floats(0.0, 1.0))
+    def test_a_train_cut_in_two_runs_as_one(self, cut, **case):
+        # The second part starts from the first's end state, so its first
+        # burst meets whatever offset the first part left: off the step
+        # whenever the bursts do not converge.
+        assume(case["count"] >= 2)
+        cfg, state, plan = _forward_case(**case)
+        whole, ticks = _run(simulate_plan, plan, cfg, state, None)
+        assume(not isinstance(whole, int))
+        train, j = plan.bursts, 1 + int(cut * (case["count"] - 2))
+        head = _forward_plan(train.start, j, train.period, train.duration,
+                             train.phase_step, train.phase0)
+        tail = _forward_plan(train.start + j * train.period, train.count - j,
+                             train.period, train.duration, train.phase_step,
+                             train.phase0 + j * train.phase_step)
+        first, split = _run(simulate_plan, head, cfg, state, None)
+        second, more = _run(simulate_plan, tail, cfg, first.state, None)
+        _close(second, split + more, whole, ticks)
+
+
 class TestBurstTrain:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -384,10 +538,10 @@ class TestBurstTrain:
         ends = [b.end for b in train[:-1]]
         assert all(b.start >= end for b, end in zip(train[1:], ends))
 
-    def test_pause_below_an_ulp_runs_burst_by_burst(self):
+    def test_pause_below_an_ulp_matches_the_loop(self):
         # A pause below an ulp of t1, and t1 under five time constants: the
         # per-burst loop refused this plan, a burst starting one ulp before
-        # the previous one ended.
+        # the previous one ended, until the train widened its period.
         t1 = 1.1253403564761672e-05
         window = 0.00022506807129523345
         plan = plan_forward(_forward_goal(window, 5.0), t1, math.pi / 2,
@@ -395,7 +549,11 @@ class TestBurstTrain:
         assert 0.0 < plan.pause_t2 < math.ulp(t1)
         cfg = RtcConfig(mode="thirtytwo_bit")
         run = simulate_plan(plan, cfg, until=window)
-        assert run.state.wall_time == plan.span
+        loop = plan_loop(plan, cfg, until=window)
+        assert run.state.wall_time == loop.state.wall_time == plan.span
+        assert (run.state.counter, run.state.rtc_time) == (loop.state.counter,
+                                                            loop.state.rtc_time)
+        assert _phase_gap(run.state.osc_phase, loop.state.osc_phase) < 1e-12
 
 
 def simulate_free(cfg, until):

@@ -319,12 +319,25 @@ class TestPhaseAdvance:
         assert st_fast.osc_phase == pytest.approx(st_loop.osc_phase, abs=1e-9)
         assert result.phase_advanced == pytest.approx(k * delta, rel=1e-12)
 
-    def test_train_requires_full_convergence(self):
-        with pytest.raises(PlanError):
-            run_uniform_train(
-                initial_state(CAL), CAL, count=10, period=1e-4,
-                duration=1e-6, delta=0.5,
-            )
+    def test_train_runs_bursts_too_short_to_converge(self):
+        # 1 us bursts leave g = exp(-1/3) of each offset, so a step of 0.5
+        # rad drives the offsets toward 0.5 / (1 - g) = 1.76 rad.
+        cfg = RtcConfig(divider_reload=1)
+        train = dict(count=10, period=1e-4, duration=1e-6, delta=0.5, start=0.0)
+        result = run_uniform_train(initial_state(cfg), cfg, **train)
+        loop = _burst_loop(initial_state(cfg), cfg,
+                           _train_bursts(initial_state(cfg), **train))
+        g = math.exp(-1.0 / 3.0)
+        limit = 0.5 / (1.0 - g)
+        want = 10 * 0.5 + (0.5 - limit) * (1.0 - g ** 10)
+        assert result.phase_advanced == pytest.approx(want, rel=1e-12)
+        assert (result.state.counter, result.state.rtc_time) == (loop.counter, loop.rtc_time)
+        assert _phase_gap(result.state.osc_phase, loop.osc_phase) < 1e-12
+        # A step of 0.9 rad drives them toward 3.17 rad, past pi at burst 13.
+        long = {**train, "delta": 0.9, "count": 13}
+        run_uniform_train(initial_state(cfg), cfg, **long)
+        with pytest.raises(PlanError, match=r"^burst 13 meets .* L = 3\.17"):
+            run_uniform_train(initial_state(cfg), cfg, **{**long, "count": 20})
 
 
 def _train_bursts(state, count, period, duration, delta, start):

@@ -26,7 +26,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from driftlab.cli import main
+from driftlab.cli import COMMANDS as CLI_COMMANDS, main
 from driftlab.config import SCHEMA, ConfigError, parse_scenario
 from test_cli import BASE_CONFIG
 from test_config import COMPONENTS
@@ -52,6 +52,11 @@ NEAR = {"freeze_timeout_s": [math.nextafter(CYCLE, 0.0), CYCLE,
                              math.nextafter(CYCLE, 1.0), 2.0 * CYCLE, 0.5, 0.50002,
                              0.5 + CYCLE, 0.50005, 0.5 + 2.0 * CYCLE]}
 COMMANDS = ["dispersion", "calibrate", "plan", "simulate", "bp", "counter"]
+# Sweep spans START:STOP:STEPS.  With one drawn, each command also runs each
+# key it sweeps over the span.
+ENDS = [-1.7e308, -1.0, 0.0, 5e-324, 1.0, 2e4, 1.7e308]
+SPANS = st.one_of(st.none(), st.builds("{!r}:{!r}:{}".format, st.sampled_from(ENDS),
+                                       st.sampled_from(ENDS), st.sampled_from([1, 3])))
 BEFORE = b"earlier result\n"
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 
@@ -126,36 +131,51 @@ def test_parse_gives_scenario_or_config_error(cfg):
 # watchdog, and one below a cycle latched it or not by how a stretch was cut.
 # A zeta of 1e308 made counter write nan at omega = 0, and 1e-8 s bursts
 # made simulate walk 1e8 stalls, about 90 s, for a window of 31 rows.
+# A sweep span that overflows made bp write nan and inf rows and exit 0.
+# Forward bursts of 2 us at the default step passed, but only because the
+# fuzz does not check the drift: simulate exited 0 with a third of the goal,
+# its bursts meeting offsets past pi from the second on.  The span now
+# exits 2 and the bursts 3.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=mutated_configs())
-@example(cfg=_with("goal.window_a_s", 1e300))
-@example(cfg=_with("rtc.nominal_freq_hz", 1e9))
-@example(cfg=_with("medium.thickness_mm", 1e9))
-@example(cfg=_with("damping.zeta", 1e300))
-@example(cfg=_with("damping.zeta", 5e-324))
-@example(cfg=_with("phase_grid", 10 ** 12))
-@example(cfg=_with("damping.mass_kg", 5e-324, BASES[1]))
-@example(cfg=_with("crystal.tip_mass_kg", 1e300))
-@example(cfg=_with("crystal.thickness_m", 2.2250738585072014e-308))
-@example(cfg=_with("damping.natural_freq_rad_s", 4.5e307))
-@example(cfg=_with("medium.thickness_mm", 2.2250738585072014e-308))
+@given(cfg=mutated_configs(), sweep=SPANS)
+@example(cfg=_with("goal.window_a_s", 1e300), sweep=None)
+@example(cfg=_with("rtc.nominal_freq_hz", 1e9), sweep=None)
+@example(cfg=_with("medium.thickness_mm", 1e9), sweep=None)
+@example(cfg=_with("damping.zeta", 1e300), sweep=None)
+@example(cfg=_with("damping.zeta", 5e-324), sweep=None)
+@example(cfg=_with("phase_grid", 10 ** 12), sweep=None)
+@example(cfg=_with("damping.mass_kg", 5e-324, BASES[1]), sweep=None)
+@example(cfg=_with("crystal.tip_mass_kg", 1e300), sweep=None)
+@example(cfg=_with("crystal.thickness_m", 2.2250738585072014e-308), sweep=None)
+@example(cfg=_with("damping.natural_freq_rad_s", 4.5e307), sweep=None)
+@example(cfg=_with("medium.thickness_mm", 2.2250738585072014e-308), sweep=None)
 @example(cfg=_with("attack.burst_duration_s", sys.float_info.min,
-                   _with("goal.drift_b_s", 1.5)))
-@example(cfg=_with("rtc.freeze_timeout_s", 0.50002))
-@example(cfg=_with("rtc.freeze_timeout_s", 3e-5))
-@example(cfg=_with("damping.zeta", 1e308))
-@example(cfg=_with("attack.burst_duration_s", 1e-8, _with("goal.drift_b_s", 1.0)))
-def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg):
+                   _with("goal.drift_b_s", 1.5)), sweep=None)
+@example(cfg=_with("rtc.freeze_timeout_s", 0.50002), sweep=None)
+@example(cfg=_with("rtc.freeze_timeout_s", 3e-5), sweep=None)
+@example(cfg=_with("damping.zeta", 1e308), sweep=None)
+@example(cfg=_with("attack.burst_duration_s", 1e-8, _with("goal.drift_b_s", 1.0)),
+         sweep=None)
+@example(cfg=_with("attack.single_duration_t1_s", 2e-6, _with(
+    "rtc.mode", "thirtytwo_bit", _with("goal", {"direction": "forward", "window_a_s": 1.0,
+                                               "drift_b_cycles": 100.0}))),
+         sweep=None)
+@example(cfg=BASE_CONFIG, sweep="-1.7e308:1.7e308:3")
+def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg, sweep):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
         config.write_text(json.dumps(cfg))
         out = Path(tmp) / "out.csv"
-        for command in COMMANDS:
+        runs = [(command, []) for command in COMMANDS]
+        if sweep is not None:
+            runs += [(command, ["--sweep", f"{key}={sweep}"])
+                     for command in COMMANDS for key in CLI_COMMANDS[command][2]]
+        for command, extra in runs:
             out.write_bytes(BEFORE)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                rc = main([command, "--config", str(config), "--out", str(out)])
+                rc = main([command, "--config", str(config), "--out", str(out), *extra])
             assert rc in (0, 2, 3, 4), (command, rc)
             assert "Traceback" not in err.getvalue()
             if rc != 0:
