@@ -340,22 +340,25 @@ def _cmd_bp(scenario: Scenario, sweep, fh) -> int:
                          for v in values]
         except SubnormalShiftError as exc:
             raise ConfigError([f"--sweep {key}: {exc}"]) from None
+    # Every row is computed before the header, so a refusal writes nothing.
+    rows = []
+    for s in cases:
+        try:
+            delta_s, delta_d, new_rate = bp_error(s)
+        except DeflationStallError:
+            rows.append([_fmt(s.freq_shift), "", "", "", "", "", "stall"])
+            continue
+        rows.append(
+            [_fmt(s.freq_shift), _fmt(delta_s), _fmt(delta_d), _fmt(new_rate),
+             _fmt(s.systolic + delta_s), _fmt(s.diastolic + delta_d), "ok"]
+        )
     writer = _csv_writer(fh)
     writer.writerow(
         ["freq_shift_hz", "delta_systolic_mmhg", "delta_diastolic_mmhg",
          "new_rate_mmhg_per_s", "reported_systolic_mmhg",
          "reported_diastolic_mmhg", "status"]
     )
-    for s in cases:
-        try:
-            delta_s, delta_d, new_rate = bp_error(s)
-        except DeflationStallError:
-            writer.writerow([_fmt(s.freq_shift), "", "", "", "", "", "stall"])
-            continue
-        writer.writerow(
-            [_fmt(s.freq_shift), _fmt(delta_s), _fmt(delta_d), _fmt(new_rate),
-             _fmt(s.systolic + delta_s), _fmt(s.diastolic + delta_d), "ok"]
-        )
+    writer.writerows(rows)
     return EXIT_OK
 
 
@@ -369,6 +372,12 @@ def _cmd_counter(scenario: Scenario, sweep, fh) -> int:
                 f"4 * {damping.omega_n!r} rad/s, which overflows"
             )
         sweep = ("omega_rad_s", np.linspace(0.0, top, 81).tolist())
+    synth = scenario.clock_synth
+    if synth is not None:
+        output = float(synth_output_freq(synth))
+        if math.isinf(output):
+            raise OverflowError(f"$.clock_synth: the output frequency {synth.pll_mult!r} * "
+                                f"{synth.ref_freq!r} / {synth.multisynth_div!r} Hz overflows")
     writer = _csv_writer(fh)
     writer.writerow(["section", "x", "value"])
     if damping is not None:
@@ -377,10 +386,8 @@ def _cmd_counter(scenario: Scenario, sweep, fh) -> int:
                 ["h_of_omega", _fmt(omega),
                  _fmt(damping_attenuation(damping, omega))]
             )
-    if scenario.clock_synth is not None:
-        writer.writerow(
-            ["synth_output_hz", "", _fmt(float(synth_output_freq(scenario.clock_synth)))]
-        )
+    if synth is not None:
+        writer.writerow(["synth_output_hz", "", _fmt(output)])
     return EXIT_OK
 
 

@@ -97,16 +97,22 @@ def bp_error(s: BpScenario) -> tuple[float, float, float]:
 
     A faster clock deflates the cuff faster than the controller assumes, so
     both pressure features are detected at too-high readings, proportionally
-    to their pressure drop from the starting cuff pressure.
+    to their pressure drop from the starting cuff pressure.  A shift that
+    takes an error, the rate or a reported pressure past the float range
+    raises ``OverflowError``.
     """
     shift = s.pressure_per_cycle * s.freq_shift
     new_rate = s.deflation_rate + shift
-    if new_rate <= 0.0:
+    delta_s = (s.initial_pressure - s.systolic) * shift / s.deflation_rate
+    delta_d = (s.initial_pressure - s.diastolic) * shift / s.deflation_rate
+    if math.isfinite(s.freq_shift) and new_rate <= 0.0:
         raise DeflationStallError(
             f"deflation rate {new_rate:.4g} mmHg/s; cuff stops deflating"
         )
-    delta_s = (s.initial_pressure - s.systolic) * shift / s.deflation_rate
-    delta_d = (s.initial_pressure - s.diastolic) * shift / s.deflation_rate
+    values = (delta_s, delta_d, new_rate, s.systolic + delta_s, s.diastolic + delta_d)
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"a timing shift of {s.freq_shift!r} Hz takes the pressure "
+                            f"errors past the float range")
     return delta_s, delta_d, new_rate
 
 

@@ -21,15 +21,17 @@ Phase convergence during a burst follows first-order relaxation toward the
 injected phase with a configurable time constant; a burst lasting at least
 five time constants is treated as fully converged and closes its whole
 offset; a shorter one leaves a share of it, so a train's offsets follow a
-geometric series, summed in closed form (``_advance``).  Crossings are timed a float64 array at a time: in a free
-stretch, and in a burst once the offset has settled, their times have the
-closed form; only a crossing inside the relaxation stretch is bisected.
+geometric series, summed in closed form (``_advance``).  Crossings are timed
+a float64 array at a time: in a free stretch, and in a burst once the offset
+has settled, their times have the closed form; only a crossing inside the
+relaxation stretch is bisected.
 
-A train of stall bursts is counted in closed form as well.  A stall moves no
-phase, so the waveform only switches between the free oscillation and one
-superposed sinusoid, and the crossings, jump edges and watchdog checks of a
-block of bursts follow from arrays of their start and end times
-(``_stall_train``).
+Both attacks reach the RTC only through the edges its divider counts, so
+every transition ends in one ledger, ``_cross``: it counts a run of segments,
+each the crossings of one sinusoid (``_stretch``), the jump edge of an
+injection switch (``_jump``) or a quiet stretch at or below the threshold,
+checks the freeze watchdog and emits the ticks.  A stall moves no phase, so a
+block of stall bursts is one run of four segments a burst (``_stall_train``).
 
 Ticks go to an optional sink, a callable that receives ``(wall_times,
 rtc_times)`` float64 arrays in time order, at most ``TICK_CHUNK`` ticks a
@@ -60,6 +62,12 @@ TICK_CHUNK = 4096
 
 # A burst drags the phase when it leads by (LEAD_MARGIN, pi - LEAD_MARGIN).
 LEAD_MARGIN = 1e-12
+
+# A gap the freeze watchdog checks is the difference of two computed times,
+# each a few ulps off, so a free cycle can measure a little over 1/f.  A gap
+# within this share of the wall time of one cycle counts as one, which never
+# latches the watchdog (a timeout exceeds a cycle), however a stretch is cut.
+ROUNDING = 2.0 ** -48
 
 # Receives (wall_times, rtc_times) of consecutive ticks.
 TickSink = Callable[[np.ndarray, np.ndarray], None]
@@ -184,18 +192,20 @@ def _active_waveform(
     return superpose(carrier, injection)
 
 
-def _crossing_index(t: float, freq: float, phase: float, theta_star: float) -> int:
-    """Number of upward level crossings with crossing time <= t."""
-    return math.floor(freq * t + (phase - theta_star) / TWO_PI)
+def _whole(x: np.ndarray, freq: float) -> np.ndarray:
+    """``floor(x)`` as int64 crossing numbers, which count exactly below 2**63;
+    past that a ``ValueError`` refuses the stretch."""
+    n = np.floor(x)
+    if not (abs(n) < 2.0**63).all():
+        raise ValueError(f"crossing numbers pass 2**63 about {2.0**63 / freq:.3g} s into a "
+                         f"{freq!r} Hz clock's run, past which they are not counted exactly")
+    return n.astype(np.int64)
 
 
-def _crossing_time(n: int, freq: float, phase: float, theta_star: float) -> float:
-    return (theta_star - phase + TWO_PI * n) / (TWO_PI * freq)
-
-
-def _freeze_due(config: RtcConfig, t: float, last_edge: float) -> bool:
-    """Whether the freeze watchdog latches at ``t`` after an edge at ``last_edge``."""
-    return config.freeze_timeout is not None and t - last_edge >= config.freeze_timeout
+def _crossing_time(n, freq: float, lag: float):
+    """Wall time of upward crossing ``n`` of a sinusoid at ``freq`` whose
+    trigger angle theta* lies ``lag`` = theta* - phase ahead of its phase."""
+    return (lag + TWO_PI * n) / (TWO_PI * freq)
 
 
 def _leads(offset: float) -> bool:
@@ -276,44 +286,104 @@ def _check_frequency(what: str, signal: Sinusoid, config: RtcConfig) -> None:
 def _cross(
     state: RtcState,
     config: RtcConfig,
-    n0: int,
-    n1: int,
+    n: np.ndarray,
+    quiet: np.ndarray,
     time_of,
     sink: Optional[TickSink],
     **changes,
-) -> RtcState:
-    """``state`` with ``changes`` applied and crossings ``n0 + 1 .. n1`` counted.
+) -> tuple[RtcState, float]:
+    """The ledger every transition ends in: ``state`` with ``changes`` applied
+    and a run of segments counted, and the largest gap the freeze watchdog
+    checked.
 
-    Every transition ends here.  ``time_of`` maps a float64 array of crossing
-    numbers to their wall times; as float64, crossing numbers below 2**53 are
-    exact.  The freeze watchdog latches on the first crossing or the
-    crossings go through the divider: the RTC time advances by whole ticks in
-    one multiply, the ticks go to ``sink`` a chunk at a time unless it is
-    None, and the last crossing becomes the last edge.
+    Segment j holds ``n[j]`` upward crossings (an int64 array, so counts are
+    exact), and ``time_of(j, m)`` maps arrays of segments and crossing
+    numbers m = 1 .. n[j] to wall times; ``quiet[j]`` is the end of a segment
+    that cannot cross, and -inf for one that can.  The watchdog checks each
+    segment's first crossing, or a quiet segment's end, against the last
+    edge before it; the first gap that reaches the timeout, and is not one
+    cycle within rounding (``ROUNDING``), latches it, and the segments from
+    there on are not counted.  The rest go through the divider: the RTC
+    time advances by whole ticks, summed segment by segment, the ticks go to
+    ``sink`` a chunk at a time unless it is None, and the last crossing
+    becomes the last edge.  A frozen clock only takes ``changes``.
     """
-    count = n1 - n0
-    if count <= 0:
-        return replace(state, **changes)
-    # A lone crossing is timed once: inside a burst it may cost a bisection.
-    edges = time_of(np.array((n0 + 1, n1) if count > 1 else (n1,), np.float64)).tolist()
-    first, last = edges[0], edges[-1]
-    if _freeze_due(config, first, state.last_edge_time):
-        return replace(state, frozen=True, **changes)
-    counter, reload, rtc_time = state.counter, config.divider_reload, state.rtc_time
-    ticks = 0 if count < counter else (count - counter) // reload + 1
-    if sink is not None:
-        # Tick i fires at crossing n + i * reload.
-        n = float(n0 + counter)
-        for lo in range(0, ticks, TICK_CHUNK):
-            i = np.arange(lo, min(lo + TICK_CHUNK, ticks), dtype=np.float64)
-            sink(time_of(n + reload * i), rtc_time + (i + 1.0) * config.tick_period)
-    return replace(
-        state,
-        counter=counter - count + ticks * reload,
-        rtc_time=rtc_time + ticks * config.tick_period,
-        last_edge_time=last,
-        **changes,
-    )
+    if state.frozen:
+        return replace(state, **changes), 0.0
+    # ``edges[prior[j]]`` is the last edge before segment j, ``edges[0]`` the
+    # one before the run.
+    check, edges, prior = quiet.copy(), np.empty(len(n) + 1), np.zeros(len(n) + 1, np.int64)
+    edges[0] = state.last_edge_time
+    live = (n > 0).nonzero()[0]
+    if len(live):
+        # A lone crossing is timed once: inside a burst it may cost a bisection.
+        many = live[n[live] > 1]
+        times = time_of(np.concatenate((live, many)),
+                        np.concatenate((np.ones(len(live), np.int64), n[many])))
+        check[live] = edges[live + 1] = times[:len(live)]
+        edges[many + 1] = times[len(live):]
+        prior[live + 1] = live + 1
+        np.maximum.accumulate(prior, out=prior)
+    gaps = check - edges[prior[:-1]]
+    cycle = 1.0 / config.nominal_freq
+    late = (() if config.freeze_timeout is None else
+            ((gaps >= config.freeze_timeout)
+             & (gaps - cycle > ROUNDING * abs(check))).nonzero()[0])
+    kept = late[0] if len(late) else len(n)
+    total = n[:kept].cumsum()
+    crossings = int(total[-1]) if kept else 0
+    counter, reload, rtc_time, ticks = state.counter, config.divider_reload, state.rtc_time, 0
+    if crossings >= counter:
+        # Tick g fires at the run's crossing counter + g * reload.  Segment j
+        # holds ticks ticks_to[j] - added[j] on, counted from RTC time rtc_at[j].
+        ticks_to = np.where(total >= counter, (total - counter) // reload + 1, 0)
+        added = np.diff(ticks_to, prepend=0)
+        rtc_at = np.cumsum(np.concatenate(((rtc_time,), added * config.tick_period)))
+        ticks = int(ticks_to[-1])
+        if sink is not None:
+            for g0 in range(0, ticks, TICK_CHUNK):
+                g = np.arange(g0, min(g0 + TICK_CHUNK, ticks))
+                m = counter + reload * g
+                j = np.searchsorted(total, m)
+                sink(time_of(j, m - total[j] + n[j]),
+                     rtc_at[j] + (g - ticks_to[j] + added[j] + 1) * config.tick_period)
+        rtc_time = float(rtc_at[-1])
+    state = replace(state, counter=counter - crossings + ticks * reload, rtc_time=rtc_time,
+                    last_edge_time=float(edges[prior[kept]]), frozen=len(late) > 0,
+                    **changes)
+    return state, float(gaps[:kept + 1].max(initial=0.0))
+
+
+def _stretch(wave: Sinusoid, config: RtcConfig, t0: np.ndarray, t1: np.ndarray):
+    """The upward crossings of ``wave`` over each ``(t0, t1]``, as ``(n,
+    quiet, base, lag)``: stretch k holds ``n[k]`` of them, crossing m at
+    ``_crossing_time(base[k] + m, freq, lag)``.  At or below the threshold
+    there are none, and a stretch is quiet to its end.
+    """
+    thr, freq = config.trigger_threshold, config.nominal_freq
+    if wave.amplitude <= thr:
+        none = np.zeros(len(t0), np.int64)
+        return none, np.where(t1 > t0, t1, -np.inf), none, -np.inf
+    lag = math.asin(thr / wave.amplitude) - wave.phase
+    base, last = _whole(freq * np.array((t0, t1)) - lag / TWO_PI, freq)
+    return np.maximum(last - base, 0), np.full(len(t0), -np.inf), base, lag
+
+
+def _jump(config: RtcConfig, before: Sinusoid, after: Sinusoid, t: np.ndarray) -> np.ndarray:
+    """Jump edges (1 or 0) where the waveform switches from ``before`` to
+    ``after`` at each of the times ``t``: it steps from at or below the
+    threshold to above it.  ``np.sin`` gives the values, and ``value_at``
+    wherever one lands too near the threshold to be trusted to its last bit.
+    """
+    thr = config.trigger_threshold
+
+    def value(wave: Sinusoid) -> np.ndarray:
+        v = wave.amplitude * np.sin(TWO_PI * wave.frequency * t + wave.phase)
+        for k in (abs(v - thr) <= 1e-9 * wave.amplitude).nonzero()[0].tolist():
+            v[k] = wave.value_at(float(t[k]))
+        return v
+
+    return ((value(before) <= thr) & (thr < value(after))).astype(np.int64)
 
 
 def _step(
@@ -321,26 +391,12 @@ def _step(
 ) -> RtcState:
     if until <= state.wall_time:
         raise ValueError(f"until ({until}) must exceed wall_time ({state.wall_time})")
-    if state.frozen:
-        return replace(state, wall_time=until)
-
-    freq = config.nominal_freq
     wave = _active_waveform(state, config, state.injection)
-    thr = config.trigger_threshold
-
-    if wave.amplitude <= thr:
-        # No crossings at all in this stretch; only the freeze watchdog runs.
-        frozen = _freeze_due(config, until, state.last_edge_time)
-        return replace(state, wall_time=until, frozen=frozen)
-
-    theta_star = math.asin(thr / wave.amplitude)
-    return _cross(
-        state, config,
-        _crossing_index(state.wall_time, freq, wave.phase, theta_star),
-        _crossing_index(until, freq, wave.phase, theta_star),
-        lambda n: _crossing_time(n, freq, wave.phase, theta_star),
-        sink, wall_time=until,
-    )
+    n, quiet, base, lag = _stretch(wave, config, np.array([state.wall_time]),
+                                   np.array([until]))
+    return _cross(state, config, n, quiet,
+                  lambda j, m: _crossing_time(base[j] + m, config.nominal_freq, lag),
+                  sink, wall_time=until)[0]
 
 
 def step_with_events(
@@ -366,16 +422,11 @@ def _with_injection(
 ) -> RtcState:
     if signal is not None:
         _check_frequency("injection", signal, config)
-    if state.frozen:
-        return replace(state, injection=signal)
-    # The jump edge: the waveform steps from at or below the threshold to
-    # above it at the switching time itself.
-    t = state.wall_time
-    before = _active_waveform(state, config, state.injection).value_at(t)
-    after = _active_waveform(state, config, signal).value_at(t)
-    jump = int(before <= config.trigger_threshold < after)
-    return _cross(state, config, 0, jump, lambda n: np.full_like(n, t), sink,
-                  injection=signal)
+    t = np.array([state.wall_time])
+    jump = _jump(config, _active_waveform(state, config, state.injection),
+                 _active_waveform(state, config, signal), t)
+    return _cross(state, config, jump, np.array([-np.inf]), lambda j, m: t[j], sink,
+                  injection=signal)[0]
 
 
 def with_injection(
@@ -429,17 +480,18 @@ def _advance(
         state = _step(state, config, start, sink)
     t_end = start + (count - 1) * period + duration
     thr = config.trigger_threshold
-    if state.frozen or state.osc_amplitude <= thr:
+    if state.osc_amplitude <= thr:
         # No crossing to count, but the bursts still drag the phase: the
         # watchdog stops the counter, not the oscillator.
-        frozen = state.frozen or _freeze_due(config, t_end, state.last_edge_time)
-        state = replace(state, wall_time=t_end, osc_phase=final_phase, frozen=frozen)
+        state = _cross(state, config, np.zeros(1, np.int64), np.array([t_end]), None, sink,
+                       wall_time=t_end, osc_phase=final_phase)[0]
         return TrainResult(state, 0, advanced)
 
     theta_star = math.asin(thr / state.osc_amplitude)
     beta2 = state.osc_phase
-    n0 = _crossing_index(start, freq, beta2, theta_star)
-    n1 = _crossing_index(t_end, freq, beta2 + advanced, theta_star)
+    n0, n1 = _whole(np.array((freq * start + (beta2 - theta_star) / TWO_PI,
+                              freq * t_end + (beta2 + advanced - theta_star) / TWO_PI)),
+                    freq).tolist()
     phase0 = TWO_PI * freq * start + beta2
     burst_gain = TWO_PI * freq * period + delta
     converged = duration >= FULL_CONVERGENCE_FACTOR * tau
@@ -457,10 +509,11 @@ def _advance(
             lo, hi = np.where(started, mid, lo), np.where(started, hi, mid - 1.0)
         return lo
 
-    def time_of(n: np.ndarray) -> np.ndarray:
+    def time_of(j: np.ndarray, m: np.ndarray) -> np.ndarray:
+        n = (n0 + m).astype(np.float64)
         i = burst_of(n)
-        t = _crossing_time(n, freq, beta2 + i * delta + (delta + lag * kept(i + 1.0)),
-                           theta_star)
+        t = _crossing_time(n, freq,
+                           theta_star - (beta2 + i * delta + (delta + lag * kept(i + 1.0))))
         relaxing = (t < start + i * period + settle).nonzero()[0]
         for k, b, gained in zip(relaxing.tolist(), i[relaxing].tolist(),
                                 (lag * kept(i[relaxing])).tolist()):
@@ -469,8 +522,8 @@ def _advance(
                                         tau, start + b * period, settle)
         return t
 
-    state = _cross(state, config, n0, n1, time_of, sink,
-                   wall_time=t_end, osc_phase=final_phase)
+    state = _cross(state, config, np.array([n1 - n0]), np.array([-np.inf]), time_of, sink,
+                   wall_time=t_end, osc_phase=final_phase)[0]
     return TrainResult(state, 0 if state.frozen else n1 - n0, advanced)
 
 
@@ -487,51 +540,23 @@ def _stall_train(
     Burst by burst this is four transitions: the injection on, a step to the
     burst's end, the injection off and a step to the next start.  None moves
     the oscillation phase, so the waveform switches between two fixed
-    sinusoids, and a block of bursts is counted as arrays of those four
-    segments: a jump edge, a stretch, a jump edge, a stretch.  A stretch
-    counts as ``_step`` does and an edge is decided as ``_with_injection``
-    does, with ``value_at`` wherever ``np.sin`` lands too near the threshold
-    to be trusted to its last bit.  The watchdog checks each segment's first
-    edge, or a quiet stretch's end, against the last edge before it; the
-    first check that fails latches it, and the rest only moves wall time.
+    sinusoids, and a block of bursts is one run of the ledger (``_cross``)
+    over arrays of those four segments: a jump edge (``_jump``), a stretch
+    (``_stretch``), a jump edge, a stretch.
     """
     if start > state.wall_time:
         state = _step(state, config, start, sink)
     _check_frequency("injection", signal, config)
     t_end = start + (count - 1) * period + duration
     stop = t_end if until is None or until <= t_end else until
-    if state.frozen:
-        return replace(state, wall_time=stop, injection=None), 0.0
-    freq, thr, reload = config.nominal_freq, config.trigger_threshold, config.divider_reload
     free = _active_waveform(state, config, None)
     held = superpose(free, signal)
     # The first burst's edge starts from whatever injection was on before it.
-    lead = _active_waveform(state, config, state.injection).value_at(start)
-    counter, rtc_time, last_edge = state.counter, state.rtc_time, state.last_edge_time
+    lead = _active_waveform(state, config, state.injection)
+    freq, largest = config.nominal_freq, 0.0
     # A block of bursts is a sixteenth of a chunk, so its arrays stay small
     # beside the chunk a sink receives.
-    largest, block = 0.0, TICK_CHUNK // 16
-
-    def value(wave, t):
-        v = wave.amplitude * np.sin(TWO_PI * wave.frequency * t + wave.phase)
-        for k in (abs(v - thr) <= 1e-9 * wave.amplitude).nonzero()[0].tolist():
-            v[k] = wave.value_at(float(t[k]))
-        return v
-
-    def stretch(wave, t0, t1):
-        """Crossings, check time, last crossing, crossing number before the
-        first and theta* - phase, over each ``(t0, t1]``."""
-        if wave.amplitude <= thr:
-            none = np.zeros_like(t0)
-            return none, np.where(t1 > t0, t1, -np.inf), none, none, none
-        theta = math.asin(thr / wave.amplitude)
-        n0, n1 = (np.floor(freq * t + (wave.phase - theta) / TWO_PI) for t in (t0, t1))
-        n = np.maximum(n1 - n0, 0.0)
-        first = _crossing_time(n0 + 1.0, freq, wave.phase, theta)
-        last = _crossing_time(n1, freq, wave.phase, theta)
-        return (n, np.where(n > 0, first, -np.inf), last, n0,
-                np.full_like(t0, theta - wave.phase))
-
+    block = TICK_CHUNK // 16
     for lo in range(0, count, block):
         i = np.arange(lo, min(lo + block, count), dtype=np.float64)
         s = start + i * period
@@ -539,64 +564,28 @@ def _stall_train(
         nxt = start + (i + 1.0) * period
         if lo + block >= count:
             nxt[-1] = stop
-        before = value(free, s)
+        on = _jump(config, free, held, s)
         if lo == 0:
-            before[0] = lead
-        on = (before <= thr) & (thr < value(held, s))
-        off = (value(held, e) <= thr) & (thr < value(free, e))
-        n1, check1, last1, base1, a1 = stretch(held, s, e)
-        n3, check3, last3, base3, a3 = stretch(free, e, nxt)
-        # Segment j of the block is burst j // 4's segment j % 4.
-        n = np.stack((on, n1, off, n3), 1).ravel()
-        edge = np.stack((s, last1, e, last3), 1).ravel()
-        check = np.stack((np.where(on, s, -np.inf), check1,
-                          np.where(off, e, -np.inf), check3), 1).ravel()
-        # ``edges[prior[j]]`` is the last edge before segment j.
-        edges = np.concatenate(((last_edge,), edge))
-        prior = np.maximum.accumulate(np.arange(len(edges))
-                                      * np.concatenate(((True,), n > 0)))
-        gaps = check - edges[prior[:-1]]
-        late = (() if config.freeze_timeout is None
-                else (gaps >= config.freeze_timeout).nonzero()[0])
-        kept = late[0] if len(late) else len(n)
-        largest = gaps[:kept + 1].max(initial=largest)
-        total = np.cumsum(n[:kept])
-        crossings = int(total[-1]) if kept else 0
-        if crossings >= counter:
-            # Tick g fires at the block's crossing counter + g * reload.
-            # Segment j holds ticks ticks_to[j] - added[j] on, counted from
-            # RTC time rtc_at[j], which sums segment by segment as ``_cross``.
-            ticks_to = np.where(total >= counter, (total - counter) // reload + 1.0, 0.0)
-            added = np.diff(ticks_to, prepend=0.0)
-            rtc_at = np.cumsum(np.concatenate(((rtc_time,), added * config.tick_period)))
-            ticks = int(ticks_to[-1])
-            if sink is not None:
-                # A tick in a stretch has the closed form, and one on an edge
-                # the edge's time: -inf in the other drops it out of the max.
-                ninf = np.full_like(s, -np.inf)
-                origin = np.stack((ninf, base1, ninf, base3), 1).ravel()
-                lag = np.stack((ninf, a1, ninf, a3), 1).ravel()
-                at = np.stack((s, ninf, e, ninf), 1).ravel()
-
-                def chunk(g):
-                    """Wall and RTC times of ticks ``g``, as ``_cross`` gives them."""
-                    m = counter + reload * g
-                    j = np.searchsorted(total, m)
-                    crossing = origin[j] + (m - total[j] + n[j])
-                    times = np.maximum((lag[j] + TWO_PI * crossing) / (TWO_PI * freq), at[j])
-                    i = g - ticks_to[j] + added[j]
-                    return times, rtc_at[j] + (i + 1.0) * config.tick_period
-
-                for g0 in range(0, ticks, TICK_CHUNK):
-                    sink(*chunk(np.arange(g0, min(g0 + TICK_CHUNK, ticks), dtype=np.float64)))
-            counter += ticks * reload
-            rtc_time = float(rtc_at[-1])
-        counter -= crossings
-        last_edge = float(edges[prior[kept]])
-        if len(late):
+            on[0] = _jump(config, lead, held, s[:1])[0]
+        n1, quiet1, base1, lag1 = _stretch(held, config, s, e)
+        n3, quiet3, base3, lag3 = _stretch(free, config, e, nxt)
+        # Segment j of the block is burst j // 4's segment j % 4.  A crossing
+        # in a stretch has the closed form, and an edge its switching time:
+        # -inf in the other drops it out of the max.
+        ninf, zero = np.full_like(s, -np.inf), np.zeros_like(n1)
+        n = np.stack((on, n1, _jump(config, held, free, e), n3), 1).ravel()
+        quiet = np.stack((ninf, quiet1, ninf, quiet3), 1).ravel()
+        base = np.stack((zero, base1, zero, base3), 1).ravel()
+        lag = np.stack((ninf, np.full_like(s, lag1), ninf, np.full_like(s, lag3)), 1).ravel()
+        at = np.stack((s, ninf, e, ninf), 1).ravel()
+        state, gap = _cross(
+            state, config, n, quiet,
+            lambda j, m: np.maximum(_crossing_time(base[j] + m, freq, lag[j]), at[j]),
+            sink, wall_time=stop, injection=None)
+        largest = max(largest, gap)
+        if state.frozen:
             break
-    return replace(state, counter=counter, rtc_time=rtc_time, last_edge_time=last_edge,
-                   frozen=len(late) > 0, wall_time=stop, injection=None), float(largest)
+    return state, largest
 
 
 def _apply_phase_advance(
@@ -611,8 +600,6 @@ def _apply_phase_advance(
     offset = wrap_phase(burst.signal.phase - state.osc_phase)
     if offset <= LEAD_MARGIN or TWO_PI - offset <= LEAD_MARGIN:
         # Already aligned: the burst only holds the phase where it is.
-        if burst.start > state.wall_time:
-            state = _step(state, config, burst.start, sink)
         return _step(state, config, burst.end, sink)
     return _advance(state, config, burst.start, 1, burst.duration, burst.duration,
                     offset, offset, sink).state

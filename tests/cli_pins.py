@@ -114,6 +114,9 @@ CASES: dict[str, tuple] = {
     # A sweep whose span stop - start overflows is refused with exit 2.
     "refuse-sweep-overflow-exit-2": ({}, ["bp", "--sweep",
                                           "freq_shift_hz=-1.7e308:1.7e308:3"]),
+    # A drift rate of 1e306 is an infinite timing shift: refused with exit 4
+    # before the table's header.
+    "refuse-bp-overflow-exit-4": ({}, ["bp", "--sweep", "drift_rate=1e306:1e306:1"]),
     # 1 s of 1e-8 s stalls is 1e8 bursts in a window of 31 rows: refused by
     # the burst cap that ``plan`` has, before the stalls are walked.
     "refuse-simulate-burst-cap-exit-2": ({"attack.burst_duration_s": 1e-8,

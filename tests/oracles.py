@@ -107,6 +107,56 @@ def stall_train_crossings(freq, amplitude, threshold, phase, starts, duration,
     return int(free.sum()) + int(np.count_nonzero(jumps))
 
 
+# --- the crossing ledger, walked crossing by crossing -------------------------
+
+def ledger(state, config, n, quiet, time_of, **changes):
+    """``rtc._cross`` one crossing at a time: ``(state, ticks, largest gap)``,
+    with ``ticks`` a list of ``(wall time, RTC time)`` pairs.
+
+    Segment j holds ``n[j]`` crossings, crossing m at ``time_of`` of the
+    one-element arrays ``[j]`` and ``[m]``; ``quiet[j]`` ends a segment that
+    cannot cross.  The watchdog compares each segment's first crossing, or a
+    quiet segment's end, with the last edge; a gap that reaches the timeout
+    latches it and ends the walk, unless it is one cycle within
+    ``rtc.ROUNDING`` of the wall time.  Each crossing decrements the
+    counter, and one that empties it is a tick and reloads it.  RTC time
+    moves by whole ticks, summed at each segment's end.
+    """
+    from dataclasses import replace
+
+    from driftlab.rtc import ROUNDING
+
+    if state.frozen:
+        return replace(state, **changes), [], 0.0
+    counter, rtc_time, last = state.counter, state.rtc_time, state.last_edge_time
+    timeout, ticks, largest, frozen = config.freeze_timeout, [], 0.0, False
+
+    def at(j, m):
+        return float(time_of(np.array([j]), np.array([m]))[0])
+
+    for j, (count, end) in enumerate(zip(n.tolist(), quiet.tolist())):
+        check = at(j, 1) if count else end
+        gap = check - last
+        largest = max(largest, gap)
+        cycle_or_less = gap - 1.0 / config.nominal_freq <= ROUNDING * abs(check)
+        if timeout is not None and gap >= timeout and not cycle_or_less:
+            frozen = True
+            break
+        fired = 0
+        for m in range(1, count + 1):
+            counter -= 1
+            if counter == 0:
+                fired += 1
+                ticks.append((at(j, m), rtc_time + fired * config.tick_period))
+                counter = config.divider_reload
+        rtc_time += fired * config.tick_period
+        if count:
+            last = at(j, count)
+    state = replace(state, counter=counter, rtc_time=rtc_time, last_edge_time=last,
+                    frozen=frozen, **changes)
+    return state, ticks, largest
+
+
 # --- a plan run burst by burst ------------------------------------------------
 
 def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,

@@ -616,6 +616,16 @@ class TestBpCommand:
         assert "Traceback" not in err
 
 
+    def test_overflowing_shift_writes_no_partial_table(self, config_path, capsys):
+        # The first point gives a row; the second an infinite timing shift.
+        rc = main(["bp", "--config", config_path(), "--sweep", "drift_rate=1:1e306:2"])
+        assert rc == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numeric failure: OverflowError: a timing shift of inf Hz "
+                       "takes the pressure errors past the float range\n")
+
+
 class TestCounterCommand:
     def test_sections_present(self, config_path, tmp_path):
         out = tmp_path / "counter.csv"
@@ -632,6 +642,15 @@ class TestCounterCommand:
         ]
         assert at_resonance
         assert float(at_resonance[0][2]) == pytest.approx(1.0, rel=1e-9)
+
+
+    def test_overflowing_synthesizer_refused_before_the_header(self, config_path, capsys):
+        path = config_path(overrides={"clock_synth.multisynth_div": 5e-324})
+        assert main(["counter", "--config", path]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numeric failure: OverflowError: $.clock_synth: the output "
+                       "frequency 36.0 * 25000000.0 / 5e-324 Hz overflows\n")
 
 
 class TestValidationAndDeterminism:

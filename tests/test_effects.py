@@ -47,6 +47,16 @@ class TestBpError:
         with pytest.raises(DeflationStallError):
             bp_error(s)
 
+    @pytest.mark.parametrize("s", [
+        _scenario(math.inf),
+        _scenario(-math.inf),
+        _scenario(1e300, dp=1e10),
+        _scenario(1e307, p0=1e308, s=2.0, d=1.0),
+    ], ids=["inf", "-inf", "shift-overflows", "error-overflows"])
+    def test_non_finite_result_refused(self, s):
+        with pytest.raises(OverflowError, match=r"^a timing shift of .* Hz takes"):
+            bp_error(s)
+
     def test_envelope_simulation_cross_check(self):
         # Independent oracle: simulate the deflation with a synthetic
         # envelope; agreement is first-order in dP*df/V0.

@@ -143,6 +143,21 @@ class TestLongHorizon:
         assert st.rtc_time == ticks * cfg.tick_period
         assert not st.frozen
 
+    # Past 2**53 crossings (about 2.75e11 s) a float64 count rounds.  These
+    # are the end states of the kernel that counted on Python ints: at phase
+    # 0.3 the count rounds onto a whole number of ticks and one crossing.
+    @pytest.mark.parametrize("until", [2.7e11, 2.8e11, 1e12, 1e14])
+    @pytest.mark.parametrize("mode", ["calendar", "thirtytwo_bit"])
+    def test_counts_stay_exact_past_2_53_crossings(self, mode, until):
+        cfg = RtcConfig(mode=mode)
+        st = step(initial_state(cfg, 0.3), cfg, until)
+        assert (st.counter, st.rtc_time, st.last_edge_time, st.frozen) == (
+            cfg.divider_reload - 1, until, until, False)
+
+    def test_counts_past_2_63_refused(self):
+        with pytest.raises(ValueError, match=r"pass 2\*\*63 about 2\.81e\+14 s"):
+            step(initial_state(CAL, 0.3), CAL, 1e20)
+
     def test_inexact_tick_period_does_not_drift(self):
         # 32 / 32000 s is not a binary64 number; 600 s hold 600,000 ticks.
         cfg = RtcConfig(nominal_freq=32000.0, divider_reload=32,
@@ -191,8 +206,10 @@ class TestFreeze:
         RtcConfig(freeze_timeout=math.nextafter(1.0 / F, 1.0))
 
     # A 3e-5 s timeout, now refused, ended one step to 1 s running and two
-    # steps frozen at 0.0.
-    @pytest.mark.parametrize("timeout", [1.5 / F, 2.0 / F, 1e-3, 0.1])
+    # steps frozen at 0.0.  One ulp over a cycle, the cut at 0.5 s froze the
+    # clock as well: the free cycle across it measured a little over 1/f.
+    @pytest.mark.parametrize("timeout", [math.nextafter(1.0 / F, 1.0), 1.5 / F, 2.0 / F,
+                                         1e-3, 0.1])
     @pytest.mark.parametrize("cut", [1e-6, 0.5, 0.5 + 0.25 / F, 1.0 - 1e-9])
     def test_a_step_cut_in_two_ends_as_one_step(self, timeout, cut):
         cfg = RtcConfig(freeze_timeout=timeout, divider_reload=1)
@@ -426,11 +443,10 @@ def _scalar_ticks(state, cfg, count):
     scalar crossing-time formula."""
     if count == 0:      # a weak clock has no crossing level to solve for
         return []
-    freq = cfg.nominal_freq
+    freq, phase = cfg.nominal_freq, state.osc_phase
     theta = math.asin(cfg.trigger_threshold / state.osc_amplitude)
-    n = rtc._crossing_index(state.wall_time, freq, state.osc_phase, theta) + state.counter
-    return [TickEvent(rtc._crossing_time(n + i * cfg.divider_reload, freq,
-                                         state.osc_phase, theta),
+    n = math.floor(freq * state.wall_time + (phase - theta) / TWO_PI) + state.counter
+    return [TickEvent((theta - phase + TWO_PI * (n + i * cfg.divider_reload)) / (TWO_PI * freq),
                       state.rtc_time + (i + 1) * cfg.tick_period)
             for i in range(count)]
 
@@ -443,8 +459,8 @@ def _reference_train_ticks(state, cfg, count, period, duration, delta):
     theta = math.asin(cfg.trigger_threshold / state.osc_amplitude)
     beta2, start = state.osc_phase, state.wall_time
     t_end = start + (count - 1) * period + duration
-    n0 = rtc._crossing_index(start, freq, beta2, theta)
-    n1 = rtc._crossing_index(t_end, freq, beta2 + count * delta, theta)
+    n0 = math.floor(freq * start + (beta2 - theta) / TWO_PI)
+    n1 = math.floor(freq * t_end + (beta2 + count * delta - theta) / TWO_PI)
     phase0 = TWO_PI * freq * start + beta2
     burst_gain = TWO_PI * freq * period + delta
     ticks = []
@@ -589,10 +605,11 @@ class TestOneCrossingKernel:
         state = RtcState(counter=1, rtc_time=12345.0)
 
         def time_of(n):
-            return rtc._crossing_time(n, 32000.0, 1.25, theta)
+            return rtc._crossing_time(n, 32000.0, theta - 1.25)
 
         _, ticks = _through_sink(
-            lambda sink: rtc._cross(state, cfg, n0, n0 + count, time_of, sink))
+            lambda sink: rtc._cross(state, cfg, np.array([count]), np.array([-np.inf]),
+                                    lambda j, m: time_of(n0 + m), sink)[0])
         want = [TickEvent(time_of(n0 + 1 + k * reload),
                           12345.0 + (k + 1) * cfg.tick_period)
                 for k in range(rtc.TICK_CHUNK)]

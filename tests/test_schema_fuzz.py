@@ -58,7 +58,7 @@ ENDS = [-1.7e308, -1.0, 0.0, 5e-324, 1.0, 2e4, 1.7e308]
 SPANS = st.one_of(st.none(), st.builds("{!r}:{!r}:{}".format, st.sampled_from(ENDS),
                                        st.sampled_from(ENDS), st.sampled_from([1, 3])))
 BEFORE = b"earlier result\n"
-NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+NAN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
 def _with(path, value, base=BASE_CONFIG):
@@ -135,7 +135,10 @@ def test_parse_gives_scenario_or_config_error(cfg):
 # Forward bursts of 2 us at the default step passed, but only because the
 # fuzz does not check the drift: simulate exited 0 with a third of the goal,
 # its bursts meeting offsets past pi from the second on.  The span now
-# exits 2 and the bursts 3.
+# exits 2 and the bursts 3.  A drift rate or a shift whose pressure errors
+# pass the float range made bp write inf rows with status ok and exit 0, and
+# a subnormal multisynth divider made counter write an inf synthesizer
+# output; both now exit 4.
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs(), sweep=SPANS)
@@ -162,6 +165,11 @@ def test_parse_gives_scenario_or_config_error(cfg):
                                                "drift_b_cycles": 100.0}))),
          sweep=None)
 @example(cfg=BASE_CONFIG, sweep="-1.7e308:1.7e308:3")
+@example(cfg=BASE_CONFIG, sweep="1e306:1e306:1")
+@example(cfg=_with("bp.drift_rate", 1e306), sweep=None)
+@example(cfg=_with("bp.freq_shift_hz", 1e300, _with("bp.pressure_per_cycle_mmhg", 1e10)),
+         sweep=None)
+@example(cfg=_with("clock_synth.multisynth_div", 5e-324), sweep=None)
 def test_cli_exits_with_a_code_and_keeps_out_on_refusal(cfg, sweep):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
