@@ -211,7 +211,6 @@ def _build_plan(scenario: Scenario):
         return plan_backward(
             scenario.goal,
             scenario.attack.burst_duration,
-            scenario.rtc.freeze_timeout,
             amplitude=amplitude,
             frequency=scenario.rtc.nominal_freq,
         )
@@ -229,9 +228,9 @@ def _refuse_plan(scenario: Scenario, plan) -> None:
     write lines, then a forward plan with a burst that would not lead, or a
     backward plan whose longest wait for an edge, from the last before a
     stall to the first after it, reaches the freeze timeout."""
-    if plan.burst_count_k > SIMULATE_ROWS_MAX:
+    if plan.bursts.count > SIMULATE_ROWS_MAX:
         raise ConfigError([
-            f"$.goal: the plan has {plan.burst_count_k:.6g} bursts, above the "
+            f"$.goal: the plan has {plan.bursts.count:.6g} bursts, above the "
             f"cap of {SIMULATE_ROWS_MAX} bursts"
         ])
     timeout = scenario.rtc.freeze_timeout

@@ -3,7 +3,8 @@
 Configs are a versioned JSON tree in which every physical quantity carries
 an explicit unit suffix in its key name (thickness_mm, drive_amplitude_v,
 freeze_timeout_s, ...), so a value can never be silently interpreted in the
-wrong unit.  ``SCHEMA`` lists every leaf with its kind, default and bounds.
+wrong unit.  ``SCHEMA`` lists every leaf with its kind, default and bounds,
+and a key it does not know is refused, a misspelt one included.
 Validation reads the whole tree through it first and reports every
 offending field with its dotted path; the rules that relate several fields
 run only while no earlier field has failed.
@@ -21,7 +22,7 @@ from typing import Any, Callable, Optional
 from .chain import ChainContext, TransducerSpec, build_context
 from .crystal import CrystalSpec
 from .effects import BpScenario, ClockSynthConfig, DampingSpec, SubnormalShiftError
-from .fingerprint import CaptureConfig, load_profile_library
+from .fingerprint import UNKNOWN_THRESHOLD, CaptureConfig, load_profile_library
 from .lamb import MediumSpec, load_media
 from .planner import DIRECTION_BACKWARD, DIRECTION_FORWARD, DriftGoal
 from .rtc import DIVIDER_MAX, MODE_32BIT, MODE_CALENDAR, RtcConfig
@@ -108,10 +109,13 @@ class _Checker:
 
     def read(self, obj, path: str, rows) -> dict:
         """attr -> value for each of ``rows`` in the object at ``path``; None
-        where refused."""
+        where refused.  A key the object may not hold (``_KEYS``) is refused."""
         if not isinstance(obj, dict):
             self.fail(path, f"expected an object, got {obj!r}")
             obj = {}
+        for key in obj:
+            if key not in _KEYS[path]:
+                self.fail(f"{path}.{key}", "unknown key")
         values = {}
         for row in rows:
             value = obj.get(row.key)
@@ -169,7 +173,7 @@ class Scenario:
     capture: Optional[CaptureConfig] = None
     capture_source: Optional[dict] = None
     library: Optional[list] = None
-    confidence_threshold: float = 0.6
+    confidence_threshold: float = UNKNOWN_THRESHOLD
     bp: Optional[BpScenario] = None
     bp_drift_rate: Optional[float] = None
     bp_tick_freq: float = 1024.0
@@ -213,7 +217,8 @@ SCHEMA: dict[str, tuple[Field, ...]] = {
     "$.medium": (
         Field("name", "name", "acrylic glass", str),
         _positive("thickness_mm", "thickness_mm", 5.0),
-        Field("attenuation_per_m", "attenuation_ratio", 0.9, gt=0.0, le=1.0),
+        Field("attenuation_per_m", "attenuation_ratio", MediumSpec.attenuation_ratio,
+              gt=0.0, le=1.0),
     ),
     "$.crystal": (
         _positive("tip_mass_kg", "tip_mass", CrystalSpec.tip_mass),
@@ -222,8 +227,6 @@ SCHEMA: dict[str, tuple[Field, ...]] = {
         _positive("width_m", "width", CrystalSpec.width),
         _positive("thickness_m", "thickness", CrystalSpec.thickness),
         _positive("piezo_c_per_n", "piezo_constant", CrystalSpec.piezo_constant),
-        _positive("dielectric_f_per_m", "dielectric_constant",
-                  CrystalSpec.dielectric_constant),
         _positive("volts_per_displacement", "volts_per_displacement",
                   CrystalSpec.volts_per_displacement),
     ),
@@ -265,7 +268,7 @@ SCHEMA: dict[str, tuple[Field, ...]] = {
         Field("snr_db", "snr_db", CaptureConfig.snr_db),
         _positive("scale_a_mv", "scale_a", CaptureConfig.scale_a),
         _positive("scale_b_mv", "scale_b", CaptureConfig.scale_b),
-        _positive("bandwidth_hz", "bandwidth", 2e5),
+        _positive("bandwidth_hz", "bandwidth", CaptureConfig.bandwidth),
         Field("confidence_threshold", "confidence_threshold",
               Scenario.confidence_threshold, ge=0.0, le=1.0),
         Field("library", "library", None, str),
@@ -291,6 +294,12 @@ SCHEMA: dict[str, tuple[Field, ...]] = {
         _positive("multisynth_div", "multisynth_div", ClockSynthConfig.multisynth_div),
     ),
 }
+# JSON path of each object -> the keys it may hold: its fields and the
+# objects nested in it, and at the root the schema version.
+_KEYS = {path: {row.key for row in rows}
+        | {p.rpartition(".")[2] for p in SCHEMA if p.rpartition(".")[0] == path}
+        for path, rows in SCHEMA.items()}
+_KEYS["$"].add("schema_version")
 
 
 def _medium(name: str, thickness_mm: float, attenuation_ratio: float) -> MediumSpec:

@@ -39,13 +39,12 @@ class CrystalSpec:
     width: float = 6e-4                 # m
     thickness: float = 1.2e-4           # m
     piezo_constant: float = 2.3e-12     # C/N
-    dielectric_constant: float = 4.06e-11   # F/m
     volts_per_displacement: float = 330.0   # V per C/m^2
 
     def __post_init__(self):
         for name in (
             "tip_mass", "damping", "stiffness", "width", "thickness",
-            "piezo_constant", "dielectric_constant", "volts_per_displacement",
+            "piezo_constant", "volts_per_displacement",
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")

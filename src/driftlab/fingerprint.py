@@ -64,7 +64,7 @@ class CaptureConfig:
     snr_db: float = math.inf
     scale_a: float = 50.0       # lower scaling bound, mV
     scale_b: float = 50.0       # upper scaling bound, mV
-    bandwidth: float = 1e5      # band-pass width around each candidate f0, Hz
+    bandwidth: float = 2e5      # band-pass width around each candidate f0, Hz
 
     def __post_init__(self):
         if self.sample_rate <= 0.0 or self.duration <= 0.0:

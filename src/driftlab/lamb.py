@@ -409,7 +409,9 @@ def surface_displacement(
     return prestress + wave.value_at(t)
 
 
-def load_media(thickness: float, attenuation_ratio: float = 0.9) -> dict[str, MediumSpec]:
+def load_media(
+    thickness: float, attenuation_ratio: float = MediumSpec.attenuation_ratio
+) -> dict[str, MediumSpec]:
     """Load the bundled medium table as MediumSpec records at ``thickness``.
 
     The table stores wave speeds in m/s and densities in g/cm^3; densities

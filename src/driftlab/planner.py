@@ -29,10 +29,10 @@ from .rtc import (
     _check_frequency,
     _leads,
     _stall_train,
-    _step,
     _train_offsets,
     initial_state,
     measure_drift,
+    step,
     tick_collector,
 )
 from .signals import TWO_PI, Sinusoid, superpose, wrap_phase
@@ -53,7 +53,8 @@ class InfeasiblePlanError(ValueError):
 
 
 class FreezeRiskError(ValueError):
-    """Requested burst length would freeze the target's counter."""
+    """A stall plan would leave a gap between edges that freezes the target's
+    counter (``stall_gap``)."""
 
 
 class CalibrationError(RuntimeError):
@@ -135,13 +136,10 @@ class BurstTrain(Sequence):
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Ordered burst schedule plus the scalar parameters it was built from."""
+    """An attack's burst schedule: its count, duration and phase step are
+    the train's."""
 
-    bursts: Sequence[InjectionBurst]
-    burst_count_k: int
-    single_duration_t1: float
-    pause_t2: float
-    phase_step_delta: Optional[float] = None   # forward plans only
+    bursts: BurstTrain
 
     @property
     def span(self) -> float:
@@ -152,7 +150,6 @@ class AttackPlan:
 def plan_backward(
     goal: DriftGoal,
     t: float,
-    freeze_timeout: Optional[float] = None,
     *,
     amplitude: float,
     frequency: float = 32768.0,
@@ -170,10 +167,6 @@ def plan_backward(
         raise ValueError("plan_backward needs a backward goal")
     if t <= 0.0:
         raise ValueError("burst length must be > 0")
-    if freeze_timeout is not None and t >= freeze_timeout:
-        raise FreezeRiskError(
-            f"burst length {t} s reaches the freeze timeout ({freeze_timeout} s)"
-        )
     a, b = goal.window, goal.drift
     k = math.ceil(b / t)
     pause = 0.0 if k == 1 else (a - k * t) / (k - 1)
@@ -191,9 +184,7 @@ def plan_backward(
         frequency=frequency,
         phase0=wrap_phase(osc_phase + math.pi),
     )
-    return AttackPlan(
-        bursts=train, burst_count_k=k, single_duration_t1=t, pause_t2=pause
-    )
+    return AttackPlan(train)
 
 
 def plan_forward(
@@ -234,13 +225,7 @@ def plan_forward(
         phase0=wrap_phase(osc_phase + delta),
         phase_step=delta,
     )
-    return AttackPlan(
-        bursts=train,
-        burst_count_k=k,
-        single_duration_t1=t1,
-        pause_t2=t2,
-        phase_step_delta=delta,
-    )
+    return AttackPlan(train)
 
 
 def export_plan_jsonl(plan: AttackPlan, fh) -> None:
@@ -418,12 +403,12 @@ def simulate_plan(
         state = _advance(state, config, train.start, train.count, train.period,
                          train.duration, first, train.phase_step, sink).state
     if until is not None and until > state.wall_time:
-        state = _step(state, config, until, sink)
+        state = step(state, config, until, sink=sink)
 
     # Planned offset: the phase step for advance bursts, pi for stall
     # bursts; the gap to the offset found on arrival is the prediction error
     # of the free-running assumption.  The offsets are monotone.
-    planned = math.pi if plan.phase_step_delta is None else plan.phase_step_delta
+    planned = train.phase_step or math.pi
     gaps = [wrap_phase(offset - planned) for offset in (first, last)]
     ticks_emitted = round((state.rtc_time - start_rtc) / config.tick_period)
     crossings = ticks_emitted * config.divider_reload + (start_counter - state.counter)

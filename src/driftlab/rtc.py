@@ -35,8 +35,10 @@ block of stall bursts is one run of four segments a burst (``_stall_train``).
 
 Ticks go to an optional sink, a callable that receives ``(wall_times,
 rtc_times)`` float64 arrays in time order, at most ``TICK_CHUNK`` ticks a
-call, so no call holds more than one chunk however long the stretch.  A list
-is one sink (``tick_collector``), which the ``*_with_events`` functions use.
+call, so no call holds more than one chunk however long the stretch.  Every
+transition (``step``, ``with_injection``, ``apply_phase_advance`` and
+``run_uniform_train``) takes one as ``sink=`` and returns the same state with
+or without it.  A list is one sink (``tick_collector``).
 """
 
 from __future__ import annotations
@@ -386,9 +388,10 @@ def _jump(config: RtcConfig, before: Sinusoid, after: Sinusoid, t: np.ndarray) -
     return ((value(before) <= thr) & (thr < value(after))).astype(np.int64)
 
 
-def _step(
-    state: RtcState, config: RtcConfig, until: float, sink: Optional[TickSink]
-) -> RtcState:
+def step(state: RtcState, config: RtcConfig, until: float, *,
+         sink: Optional[TickSink] = None) -> RtcState:
+    """Advance to ``until`` under the current injection status; the divider
+    ticks on the way go to ``sink``."""
     if until <= state.wall_time:
         raise ValueError(f"until ({until}) must exceed wall_time ({state.wall_time})")
     wave = _active_waveform(state, config, state.injection)
@@ -402,24 +405,19 @@ def _step(
 def step_with_events(
     state: RtcState, config: RtcConfig, until: float
 ) -> tuple[RtcState, list[TickEvent]]:
-    """Advance to ``until`` under the current injection status.
-
-    Returns the new state and the divider ticks emitted on the way.
-    """
+    """``step``, with the ticks returned as a list."""
     events: list[TickEvent] = []
-    return _step(state, config, until, tick_collector(events)), events
+    return step(state, config, until, sink=tick_collector(events)), events
 
 
-def step(state: RtcState, config: RtcConfig, until: float) -> RtcState:
-    return _step(state, config, until, None)
+def with_injection(state: RtcState, config: RtcConfig, signal: Optional[Sinusoid], *,
+                   sink: Optional[TickSink] = None) -> RtcState:
+    """Switch the sustained injection on or off at the current wall time.
 
-
-def _with_injection(
-    state: RtcState,
-    config: RtcConfig,
-    signal: Optional[Sinusoid],
-    sink: Optional[TickSink],
-) -> RtcState:
+    The waveform jumps discontinuously when the injection status changes; if
+    that jump itself rises through the trigger threshold the comparator sees
+    an edge, which is counted here, its tick going to ``sink``.
+    """
     if signal is not None:
         _check_frequency("injection", signal, config)
     t = np.array([state.wall_time])
@@ -427,19 +425,6 @@ def _with_injection(
                  _active_waveform(state, config, signal), t)
     return _cross(state, config, jump, np.array([-np.inf]), lambda j, m: t[j], sink,
                   injection=signal)[0]
-
-
-def with_injection(
-    state: RtcState, config: RtcConfig, signal: Optional[Sinusoid]
-) -> tuple[RtcState, list[TickEvent]]:
-    """Switch the sustained injection on or off at the current wall time.
-
-    The waveform jumps discontinuously when the injection status changes; if
-    that jump itself rises through the trigger threshold the comparator sees
-    an edge, which is counted here.
-    """
-    events: list[TickEvent] = []
-    return _with_injection(state, config, signal, tick_collector(events)), events
 
 
 @dataclass(frozen=True)
@@ -477,7 +462,7 @@ def _advance(
     advanced = count * delta + float(lag * kept(np.float64(count)))
     final_phase = wrap_phase(state.osc_phase + advanced)
     if start > state.wall_time:
-        state = _step(state, config, start, sink)
+        state = step(state, config, start, sink=sink)
     t_end = start + (count - 1) * period + duration
     thr = config.trigger_threshold
     if state.osc_amplitude <= thr:
@@ -545,7 +530,7 @@ def _stall_train(
     (``_stretch``), a jump edge, a stretch.
     """
     if start > state.wall_time:
-        state = _step(state, config, start, sink)
+        state = step(state, config, start, sink=sink)
     _check_frequency("injection", signal, config)
     t_end = start + (count - 1) * period + duration
     stop = t_end if until is None or until <= t_end else until
@@ -588,10 +573,10 @@ def _stall_train(
     return state, largest
 
 
-def _apply_phase_advance(
-    state: RtcState, config: RtcConfig, burst: InjectionBurst,
-    sink: Optional[TickSink],
-) -> RtcState:
+def apply_phase_advance(state: RtcState, config: RtcConfig, burst: InjectionBurst, *,
+                        sink: Optional[TickSink] = None) -> RtcState:
+    """Run one phase-dragging burst, a train of one, counting crossings
+    exactly; the divider ticks go to ``sink``."""
     _check_frequency("burst", burst.signal, config)
     if burst.start < state.wall_time:
         raise PlanError(
@@ -600,7 +585,7 @@ def _apply_phase_advance(
     offset = wrap_phase(burst.signal.phase - state.osc_phase)
     if offset <= LEAD_MARGIN or TWO_PI - offset <= LEAD_MARGIN:
         # Already aligned: the burst only holds the phase where it is.
-        return _step(state, config, burst.end, sink)
+        return step(state, config, burst.end, sink=sink)
     return _advance(state, config, burst.start, 1, burst.duration, burst.duration,
                     offset, offset, sink).state
 
@@ -608,14 +593,9 @@ def _apply_phase_advance(
 def apply_phase_advance_with_events(
     state: RtcState, config: RtcConfig, burst: InjectionBurst
 ) -> tuple[RtcState, list[TickEvent]]:
-    """Run one phase-dragging burst, a train of one, counting crossings
-    exactly; returns the new state and the divider ticks emitted."""
+    """``apply_phase_advance``, with the ticks returned as a list."""
     events: list[TickEvent] = []
-    return _apply_phase_advance(state, config, burst, tick_collector(events)), events
-
-
-def apply_phase_advance(state: RtcState, config: RtcConfig, burst: InjectionBurst) -> RtcState:
-    return _apply_phase_advance(state, config, burst, None)
+    return apply_phase_advance(state, config, burst, sink=tick_collector(events)), events
 
 
 def run_uniform_train(

@@ -79,6 +79,11 @@ CASES: dict[str, tuple] = {
                                          ["simulate"]),
     "simulate-backward-freeze-clear": ({"rtc.freeze_timeout_s": 0.50005},
                                        ["simulate"]),
+    # A timeout below the 0.5 s burst itself is refused with exit 3 by the
+    # same check, which names the largest gap between two edges.
+    "plan-backward-burst-over-timeout": ({"rtc.freeze_timeout_s": 0.4}, ["plan"]),
+    "simulate-backward-burst-over-timeout": ({"rtc.freeze_timeout_s": 0.4},
+                                             ["simulate"]),
     "simulate-forward-calendar": ({
         "goal": {"direction": "forward", "window_a_s": 10.0, "drift_b_s": 1.0},
         "attack": {"phase_step_rad": math.pi / 2},

@@ -174,9 +174,8 @@ def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,
     ``PlanError`` naming it, as the phase-advance train refuses it.
     """
     from driftlab.planner import PlanRun
-    from driftlab.rtc import (PlanError, _apply_phase_advance, _leads, _step,
-                              _with_injection, initial_state, measure_drift,
-                              tick_collector)
+    from driftlab.rtc import (PlanError, _leads, apply_phase_advance, initial_state,
+                              measure_drift, step, tick_collector, with_injection)
     from driftlab.signals import wrap_phase
 
     if state is None:
@@ -185,8 +184,8 @@ def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,
     events = []
     if sink is None and collect_ticks:
         sink = tick_collector(events)
-    planned = math.pi if plan.phase_step_delta is None else plan.phase_step_delta
-    forward = getattr(plan.bursts, "phase_step", 0.0) != 0.0
+    phase_step = getattr(plan.bursts, "phase_step", 0.0)
+    planned, forward = phase_step or math.pi, phase_step != 0.0
     prediction_error = 0.0
     for i, burst in enumerate(plan.bursts):
         delta = wrap_phase(burst.signal.phase - state.osc_phase)
@@ -194,17 +193,17 @@ def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,
         prediction_error = max(prediction_error, min(gap, TWO_PI - gap))
         forward = forward or (i == 0 and _leads(delta))
         if _leads(delta):
-            state = _apply_phase_advance(state, config, burst, sink)
+            state = apply_phase_advance(state, config, burst, sink=sink)
         elif forward:
             raise PlanError(f"burst {i} meets a phase offset of {delta!r} rad")
         else:
             if burst.start > state.wall_time:
-                state = _step(state, config, burst.start, sink)
-            state = _with_injection(state, config, burst.signal, sink)
-            state = _step(state, config, burst.end, sink)
-            state = _with_injection(state, config, None, sink)
+                state = step(state, config, burst.start, sink=sink)
+            state = with_injection(state, config, burst.signal, sink=sink)
+            state = step(state, config, burst.end, sink=sink)
+            state = with_injection(state, config, None, sink=sink)
     if until is not None and until > state.wall_time:
-        state = _step(state, config, until, sink)
+        state = step(state, config, until, sink=sink)
     ticks = round((state.rtc_time - start_rtc) / config.tick_period)
     return PlanRun(
         state=state,

@@ -110,10 +110,10 @@ def test_criterion_02_stall_reproduction():
     st = step(st, cfg, 0.123)  # run a while first
     rtc_before = st.rtc_time
     opposing = Sinusoid(0.041, F, wrap_phase(st.osc_phase + math.pi))
-    st, _ = with_injection(st, cfg, opposing)
+    st = with_injection(st, cfg, opposing)
     st = step(st, cfg, st.wall_time + 0.5)
     halted = st.rtc_time == rtc_before
-    st, _ = with_injection(st, cfg, None)
+    st = with_injection(st, cfg, None)
     burst_end = st.wall_time
     st, events = step_with_events(st, cfg, burst_end + 2.0 / F)
     resumed = bool(events) and events[0].time <= burst_end + 1.0 / F
@@ -266,8 +266,7 @@ def test_criterion_07_crystal_ode_oracle():
         for omega in (0.3, 0.8, 1.0, 1.3, 2.5):
             spec = CrystalSpec(
                 tip_mass=1.0, damping=damping, stiffness=1.0, width=1.0,
-                thickness=1.0, piezo_constant=1e-12,
-                dielectric_constant=1e-11, volts_per_displacement=1.0,
+                thickness=1.0, piezo_constant=1e-12, volts_per_displacement=1.0,
             )
             closed = steady_state_stress(spec, Sinusoid(1.0, omega / TWO_PI, 0.2))
             amp, phase = ode_steady_state_stress(

@@ -672,6 +672,17 @@ class TestValidationAndDeterminism:
         assert rc == 2
         assert "$.medium.name" in capsys.readouterr().err
 
+    # A misspelt key, a key without its unit, and a setting that was removed:
+    # each would run silently on a default or with no watchdog.
+    @pytest.mark.parametrize("key", ["medium.thicknes_mm", "rtc.freeze_timeout",
+                                     "crystal.dielectric_f_per_m"])
+    def test_unknown_key_refused(self, key, config_path, tmp_path, capsys):
+        path = config_path(overrides={key: 0.1})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: $.{key}: unknown key\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("field", NUMERIC_PATHS)

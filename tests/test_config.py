@@ -8,7 +8,17 @@ change to the validator that alters any of them fails here.
 
 The cases cover every leaf under missing, null, text, true, list and object
 values, NaN, +-inf and 10**400, each bound and its neighbours one ulp either
-side, each cross-field rule, non-object sections and a non-object root.
+side, each cross-field rule, unknown keys, non-object sections and a
+non-object root.
+
+    PYTHONPATH=src python tests/test_config.py --check
+
+lists the cases whose diagnostics differ from the file and writes nothing.  A
+change that alters one on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_config.py
+
+and names each changed case and its cause in CHANGES.md.
 """
 
 import json
@@ -35,8 +45,7 @@ NUMBERS = {
     "medium.attenuation_per_m": GT0 + (("<=", 1.0),),
     **{f"crystal.{key}": GT0 for key in (
         "tip_mass_kg", "damping_n_s_per_m", "stiffness_n_per_m", "width_m",
-        "thickness_m", "piezo_c_per_n", "dielectric_f_per_m",
-        "volts_per_displacement")},
+        "thickness_m", "piezo_c_per_n", "volts_per_displacement")},
     **{f"rtc.{key}": GT0 for key in (
         "nominal_freq_hz", "nominal_amplitude_v", "trigger_threshold_v",
         "freeze_timeout_s", "convergence_time_constant_s")},
@@ -184,6 +193,20 @@ def _cross_field_cases():
         "damping.defaults": {"damping": {}},
         "clock_synth.defaults": {"clock_synth": {}},
         "extra keys": {"extra": 1, "medium.extra": "x", "rtc.extra": None},
+        "crystal.dielectric_f_per_m=removed": {"crystal.dielectric_f_per_m": 1e-10},
+        "rtc.freeze_timeout=no unit": {"rtc.freeze_timeout": 0.1},
+        "unknown key beside an error in its object": {
+            "medium.thickness_mm": 0.0, "medium.extra": 1.0},
+        "unknown key after an error": {
+            "medium.thickness_mm": 0.0, "rtc.extra": 1.0},
+        "unknown key before a later error": {
+            "medium.extra": 1.0, "rtc.nominal_freq_hz": 0.0},
+        "unknown key before a cross-field rule": {
+            "rtc.trigger_threshold_v": 0.08, "rtc.extra": 1.0},
+        "damping.components with an unknown key": {
+            "damping": dict(COMPONENTS, extra=1.0)},
+        "fingerprint.trace=profile and other key": {
+            "fingerprint.trace": {"profile": "synthetic-04", "path": "capture.csv"}},
         "many errors": {"seed": -1, "medium.thickness_mm": 0.0,
                         "rtc.mode": "sundial", "goal.window_a_s": "long",
                         "bp.systolic_mmhg": [], "clock_synth.pll_mult": math.nan},
@@ -220,6 +243,8 @@ def _cases():
         for label, value in [("missing", MISSING), ("null", None), ("number", 5),
                              ("text", "text"), ("list", []), ("true", True)]:
             cases[f"{section} section={label}"] = {section: value}
+    for obj in SECTIONS + ["fingerprint.trace"]:
+        cases[f"{obj}=unknown key"] = {f"{obj}.extra": 1.0}
     for label, value in [("number", 5), ("text", "text"), ("list", []),
                          ("true", True)]:
         cases[f"fingerprint.trace={label}"] = {"fingerprint.trace": value}
@@ -274,3 +299,26 @@ def test_every_case_is_pinned_or_named():
 def test_diagnostics_pinned(case_id):
     assert diagnostics(case_id) == EXPECTED[case_id]
 
+
+def main(argv) -> int:
+    """Regenerate the expected file, or with ``--check`` list the cases whose
+    diagnostics differ from it (or that it lacks or no longer has) and exit 1
+    if there are any."""
+    found = {case_id: diagnostics(case_id) for case_id in set(CASES) - set(NOT_PINNED)}
+    if argv == ["--check"]:
+        changed = sorted(case_id for case_id in found.keys() | EXPECTED.keys()
+                         if found.get(case_id) != EXPECTED.get(case_id))
+        for case_id in changed:
+            print(case_id)
+        return 1 if changed else 0
+    if argv:
+        print("usage: test_config.py [--check]", file=sys.stderr)
+        return 2
+    EXPECTED_PATH.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n",
+                             encoding="utf-8")
+    print(f"wrote {len(found)} cases to {EXPECTED_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,8 +10,7 @@ from oracles import ode_steady_state_stress
 
 UNIT_SPEC = CrystalSpec(
     tip_mass=1.0, damping=0.1, stiffness=1.0, width=1.0, thickness=1.0,
-    piezo_constant=2.3e-12, dielectric_constant=4.06e-11,
-    volts_per_displacement=1.0,
+    piezo_constant=2.3e-12, volts_per_displacement=1.0,
 )
 
 
@@ -42,8 +41,7 @@ class TestSteadyStateStress:
     def test_resonance_peak_near_natural_frequency(self):
         spec = CrystalSpec(
             tip_mass=1.0, damping=0.05, stiffness=4.0, width=1.0, thickness=1.0,
-            piezo_constant=1e-12, dielectric_constant=1e-11,
-            volts_per_displacement=1.0,
+            piezo_constant=1e-12, volts_per_displacement=1.0,
         )
         omegas = np.linspace(0.5, 4.0, 400)
         amps = [steady_state_stress(spec, _accel(1.0, w)).amplitude for w in omegas]
@@ -55,8 +53,7 @@ class TestSteadyStateStress:
     def test_against_ode_oracle(self, omega, damping):
         spec = CrystalSpec(
             tip_mass=1.0, damping=damping, stiffness=1.0, width=1.0,
-            thickness=1.0, piezo_constant=1e-12, dielectric_constant=1e-11,
-            volts_per_displacement=1.0,
+            thickness=1.0, piezo_constant=1e-12, volts_per_displacement=1.0,
         )
         phase_in = 0.35
         out = steady_state_stress(spec, _accel(1.0, omega, phase_in))

@@ -114,10 +114,10 @@ class EngineCuts(RuleBasedStateMachine):
     def _cut_step(self, until, fractions):
         """The state after one step to ``until``, which the step cut at the
         drawn fractions must give again, ticks included."""
-        whole, ticks = _through_sink(rtc._step, self.state, self.cfg, until)
+        whole, ticks = _through_sink(rtc.step, self.state, self.cfg, until)
         cut, cut_ticks = self.state, []
         for t in _cut_times(self.state.wall_time, until, fractions) + [until]:
-            cut, more = _through_sink(rtc._step, cut, self.cfg, t)
+            cut, more = _through_sink(rtc.step, cut, self.cfg, t)
             cut_ticks += more
         assert repr(cut) == repr(whole)
         assert _bits(cut_ticks) == _bits(ticks)
@@ -133,7 +133,7 @@ class EngineCuts(RuleBasedStateMachine):
         state = self._cut_step(self.state.wall_time + span, fractions)
         signal = (Sinusoid(amplitude, F, wrap_phase(state.osc_phase + math.pi + skew))
                   if on else None)
-        self.state = rtc._with_injection(state, self.cfg, signal, None)
+        self.state = rtc.with_injection(state, self.cfg, signal)
 
     @precondition(lambda self: self.state.injection is None)
     @rule(lead=st.floats(0.0, 2e-3), duration=st.floats(1e-6, 6e-5),
@@ -142,12 +142,12 @@ class EngineCuts(RuleBasedStateMachine):
         start = self.state.wall_time + lead
         burst = InjectionBurst(start, duration,
                                Sinusoid(0.005, F, wrap_phase(self.state.osc_phase + offset)))
-        whole, ticks = _through_sink(rtc._apply_phase_advance, self.state, self.cfg, burst)
+        whole, ticks = _through_sink(rtc.apply_phase_advance, self.state, self.cfg, burst)
         cut, cut_ticks = self.state, []
         for t in _cut_times(self.state.wall_time, start, fractions):
-            cut, more = _through_sink(rtc._step, cut, self.cfg, t)
+            cut, more = _through_sink(rtc.step, cut, self.cfg, t)
             cut_ticks += more
-        cut, more = _through_sink(rtc._apply_phase_advance, cut, self.cfg, burst)
+        cut, more = _through_sink(rtc.apply_phase_advance, cut, self.cfg, burst)
         assert repr(cut) == repr(whole)
         assert _bits(cut_ticks + more) == _bits(ticks)
         self.state = whole
@@ -166,7 +166,7 @@ class EngineCuts(RuleBasedStateMachine):
                                   sink=rtc.tick_collector(ticks)).state
         cut, cut_ticks = state, []
         for burst in bursts:
-            cut, more = _through_sink(rtc._apply_phase_advance, cut, cfg, burst)
+            cut, more = _through_sink(rtc.apply_phase_advance, cut, cfg, burst)
             cut_ticks += more
         assert (cut.wall_time, cut.counter, cut.rtc_time, cut.frozen) == (
             whole.wall_time, whole.counter, whole.rtc_time, whole.frozen)

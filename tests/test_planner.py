@@ -20,7 +20,6 @@ from driftlab.planner import (
     BurstTrain,
     CalibrationError,
     DriftGoal,
-    FreezeRiskError,
     InfeasiblePlanError,
     PhaseMap,
     calibrate_phase_map,
@@ -67,19 +66,25 @@ class TestDriftGoal:
 class TestPlanBackward:
     def test_nominal_twelve_bursts(self):
         plan = plan_backward(_backward_goal(), 0.5, amplitude=0.05)
-        assert plan.burst_count_k == 12
-        assert plan.pause_t2 == pytest.approx(24.0 / 11.0)
+        assert plan.bursts.count == 12
+        assert plan.bursts.period == pytest.approx(0.5 + 24.0 / 11.0)
         assert len(plan.bursts) == 12
         assert plan.bursts[0].signal.phase == pytest.approx(math.pi)
 
     def test_single_burst_degenerate(self):
+        # ceil(0.4 / 0.5) is one burst, which leaves no pause to spread.
         plan = plan_backward(_backward_goal(30.0, 0.4), 0.5, amplitude=0.05)
-        assert plan.burst_count_k == 1
-        assert plan.pause_t2 == 0.0
+        assert plan.bursts.count == math.ceil(0.4 / 0.5) == 1
+        assert plan.span == 0.5
 
-    def test_freeze_risk_rejected(self):
-        with pytest.raises(FreezeRiskError):
-            plan_backward(_backward_goal(), 0.5, freeze_timeout=0.4, amplitude=0.05)
+    @settings(max_examples=25, deadline=None)
+    @given(t=st.floats(min_value=1e-3, max_value=2.0))
+    def test_every_stall_gap_spans_its_burst(self, t):
+        # No edge falls inside a stall, so a burst that reaches the freeze
+        # timeout leaves a gap that reaches it: the stall gap check, the one
+        # freeze refusal (cli._refuse_plan), refuses every such plan.
+        plan = plan_backward(_backward_goal(), t, amplitude=0.1)
+        assert stall_gap(plan, RtcConfig(), 30.0) >= t
 
     def test_bursts_sorted_disjoint(self):
         plan = plan_backward(_backward_goal(), 0.5, amplitude=0.05)
@@ -100,7 +105,7 @@ class TestPlanBackward:
             # rounding the burst count up can overflow a tight window
             assert math.ceil(b / t) * t > a
             return
-        total_on = plan.burst_count_k * plan.single_duration_t1
+        total_on = plan.bursts.count * plan.bursts.duration
         assert total_on >= b - 1e-9
         assert plan.span <= a + t + 1e-9
 
@@ -115,18 +120,18 @@ class TestPlanForward:
     def test_eq_counts(self):
         plan = plan_forward(_forward_goal(1.0, 12.0), 1e-5, math.pi / 2,
                             amplitude=0.005)
-        assert plan.burst_count_k == 48
-        assert plan.pause_t2 == pytest.approx((1.0 - 48e-5) / 47.0)
+        assert plan.bursts.count == 48
+        assert plan.bursts.period == pytest.approx(1e-5 + (1.0 - 48e-5) / 47.0)
 
     def test_ceiling_boundary(self):
         # exact-integer ratio: 2*pi*0.5 / (pi/2) == 2, ceiling stays at 2
         plan = plan_forward(_forward_goal(1.0, 0.5), 1e-5, math.pi / 2,
                             amplitude=0.005)
-        assert plan.burst_count_k == 2
+        assert plan.bursts.count == 2
         # just below pi the ratio for one cycle sits barely above 2
         plan = plan_forward(_forward_goal(1.0, 1.0), 1e-5, math.pi - 1e-9,
                             amplitude=0.005)
-        assert plan.burst_count_k == 3
+        assert plan.bursts.count == 3
 
     def test_infeasible_names_constraint(self):
         with pytest.raises(InfeasiblePlanError) as exc:
@@ -154,8 +159,8 @@ class TestPlanForward:
                 plan_forward(_forward_goal(a, cycles), t1, delta, amplitude=0.005)
             return
         plan = plan_forward(_forward_goal(a, cycles), t1, delta, amplitude=0.005)
-        assert plan.pause_t2 >= 0.0
-        assert plan.burst_count_k * plan.phase_step_delta / TWO_PI >= cycles
+        assert plan.bursts.period >= t1
+        assert plan.bursts.count * plan.bursts.phase_step / TWO_PI >= cycles
 
     def test_round_trip_exact_cycles(self):
         # 48 bursts of pi/2: 12 whole extra cycles, an exact crossing count.
@@ -182,7 +187,7 @@ class TestPlanForward:
             trains.clear()
             plan = plan_forward(_forward_goal(window, cycles), 1.6e-5,
                                 math.pi / 2, amplitude=0.005)
-            assert plan.burst_count_k == k
+            assert plan.bursts.count == k
             fast = simulate_plan(plan, cfg, until=window)
             quiet = simulate_plan(plan, cfg, until=window, collect_ticks=False)
             assert quiet.state == fast.state and quiet.ticks == []
@@ -215,7 +220,7 @@ class TestPlanForward:
         cfg = RtcConfig(mode="thirtytwo_bit")
         plan = plan_forward(_forward_goal(100.0, 25_000.0), 1e-5, math.pi / 2,
                             amplitude=0.005)
-        assert plan.burst_count_k == 100_000
+        assert plan.bursts.count == 100_000
         began = time.perf_counter()
         run = simulate_plan(plan, cfg, collect_ticks=False)
         assert time.perf_counter() - began < 0.1
@@ -274,8 +279,7 @@ class TestSimulateSink:
 def _stall_plan(start, count, period, duration, amplitude, phase0):
     train = BurstTrain(start=start, period=period, duration=duration, count=count,
                        amplitude=amplitude, frequency=F, phase0=phase0)
-    return AttackPlan(bursts=train, burst_count_k=count, single_duration_t1=duration,
-                      pause_t2=period - duration)
+    return AttackPlan(train)
 
 
 def _kernel_and_loop(plan, cfg, state, until):
@@ -319,7 +323,7 @@ class TestStallTrain:
         cfg = RtcConfig(divider_reload=reload, freeze_timeout=2e-3)
         plan = plan_backward(_backward_goal(0.3, 0.1), 4e-5, amplitude=amplitude,
                              osc_phase=1.1)
-        assert plan.burst_count_k == 2500
+        assert plan.bursts.count == 2500
         (kernel, got), (loop, want), calls = _kernel_and_loop(
             plan, cfg, initial_state(cfg, 1.1), 0.31)
         assert calls == [2500]
@@ -353,7 +357,7 @@ class TestStallTrain:
         cfg = RtcConfig(divider_reload=reload, freeze_timeout=timeout)
         if kind == "held":
             state = step(initial_state(cfg), cfg, free_until)
-            state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
+            state = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
             state = step(state, cfg, state.last_edge_time
                          + (1.0 + quiet * (timeout * F - 2.0)) / F)
         else:
@@ -379,7 +383,7 @@ class TestStallTrain:
         cfg = RtcConfig(mode="thirtytwo_bit")
         goal = DriftGoal(window=30 * 86400.0, drift=86400.0, direction="backward")
         plan = plan_backward(goal, 0.5, amplitude=0.1)
-        assert plan.burst_count_k == 172_800
+        assert plan.bursts.count == 172_800
         run = simulate_plan(plan, cfg, collect_ticks=False)
         train = plan.bursts
         starts = train.start + np.arange(train.count) * train.period
@@ -411,8 +415,7 @@ class TestStallTrain:
 def _forward_plan(start, count, period, duration, step, phase0):
     train = BurstTrain(start=start, period=period, duration=duration, count=count,
                        amplitude=0.005, frequency=F, phase0=phase0, phase_step=step)
-    return AttackPlan(bursts=train, burst_count_k=count, single_duration_t1=duration,
-                      pause_t2=period - duration, phase_step_delta=step)
+    return AttackPlan(train)
 
 
 def _offsets(first, step, count, duration, tau):
@@ -546,7 +549,9 @@ class TestBurstTrain:
         window = 0.00022506807129523345
         plan = plan_forward(_forward_goal(window, 5.0), t1, math.pi / 2,
                             amplitude=0.005)
-        assert 0.0 < plan.pause_t2 < math.ulp(t1)
+        k = math.ceil(TWO_PI * 5.0 / (math.pi / 2))
+        assert plan.bursts.count == k
+        assert 0.0 < (window - k * t1) / (k - 1) < math.ulp(t1)
         cfg = RtcConfig(mode="thirtytwo_bit")
         run = simulate_plan(plan, cfg, until=window)
         loop = plan_loop(plan, cfg, until=window)

@@ -75,7 +75,7 @@ class TestStep:
 
     def test_opposing_injection_stalls_exactly(self):
         st = initial_state(CAL)
-        st, _ = with_injection(st, CAL, _opposing(0.041))
+        st = with_injection(st, CAL, _opposing(0.041))
         st = step(st, CAL, 0.5)
         assert st.rtc_time == 0.0
         assert measure_drift(st) == -0.5
@@ -84,38 +84,38 @@ class TestStep:
         # injected amplitude exactly nominal - threshold: peak touches the
         # trigger level without crossing it
         st = initial_state(CAL)
-        st, _ = with_injection(st, CAL, _opposing(0.04))
+        st = with_injection(st, CAL, _opposing(0.04))
         st = step(st, CAL, 0.25)
         assert st.rtc_time == 0.0
 
     def test_resumes_within_one_cycle(self):
         cfg = RtcConfig(divider_reload=1)
         st = initial_state(cfg)
-        st, _ = with_injection(st, cfg, _opposing(0.041))
+        st = with_injection(st, cfg, _opposing(0.041))
         st = step(st, cfg, 0.5)
         assert st.rtc_time == 0.0
-        st, _ = with_injection(st, cfg, None)
+        st = with_injection(st, cfg, None)
         st, events = step_with_events(st, cfg, 0.5 + 1.0 / F)
         assert len(events) >= 1
         assert events[0].time <= 0.5 + 1.0 / F
 
     def test_small_opposing_injection_leaves_timing_alone(self):
         st = initial_state(CAL)
-        st, _ = with_injection(st, CAL, _opposing(0.005))
+        st = with_injection(st, CAL, _opposing(0.005))
         st = step(st, CAL, 1.0)
         assert st.rtc_time == 1.0
         assert measure_drift(st) == 0.0
 
     def test_stall_measured_after_ten_seconds(self):
         st = initial_state(CAL)
-        st, _ = with_injection(st, CAL, _opposing(0.041))
+        st = with_injection(st, CAL, _opposing(0.041))
         st = step(st, CAL, 10.0)
         assert measure_drift(st) == -10.0
 
     def test_rtc_time_never_decreases(self):
         st = initial_state(CAL)
         last = st.rtc_time
-        st, _ = with_injection(st, CAL, _opposing(0.06))
+        st = with_injection(st, CAL, _opposing(0.06))
         for t in np.linspace(0.05, 2.0, 17):
             st = step(st, CAL, float(t))
             assert st.rtc_time >= last
@@ -184,16 +184,16 @@ class TestFreeze:
     def test_quiet_period_latches_freeze(self):
         cfg = RtcConfig(freeze_timeout=0.1)
         st = initial_state(cfg)
-        st, _ = with_injection(st, cfg, _opposing(0.041))
+        st = with_injection(st, cfg, _opposing(0.041))
         st = step(st, cfg, 0.25)
         assert st.frozen
 
     def test_frozen_stays_after_injection_clears(self):
         cfg = RtcConfig(freeze_timeout=0.1, divider_reload=1)
         st = initial_state(cfg)
-        st, _ = with_injection(st, cfg, _opposing(0.041))
+        st = with_injection(st, cfg, _opposing(0.041))
         st = step(st, cfg, 0.25)
-        st, _ = with_injection(st, cfg, None)
+        st = with_injection(st, cfg, None)
         st = step(st, cfg, 5.0)
         assert st.frozen
         assert st.rtc_time == 0.0
@@ -220,10 +220,10 @@ class TestFreeze:
     def test_short_quiet_does_not_freeze(self):
         cfg = RtcConfig(freeze_timeout=0.1)
         st = initial_state(cfg)
-        st, _ = with_injection(st, cfg, _opposing(0.041))
+        st = with_injection(st, cfg, _opposing(0.041))
         st = step(st, cfg, 0.05)
         assert not st.frozen
-        st, _ = with_injection(st, cfg, None)
+        st = with_injection(st, cfg, None)
         st = step(st, cfg, 1.1)
         assert not st.frozen
         assert st.rtc_time > 0.0
@@ -380,9 +380,9 @@ def _stalled(cfg, free_until, quiet):
     """A clock run free to ``free_until``, then stalled for ``quiet`` seconds
     after its last edge, with the stalling injection switched off again."""
     state = step(initial_state(cfg), cfg, free_until)
-    state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
+    state = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
     state = step(state, cfg, state.last_edge_time + quiet)
-    state, _ = with_injection(state, cfg, None)
+    state = with_injection(state, cfg, None)
     return state
 
 
@@ -423,15 +423,15 @@ KERNEL_CASES = dict(
 
 
 def _through_sink(transition, *args):
-    """The state ``transition(*args, sink)`` returns and the ticks its sink
-    received, each batch no longer than one chunk."""
+    """The state ``transition(*args, sink=sink)`` returns and the ticks its
+    sink received, each batch no longer than one chunk."""
     received = []
 
     def sink(wall_times, rtc_times):
         assert 0 < len(wall_times) == len(rtc_times) <= rtc.TICK_CHUNK
         received.extend(zip(wall_times.tolist(), rtc_times.tolist()))
 
-    return transition(*args, sink), [TickEvent(*tick) for tick in received]
+    return transition(*args, sink=sink), [TickEvent(*tick) for tick in received]
 
 
 def _bits(ticks):
@@ -504,7 +504,7 @@ class TestOneCrossingKernel:
         state, events = apply_phase_advance_with_events(initial_state(cfg), cfg, burst)
         assert state.last_edge_time == events[-1].time < burst.end - 2e-5
         # 1.009 ms of quiet after that crossing is past the timeout.
-        state, _ = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
+        state = with_injection(state, cfg, _opposing(0.041, state.osc_phase))
         assert step(state, cfg, events[-1].time + 1.009e-3).frozen
 
     def test_train_on_a_frozen_clock_counts_nothing(self):
@@ -555,22 +555,25 @@ class TestOneCrossingKernel:
         bursts = _train_bursts(state, **train)
         until = state.wall_time + stretch
 
-        got, ticks = _through_sink(rtc._step, state, cfg, until)
+        got, ticks = _through_sink(step, state, cfg, until)
         want, listed = step_with_events(state, cfg, until)
-        assert got == want and _bits(ticks) == _bits(listed)
+        assert got == want == step(state, cfg, until) and _bits(ticks) == _bits(listed)
         assert _bits(listed) == _bits(_scalar_ticks(state, cfg, len(listed)))
 
+        # A switch's jump edge is one crossing at the switching time, so a
+        # tick there is the divider's next.
         signal = bursts[0].signal
-        got, ticks = _through_sink(rtc._with_injection, state, cfg, signal)
-        want, listed = with_injection(state, cfg, signal)
-        assert got == want and _bits(ticks) == _bits(listed)
-        got, ticks = _through_sink(rtc._with_injection, got, cfg, None)
-        want, listed = with_injection(want, cfg, None)
-        assert got == want and _bits(ticks) == _bits(listed)
+        for before, after in ((state, signal), (with_injection(state, cfg, signal), None)):
+            got, ticks = _through_sink(with_injection, before, cfg, after)
+            assert got == with_injection(before, cfg, after)
+            ticked = got.rtc_time != before.rtc_time
+            assert _bits(ticks) == _bits([TickEvent(
+                before.wall_time, before.rtc_time + cfg.tick_period)] * ticked)
 
-        got, ticks = _through_sink(rtc._apply_phase_advance, state, cfg, bursts[0])
+        got, ticks = _through_sink(apply_phase_advance, state, cfg, bursts[0])
         want, listed = apply_phase_advance_with_events(state, cfg, bursts[0])
-        assert got == want and _bits(ticks) == _bits(listed)
+        assert got == want == apply_phase_advance(state, cfg, bursts[0])
+        assert _bits(ticks) == _bits(listed)
 
         train["period"] = bursts.period
         got, ticks = _through_sink(
@@ -587,8 +590,8 @@ class TestOneCrossingKernel:
         cfg = RtcConfig(nominal_freq=32000.0, divider_reload=1)
         state = step(initial_state(cfg, 1.0), cfg, 1e3 + 1e-4)
         sizes = []
-        end = rtc._step(state, cfg, state.wall_time + 0.3,
-                        lambda wall, rtc_times: sizes.append(len(wall)))
+        end = step(state, cfg, state.wall_time + 0.3,
+                   sink=lambda wall, rtc_times: sizes.append(len(wall)))
         assert sizes == [rtc.TICK_CHUNK, rtc.TICK_CHUNK, 9600 - 2 * rtc.TICK_CHUNK]
         want, listed = step_with_events(state, cfg, end.wall_time)
         assert want == end and len(listed) == 9600
@@ -646,7 +649,7 @@ class TestOneCrossingKernel:
     def test_bursts_refused_while_an_injection_is_on(self):
         # A 0.05 V opposing injection stalls the 0.08 V clock; a burst on top
         # of it would count the bare oscillation's crossings.
-        state, _ = with_injection(initial_state(CAL), CAL, _opposing(0.05))
+        state = with_injection(initial_state(CAL), CAL, _opposing(0.05))
         state = step(state, CAL, 0.01)
         assert state.counter == CAL.divider_reload
         burst = InjectionBurst(0.01, 2e-3, Sinusoid(0.005, F, 1.0))
@@ -718,12 +721,10 @@ class TestOracleEquivalence:
         events = []
         st, ev = step_with_events(st, cfg, 0.010)
         events += ev
-        st, ev = with_injection(st, cfg, inj)
-        events += ev
+        st = with_injection(st, cfg, inj, sink=rtc.tick_collector(events))
         st, ev = step_with_events(st, cfg, 0.020)
         events += ev
-        st, ev = with_injection(st, cfg, None)
-        events += ev
+        st = with_injection(st, cfg, None, sink=rtc.tick_collector(events))
         st, ev = step_with_events(st, cfg, 0.030)
         events += ev
         st, ev = apply_phase_advance_with_events(st, cfg, burst)
@@ -783,9 +784,9 @@ class TestDeterminism:
     def test_identical_runs_bitwise_equal(self):
         def run():
             st = initial_state(CAL)
-            st, _ = with_injection(st, CAL, _opposing(0.041))
+            st = with_injection(st, CAL, _opposing(0.041))
             st = step(st, CAL, 0.37)
-            st, _ = with_injection(st, CAL, None)
+            st = with_injection(st, CAL, None)
             burst = InjectionBurst(0.5, 1.7e-5, Sinusoid(0.004, F, 1.1))
             st = apply_phase_advance(st, CAL, burst)
             return step(st, CAL, 2.0)

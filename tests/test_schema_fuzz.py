@@ -5,7 +5,7 @@ Each example mutates one to three leaves of a reference config.  The leaves
 and their bounds come from ``config.SCHEMA``, so a field added to the table
 is fuzzed too.  A mutation swaps the value's type, puts it one ulp (or one)
 past a bound, gives it a huge or subnormal magnitude, deletes it, or adds an
-unknown key beside it.
+unknown key beside it, which is refused.
 
 ``classify`` is left out: at about 0.2 s a call on the reference config it
 would add most of a minute.  ``simulate`` refuses a window whose tick rows
