@@ -143,8 +143,14 @@ def shrink(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO):
     """``dwt`` with every detail band soft-thresholded at the universal
     threshold; returns (approximation, [d_fine..d_coarse], n)."""
     a, details, n = dwt(x, levels, lo)
-    thr = universal_threshold(details[0], len(x))
-    return a, [soft_threshold(d, thr) for d in details], n
+    return a, shrink_details(details, len(x)), n
+
+
+def shrink_details(details, n: int) -> list[np.ndarray]:
+    """The detail bands [d_fine..d_coarse] of an n-sample signal
+    soft-thresholded at its universal threshold."""
+    thr = universal_threshold(details[0], n)
+    return [soft_threshold(d, thr) for d in details]
 
 
 def denoise(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
@@ -165,6 +171,51 @@ def _level_responses(lo: np.ndarray, hi: np.ndarray, k: np.ndarray, m: int):
         hi_sum += f_hi * power
         power *= w
     return lo_sum, hi_sum
+
+
+def analysis_responses(n: int, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
+    """(2, n/2 + 1) array of 1/2 w**k F(k) for k = 0..n/2, w = exp(2 pi i / n)
+    and F the length-n DFT of the analysis low-pass (row 0) and high-pass
+    (row 1) filter: what ``spectral_dwt`` multiplies a spectrum by.  At
+    m = n / 2**level samples a level reads every 2**level-th entry, since
+    F_m(k) = F_n(2**level k)."""
+    lo, hi = _filters(np.asarray(lo, dtype=float))
+    # _level_responses gives conj(w**k F(k))
+    responses = np.array(_level_responses(lo, hi, np.arange(n // 2 + 1), n))
+    np.conjugate(responses, out=responses)
+    responses *= 0.5
+    return responses
+
+
+def _fold(response: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    # Y(k) = Z(k) + conj(Z(h - k)) for k = 0..h/2, Z = response * spectrum on
+    # 0..h, h = m/2; Z is formed a half at a time
+    h = len(spectrum) - 1
+    q = h // 2
+    y = response[:q + 1] * spectrum[:q + 1]
+    upper = response[h - q:] * spectrum[h - q:]
+    y += np.conjugate(upper, out=upper)[::-1]
+    return y
+
+
+def spectral_dwt(spectrum: np.ndarray, n: int, levels: int,
+                 responses: np.ndarray):
+    """``dwt(x, levels)[:2]`` of the n samples x whose rfft is ``spectrum``,
+    with 2**levels dividing n and ``responses`` from ``analysis_responses(n)``.
+
+    A step on m samples keeps the odd samples of the circular convolution
+    with f, so a subband's DFT is 1/2 w**k [F(k) S(k) - conj(F(m/2 - k)
+    S(m/2 - k))] with w = exp(2 pi i / m), for k = 0..m/4 on the rfft grid
+    (Vaidyanathan, Multirate Systems and Filter Banks, 1993, sec. 4.1).  The
+    approximation's spectrum feeds the next level; only the subbands return
+    to the time domain."""
+    details = []
+    for level in range(levels):
+        m = n >> level
+        lo, hi = responses[:, ::1 << level]
+        details.append(np.fft.irfft(_fold(hi, spectrum), m // 2))
+        spectrum = _fold(lo, spectrum)
+    return np.fft.irfft(spectrum, n >> levels), details
 
 
 def synthesis_responses(n: int, levels: int, start: int, stop: int,

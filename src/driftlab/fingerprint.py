@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -32,6 +34,12 @@ WAVELET_LEVELS = 4
 # wavelet synthesis responses): one entry per band and length, enough for the
 # five carriers of the bundled library with room to spare.
 _BAND_RESPONSES = 8
+# The longest buffer that corrects the circular band-pass of the
+# frequency-domain path (a shorter capture is corrected at its own length).
+# The correction's subbands reach 70 samples past sample 0 and 64 before it
+# at the first level (of 512), 21 and 8 at the fourth (of 64): in every level
+# each end stays in its own half.
+_EDGE_BUFFER = 1024
 
 
 class DegenerateTraceError(ValueError):
@@ -171,24 +179,20 @@ def _bandpass(x: np.ndarray, sample_rate: float, f0: float, bandwidth: float,
     """The centred len(x) samples of the full linear convolution of ``x`` with
     the band-pass taps: linear phase, zero net delay."""
     size = _smooth_length(len(x) + numtaps - 1)
-    spectrum = np.fft.rfft(x, size)
-    return _bandpass_spectrum(spectrum, len(x), sample_rate, f0, bandwidth,
-                              numtaps, np.empty_like(spectrum), np.empty(size))
+    return _bandpass_spectrum(np.fft.rfft(x, size), len(x), sample_rate, f0,
+                              bandwidth, numtaps)
 
 
 def _bandpass_spectrum(spectrum: np.ndarray, n: int, sample_rate: float,
-                       f0: float, bandwidth: float, numtaps: int,
-                       product: np.ndarray, out: np.ndarray) -> np.ndarray:
+                       f0: float, bandwidth: float, numtaps: int) -> np.ndarray:
     """``_bandpass`` of the n samples whose rfft at the 2-3-5-smooth length
-    >= n + numtaps - 1 is ``spectrum``, computed in the arrays ``product``
-    (like ``spectrum``) and ``out`` (that length); returns a view of ``out``.
-    ``numtaps`` is odd, which makes the band-pass zero-phase."""
+    >= n + numtaps - 1 is ``spectrum``.  ``numtaps`` is odd, which makes the
+    band-pass zero-phase."""
     # the full convolution fits, so the circular product does not wrap
     size = _smooth_length(n + numtaps - 1)
     response = _band_response(numtaps, f0 - 0.5 * bandwidth,
                               f0 + 0.5 * bandwidth, sample_rate, size)
-    np.multiply(spectrum, response, out=product)
-    return np.fft.irfft(product, size, out=out)[:n]
+    return np.fft.irfft(spectrum * response, size)[:n]
 
 
 def _check_band(sample_rate: float, f0: float, bandwidth: float) -> None:
@@ -218,13 +222,10 @@ def _band_spectrum(x: np.ndarray, sample_rate: float, f0: float,
 
 @functools.lru_cache(maxsize=_BAND_RESPONSES)
 def _band_synthesis(n: int, sample_rate: float, f0: float, bandwidth: float):
-    """(start, stop, responses) for the band on the rfft grid of n samples:
-    the bins ``_band_spectrum`` keeps are start..stop-1, and ``responses``
-    are their read-only wavelet synthesis responses at WAVELET_LEVELS.
-    None when 2**WAVELET_LEVELS does not divide n: ``dwt`` then pads the
-    trace and the subbands no longer give the bins of n samples."""
-    if n % (1 << WAVELET_LEVELS):
-        return None
+    """(start, stop, responses) for the band on the rfft grid of n samples,
+    a multiple of 2**WAVELET_LEVELS: the bins ``_band_spectrum`` keeps are
+    start..stop-1, and ``responses`` are their read-only wavelet synthesis
+    responses at WAVELET_LEVELS."""
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     inside = np.flatnonzero((freqs >= f0 - 0.5 * bandwidth)
                             & (freqs <= f0 + 0.5 * bandwidth))
@@ -235,39 +236,86 @@ def _band_synthesis(n: int, sample_rate: float, f0: float, bandwidth: float):
     return start, stop, tuple(responses)
 
 
-def _band_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays for the band-pass of an n-sample trace: its spectrum, that
-    spectrum times a band response, and the band-passed samples.  One set
-    per bank or ``classify`` call, reused by every band and profile, keeps
-    these largest arrays from being allocated anew each time, which
-    fragments the heap (about 10 MB more peak RSS on the `fingerprint`
-    benchmark)."""
-    size = _smooth_length(n + BANDPASS_TAPS - 1)
-    return (np.empty(size // 2 + 1, dtype=complex),
-            np.empty(size // 2 + 1, dtype=complex), np.empty(size))
+@functools.lru_cache(maxsize=1)
+def _analysis_responses(n: int) -> np.ndarray:
+    """Read-only ``_wavelet.analysis_responses(n)``: one table (16 B a
+    sample) serves every band and level of an n-sample capture."""
+    responses = _wavelet.analysis_responses(n)
+    responses.flags.writeable = False
+    return responses
 
 
-def _capture_spectrum(samples: np.ndarray, work) -> None:
-    """Fill the spectrum of ``work`` (``_band_work``) from ``samples``."""
-    np.fft.rfft(samples, len(work[2]), out=work[0])
+def _frequency_path(n: int) -> bool:
+    """Whether the bands of an n-sample capture are analysed from its
+    spectrum (``_band_subbands``) rather than band-passed and denoised in
+    the time domain.  ``dwt`` pads a length that 2**WAVELET_LEVELS does not
+    divide, and from BANDPASS_TAPS samples up the circular band-pass wraps
+    each end of the capture onto the other end only."""
+    return n >= BANDPASS_TAPS and n % (1 << WAVELET_LEVELS) == 0
 
 
-def _denoised_band(work, n: int, sample_rate: float, f0: float,
+def _spectrum_size(n: int) -> int:
+    """Length of the rfft of an n-sample capture that every band reads: n on
+    the frequency-domain path, else the padded length of ``_bandpass``."""
+    return n if _frequency_path(n) else _smooth_length(n + BANDPASS_TAPS - 1)
+
+
+def _capture_spectrum(samples: np.ndarray):
+    """What every band of a capture reads: its rfft at ``_spectrum_size``,
+    and its first and last (BANDPASS_TAPS - 1) / 2 samples, the ends that a
+    circular band-pass wraps onto each other."""
+    n = len(samples)
+    c = BANDPASS_TAPS // 2
+    return (np.fft.rfft(samples, _spectrum_size(n)), samples[:c].copy(),
+            samples[n - c:].copy())
+
+
+def _band_subbands(capture, n: int, sample_rate: float, f0: float,
+                   bandwidth: float):
+    """``_wavelet.dwt(_bandpass(x, ...), WAVELET_LEVELS)[:2]`` of the capture
+    x that ``_capture_spectrum`` read, where ``_frequency_path(n)``: the
+    band-pass is the product with the band's response on x's own rfft grid,
+    and the subbands come from that spectrum by ``_wavelet.spectral_dwt``."""
+    spectrum, head, tail = capture
+    lo, hi = f0 - 0.5 * bandwidth, f0 + 0.5 * bandwidth
+    response = _band_response(BANDPASS_TAPS, lo, hi, sample_rate, n)
+    a, details = _wavelet.spectral_dwt(spectrum * response, n, WAVELET_LEVELS,
+                                       _analysis_responses(n))
+    # The product is a circular convolution: its first and last c samples
+    # exceed the linear one's by the other end of x wrapped in.  The DWT is
+    # linear, so the subbands of that excess are subtracted.  They lie near
+    # sample 0, so a buffer of at most _EDGE_BUFFER samples with the same
+    # wrap gives them: its first half of each level maps to the start of the
+    # subband, the rest to the end (the whole subband at length n).
+    taps = _bandpass_taps(BANDPASS_TAPS, lo, hi, sample_rate)
+    c = len(head)
+    wrapped = np.zeros(min(n, _EDGE_BUFFER))
+    wrapped[:c] = np.convolve(tail, taps)[2 * c:]
+    wrapped[-c:] = np.convolve(head, taps)[:c]
+    excess_a, excess_details, _ = _wavelet.dwt(wrapped, WAVELET_LEVELS)
+    for s, excess in zip([a, *details], [excess_a, *excess_details]):
+        half = len(excess) // 2
+        s[:half] -= excess[:half]
+        s[len(s) - (len(excess) - half):] -= excess[half:]
+    return a, details
+
+
+def _denoised_band(capture, n: int, sample_rate: float, f0: float,
                    bandwidth: float) -> np.ndarray:
     """``_band_spectrum(denoise(trace, f0, bandwidth).samples, ...)`` of the
-    n-sample trace whose spectrum ``_capture_spectrum`` put in ``work``.
-    Where ``_band_synthesis`` holds the band's bins, they come straight
-    from the thresholded subbands, with no inverse DWT and no full-length
-    FFT; otherwise the time-domain path runs."""
+    n-sample trace that ``_capture_spectrum`` read.  Where
+    ``_frequency_path(n)``, the subbands come from the capture's spectrum and
+    the band's bins straight from the thresholded subbands, with no inverse
+    DWT and no full-length FFT.  Otherwise the time-domain path runs."""
     _check_band(sample_rate, f0, bandwidth)
-    spectrum, product, out = work
-    filtered = _bandpass_spectrum(spectrum, n, sample_rate, f0, bandwidth,
-                                  BANDPASS_TAPS, product, out)
-    synthesis = _band_synthesis(n, sample_rate, f0, bandwidth)
-    if synthesis is None:
+    if not _frequency_path(n):
+        filtered = _bandpass_spectrum(capture[0], n, sample_rate, f0,
+                                      bandwidth, BANDPASS_TAPS)
         return _band_spectrum(_wavelet.denoise(filtered, WAVELET_LEVELS),
                               sample_rate, f0, bandwidth)
-    a, details, _ = _wavelet.shrink(filtered, WAVELET_LEVELS)
+    a, details = _band_subbands(capture, n, sample_rate, f0, bandwidth)
+    details = _wavelet.shrink_details(details, n)
+    synthesis = _band_synthesis(n, sample_rate, f0, bandwidth)
     return np.abs(_wavelet.reconstruction_dft(a, details, *synthesis))
 
 
@@ -291,27 +339,29 @@ def build_template_bank(library, cfg: CaptureConfig) -> dict[str, np.ndarray]:
         bandwidth=cfg.bandwidth,
     )
     n = capture_length(cfg)
-    # Each carrier's held tables are built before the work arrays and the
-    # first trace: built among them, they and their temporaries leave the
-    # heap higher (peak RSS of the `fingerprint` benchmark, 2 vCPU: 111 MB
-    # built first, 121 MB built among them).
+    # The held tables are built before the first trace: built among the
+    # per-trace arrays, they and their temporaries leave the heap higher
+    # (peak RSS of the `fingerprint` benchmark, 2 vCPU: 111 MB built first,
+    # 121 MB built among them).
+    frequency = _frequency_path(n)
     for f0 in dict.fromkeys(p.f0 for p in library):
         _band_response(BANDPASS_TAPS, f0 - 0.5 * cfg.bandwidth,
                        f0 + 0.5 * cfg.bandwidth, cfg.sample_rate,
-                       _smooth_length(n + BANDPASS_TAPS - 1))
-        _band_synthesis(n, cfg.sample_rate, f0, cfg.bandwidth)
-    work = _band_work(n)
+                       _spectrum_size(n))
+        if frequency:
+            _band_synthesis(n, cfg.sample_rate, f0, cfg.bandwidth)
+    if frequency:
+        _analysis_responses(n)
     bank = {}
     for profile in library:
         # Templates ride the same band-pass/denoise pipeline as captures so
-        # the filter's band-edge shaping cancels out in the correlation; only
-        # the spectrum of the scaled trace outlives this line.
-        _capture_spectrum(
-            scale(synthesize(profile, clean_cfg), cfg.scale_a, cfg.scale_b).samples,
-            work,
-        )
-        bank[profile.label] = _denoised_band(work, n, cfg.sample_rate,
+        # the filter's band-edge shaping cancels out in the correlation; no
+        # array of one profile is alive while the next one's are built.
+        capture = _capture_spectrum(
+            scale(synthesize(profile, clean_cfg), cfg.scale_a, cfg.scale_b).samples)
+        bank[profile.label] = _denoised_band(capture, n, cfg.sample_rate,
                                              profile.f0, cfg.bandwidth)
+        del capture
     return bank
 
 
@@ -346,15 +396,14 @@ def classify(
     scaled = scale(trace, cfg.scale_a, cfg.scale_b)
     if bank is None:
         bank = build_template_bank(library, cfg)
-    work = _band_work(n)
-    _capture_spectrum(scaled.samples, work)
+    capture = _capture_spectrum(scaled.samples)
     del scaled      # the held band tables take its place
     confidences: dict[str, float] = {}
     by_f0: dict[float, list[SscProfile]] = {}
     for profile in library:
         by_f0.setdefault(profile.f0, []).append(profile)
     for f0, profiles in by_f0.items():
-        band = _denoised_band(work, n, cfg.sample_rate, f0, cfg.bandwidth)
+        band = _denoised_band(capture, n, cfg.sample_rate, f0, cfg.bandwidth)
         for profile in profiles:
             confidences[profile.label] = _correlation(band, bank[profile.label])
     best = max(confidences, key=lambda k: confidences[k])
@@ -400,12 +449,43 @@ def load_trace_bin(path) -> SampledTrace:
         magic = fh.read(len(_BIN_MAGIC))
         if magic != _BIN_MAGIC:
             raise ValueError(f"{path}: not a trace file")
-        sample_rate, start_time, n = struct.unpack("<ddQ", fh.read(24))
-        samples = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if len(samples) != n:
-            raise ValueError(f"{path}: truncated trace")
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError(f"{path}: truncated header")
+        sample_rate, start_time, n = struct.unpack("<ddQ", header)
+        # The count comes from the file, so nothing is allocated for it
+        # unchecked: a regular file's size bounds it, any other stream is
+        # read in bounded chunks until it ends.
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode):
+            held = max(status.st_size - fh.tell(), 0) // 8
+            if n > held:
+                raise _truncated(path, n, held)
+            data = fh.read(8 * n)
+        else:
+            data = _read_bounded(fh, 8 * n)
+        if len(data) != 8 * n:
+            raise _truncated(path, n, len(data) // 8)
+        samples = np.frombuffer(data, dtype="<f8")
     _require_finite(samples, str(path))
     return SampledTrace(sample_rate, samples.copy(), start_time)
+
+
+def _truncated(path, n: int, held: int) -> ValueError:
+    return ValueError(f"{path}: truncated trace: the header states {n} "
+                      f"samples, the file holds {held}")
+
+
+def _read_bounded(fh, size: int, chunk: int = 1 << 24) -> bytes:
+    """Up to ``size`` bytes of ``fh``, read ``chunk`` bytes at a time."""
+    parts = []
+    while size > 0:
+        part = fh.read(min(size, chunk))
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
 
 
 def save_trace_csv(trace: SampledTrace, path) -> None:

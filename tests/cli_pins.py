@@ -13,7 +13,9 @@ A refactor must leave these outputs unchanged.
 
     PYTHONPATH=src python tests/cli_pins.py --check
 
-lists the cases whose output differs from the file and writes nothing.  A
+lists the cases whose output differs from the file and writes nothing.
+Under each it prints the fields that differ; for a table, the rows that
+differ and the largest absolute difference of their numeric fields.  A
 change that alters one on purpose regenerates the file with
 
     PYTHONPATH=src python tests/cli_pins.py
@@ -27,6 +29,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -177,6 +180,44 @@ def record(name: str) -> dict:
     return result
 
 
+def _numeric_gap(old_row: str, new_row: str) -> float:
+    """Largest |a - b| over the fields of two CSV rows that both read as
+    numbers (0.0 when none do)."""
+    gap = 0.0
+    for a, b in zip(old_row.split(","), new_row.split(",")):
+        try:
+            gap = max(gap, abs(float(a) - float(b)))
+        except ValueError:
+            pass
+    return gap
+
+
+def differences(pinned: dict | None, recorded: dict | None) -> list[str]:
+    """Lines that show how a case's recorded output differs from its pin."""
+    if pinned is None or recorded is None:
+        return ["  not pinned" if pinned is None else "  no longer a case"]
+    lines = []
+    for key in sorted(pinned.keys() | recorded.keys()):
+        old, new = pinned.get(key), recorded.get(key)
+        if old == new:
+            continue
+        if key not in ("out", "end") or not (isinstance(old, str)
+                                              and isinstance(new, str)):
+            lines.append(f"  {key}: {old!r} -> {new!r}")
+            continue
+        gap = 0.0
+        rows = itertools.zip_longest(old.splitlines(), new.splitlines())
+        for i, (old_row, new_row) in enumerate(rows):
+            if old_row == new_row:
+                continue
+            lines.append(f"  {key} row {i}: - {old_row}")
+            lines.append(f"  {key} row {i}: + {new_row}")
+            if old_row is not None and new_row is not None:
+                gap = max(gap, _numeric_gap(old_row, new_row))
+        lines.append(f"  {key}: largest absolute difference {gap!r}")
+    return lines
+
+
 def main(argv) -> int:
     """Regenerate the pin file, or with ``--check`` list the cases whose
     output differs from it (or that it lacks or no longer has) and exit 1 if
@@ -188,6 +229,7 @@ def main(argv) -> int:
                          if pins.get(name) != pinned.get(name))
         for name in changed:
             print(name)
+            print("\n".join(differences(pinned.get(name), pins.get(name))))
         return 1 if changed else 0
     if argv:
         print("usage: cli_pins.py [--check]", file=sys.stderr)

@@ -479,6 +479,24 @@ class TestClassifyCommand:
         assert "Traceback" not in err
         assert out.read_bytes() == b"earlier result\n"
 
+    # 2**40 samples raised MemoryError, 2**61 OverflowError: the header's
+    # count must be checked against the file before it is read
+    @pytest.mark.parametrize("count", [2**40, 2**61])
+    def test_oversized_trace_header_refused(self, count, config_path, tmp_path,
+                                            capsys):
+        trace = tmp_path / "capture.bin"
+        save_trace_bin(SampledTrace(6e6, np.zeros(60000)), trace)
+        data = bytearray(trace.read_bytes())
+        data[24:32] = count.to_bytes(8, "little")
+        trace.write_bytes(bytes(data))
+        out = tmp_path / "cls.csv"
+        path = config_path(overrides={"fingerprint.trace": {"file": str(trace)}})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"the header states {count} samples, the file holds 60000" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sample_rate_mismatch_named(self, config_path, tmp_path, capsys):
         trace = tmp_path / "capture.bin"
         samples = np.random.default_rng(0).normal(size=30000)

@@ -1,27 +1,35 @@
+import contextlib
+import io
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve, firwin
 
+from driftlab import _wavelet
 from driftlab.fingerprint import (
     BANDPASS_TAPS,
     CaptureConfig,
     DegenerateTraceError,
     SscProfile,
     WAVELET_LEVELS,
+    _analysis_responses,
     _band_response,
     _band_spectrum,
+    _band_subbands,
     _band_synthesis,
-    _band_work,
     _bandpass,
     _bandpass_spectrum,
     _bandpass_taps,
     _capture_spectrum,
     _denoised_band,
+    _frequency_path,
+    _read_bounded,
     build_template_bank,
     classify,
     denoise,
@@ -286,12 +294,11 @@ class TestBandpass:
 
     def test_shared_spectrum_gives_the_same_band(self, bands):
         x = np.random.default_rng(1).normal(size=1000)
-        work = _band_work(len(x))
-        _capture_spectrum(x, work)
+        spectrum = _capture_spectrum(x)[0]
         for f0 in bands:
             alone = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
-            shared = _bandpass_spectrum(work[0], len(x), self.FS, f0, 2e5,
-                                        BANDPASS_TAPS, *work[1:])
+            shared = _bandpass_spectrum(spectrum, len(x), self.FS, f0, 2e5,
+                                        BANDPASS_TAPS)
             assert np.array_equal(alone, shared)
 
 
@@ -362,17 +369,11 @@ class TestClassify:
 
 
 class TestDenoisedBand:
-    """The band's bins taken from the thresholded wavelet subbands against
-    the time-domain pipeline: denoise, then the full-length rfft and its
-    frequency mask."""
+    """The band's bins, as ``classify`` takes them from the capture's
+    spectrum, against the time-domain pipeline: denoise, then the
+    full-length rfft and its frequency mask."""
 
     FS = 6e6
-
-    @staticmethod
-    def _work(x):
-        work = _band_work(len(x))
-        _capture_spectrum(x, work)
-        return work
 
     @given(
         n=st.one_of(st.integers(min_value=19, max_value=375).map(lambda k: 16 * k),
@@ -380,9 +381,16 @@ class TestDenoisedBand:
         f0_frac=st.floats(min_value=0.1, max_value=0.9),
         bandwidth=st.floats(min_value=2e4, max_value=5e5),
     )
+    @example(n=256, f0_frac=0.3, bandwidth=2e5)     # the last time-domain
+    @example(n=272, f0_frac=0.3, bandwidth=2e5)     # and the first
+    @example(n=288, f0_frac=0.3, bandwidth=2e5)     # frequency-domain lengths
+    @example(n=1008, f0_frac=0.3, bandwidth=2e5)    # around the longest
+    @example(n=1024, f0_frac=0.3, bandwidth=2e5)    # edge buffer
+    @example(n=1040, f0_frac=0.3, bandwidth=2e5)
     @settings(max_examples=60, deadline=None)
     def test_matches_time_domain_on_drawn_lengths(self, n, f0_frac, bandwidth):
-        # n % 16 != 0 is drawn too; those lengths take the time-domain path.
+        # Lengths with n % 16 != 0 are drawn too; those take the time-domain
+        # path.
         # Rounding in either path scales with the whole spectrum, so the
         # tolerance is relative to its peak: a band the filter leaves near
         # 1e-18 agrees only to the peak's rounding.
@@ -390,7 +398,7 @@ class TestDenoisedBand:
         x = np.random.default_rng(n).normal(size=n)
         cleaned = denoise(SampledTrace(self.FS, x), f0, bandwidth).samples
         want = _band_spectrum(cleaned, self.FS, f0, bandwidth)
-        got = _denoised_band(self._work(x), n, self.FS, f0, bandwidth)
+        got = _denoised_band(_capture_spectrum(x), n, self.FS, f0, bandwidth)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= (
             1e-12 * np.max(np.abs(np.fft.rfft(cleaned))))
@@ -398,14 +406,52 @@ class TestDenoisedBand:
     @pytest.mark.parametrize("n", [60000, 60001, 120000])
     def test_bundled_bands_match_time_domain(self, library, n):
         x = np.random.default_rng(n).normal(size=n)
-        work = self._work(x)
+        capture = _capture_spectrum(x)
         for f0 in sorted({p.f0 for p in library}):
             want = _band_spectrum(
                 denoise(SampledTrace(self.FS, x), f0, 2e5).samples,
                 self.FS, f0, 2e5)
-            got = _denoised_band(work, n, self.FS, f0, 2e5)
+            got = _denoised_band(capture, n, self.FS, f0, 2e5)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @given(
+        n=st.integers(min_value=17, max_value=375).map(lambda k: 16 * k),
+        lo_frac=st.floats(min_value=1e-6, max_value=0.95),
+        share=st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    )
+    @example(n=272, lo_frac=0.3, share=0.1)         # the shortest, corrected
+    @example(n=1008, lo_frac=0.3, share=0.1)        # at its own length
+    @example(n=1024, lo_frac=1e-6, share=0.01)     # at 0 Hz
+    @example(n=1024, lo_frac=0.9, share=1 - 1e-9)  # at Nyquist
+    @example(n=1040, lo_frac=1e-6, share=1 - 1e-9)  # all of (0, Nyquist)
+    @example(n=6000, lo_frac=0.3, share=0.1)
+    @settings(max_examples=60, deadline=None)
+    def test_subbands_match_dwt_of_bandpass(self, n, lo_frac, share):
+        # the band [lo, hi] takes ``share`` of the room between lo and Nyquist
+        nyquist = 0.5 * self.FS
+        lo = lo_frac * nyquist
+        hi = lo + share * (nyquist - lo)
+        f0, bandwidth = 0.5 * (lo + hi), hi - lo
+        x = np.random.default_rng(n).normal(size=n)
+        assert _frequency_path(n)
+        a, details = _band_subbands(_capture_spectrum(x), n, self.FS, f0,
+                                    bandwidth)
+        want_a, want_details, _ = _wavelet.dwt(
+            _bandpass(x, self.FS, f0, bandwidth, BANDPASS_TAPS), WAVELET_LEVELS)
+        for got, want in zip([a, *details], [want_a, *want_details],
+                             strict=True):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n,frequency", [
+        (16, False), (240, False), (256, False), (257, False), (272, True),
+        (1000, False), (1008, True), (1024, True), (1025, False),
+        (1040, True), (60000, True), (60001, False), (600000, True),
+        (600008, False),
+    ])
+    def test_path_choice(self, n, frequency):
+        assert _frequency_path(n) is frequency
 
     @staticmethod
     def _mask_bins(n, sample_rate, f0, bandwidth):
@@ -424,12 +470,6 @@ class TestDenoisedBand:
         want = self._mask_bins(n, self.FS, f0, bandwidth)
         assert np.array_equal(np.arange(start, stop), want)
 
-    @pytest.mark.parametrize("n", [1000, 60001])
-    def test_no_bins_held_where_levels_do_not_divide(self, n):
-        # dwt pads these lengths, so the band takes the time-domain path
-        assert n % (1 << WAVELET_LEVELS)
-        assert _band_synthesis(n, self.FS, 5e5, 2e5) is None
-
 
 class TestBandResponseTable:
     """The held band tables (band responses, and band bins with their
@@ -445,7 +485,8 @@ class TestBandResponseTable:
         classify(first, library, self.CFG, bank=bank)
         fresh = synthesize(library[7], self.CFG, seed=2)
         misses = (_band_response.cache_info().misses,
-                  _band_synthesis.cache_info().misses)
+                  _band_synthesis.cache_info().misses,
+                  _analysis_responses.cache_info().misses)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -456,7 +497,8 @@ class TestBandResponseTable:
         assert label == library[7].label
         # a table built for this capture would show as a miss
         assert (_band_response.cache_info().misses,
-                _band_synthesis.cache_info().misses) == misses
+                _band_synthesis.cache_info().misses,
+                _analysis_responses.cache_info().misses) == misses
         assert retained < 1 << 20
 
     def test_more_carriers_than_slots(self):
@@ -481,17 +523,49 @@ class TestBandResponseTable:
             assert response.shape == (stop - start,)
             assert not response.flags.writeable
 
+    def test_analysis_responses_are_read_only(self):
+        responses = _analysis_responses(6000)
+        assert responses.shape == (2, 3001)
+        assert responses.dtype == np.complex128
+        assert not responses.flags.writeable
+        assert _analysis_responses.cache_info().maxsize == 1
+
 
 class TestIo:
     def test_library_file_shape(self, library):
         assert len(library) == 15
         assert all(p.f0 > p.fm > 0 and p.df > 0 for p in library)
 
-    def test_bin_round_trip(self, tmp_path):
-        trace = SampledTrace(6e6, np.linspace(-1, 1, 257), start_time=0.5)
+    @staticmethod
+    @contextlib.contextmanager
+    def _bin(tmp_path, trace, source, count=None):
+        """``t.bin`` holding ``trace`` as ``save_trace_bin`` writes it, its
+        header's sample count replaced by ``count`` if given: a regular file,
+        or a named pipe (which reports no size) fed by a thread."""
+        save_trace_bin(trace, tmp_path / "saved.bin")
+        data = bytearray((tmp_path / "saved.bin").read_bytes())
+        if count is not None:
+            data[24:32] = count.to_bytes(8, "little")
         path = tmp_path / "t.bin"
-        save_trace_bin(trace, path)
-        back = load_trace_bin(path)
+        if source == "file":
+            path.write_bytes(data)
+            yield path
+            return
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(bytes(data),))
+        writer.start()
+        try:
+            yield path
+        finally:
+            writer.join()
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_bin_round_trip(self, tmp_path, source):
+        trace = SampledTrace(6e6, np.linspace(-1, 1, 257), start_time=0.5)
+        with self._bin(tmp_path, trace, source) as path:
+            back = load_trace_bin(path)
         assert back.sample_rate == trace.sample_rate
         assert back.start_time == 0.5
         assert np.array_equal(back.samples, trace.samples)
@@ -508,6 +582,28 @@ class TestIo:
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTATRACE")
         with pytest.raises(ValueError):
+            load_trace_bin(path)
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("count", [2**40, 2**61, 2**64 - 1, 258])
+    def test_header_count_beyond_the_file_refused(self, tmp_path, count,
+                                                  source):
+        trace = SampledTrace(6e6, np.linspace(-1, 1, 257))
+        with self._bin(tmp_path, trace, source, count) as path, \
+                pytest.raises(ValueError, match=rf"t\.bin: truncated trace: "
+                              rf"the header states {count} samples, the file "
+                              rf"holds 257"):
+            load_trace_bin(path)
+
+    @pytest.mark.parametrize("size", [0, 5, 8, 21, 22, 1000])
+    def test_bounded_read_stops_at_size_or_end(self, size):
+        data = bytes(range(22))
+        assert _read_bounded(io.BytesIO(data), size, chunk=4) == data[:size]
+
+    def test_truncated_header_refused(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"DLTRACE1" + bytes(23))
+        with pytest.raises(ValueError, match=r"t\.bin: truncated header"):
             load_trace_bin(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -5,6 +5,7 @@ import pytest
 
 from driftlab._wavelet import (
     DEFAULT_LO,
+    analysis_responses,
     daubechies_lowpass,
     denoise,
     dwt,
@@ -12,6 +13,7 @@ from driftlab._wavelet import (
     reconstruction_dft,
     shrink,
     soft_threshold,
+    spectral_dwt,
     synthesis_responses,
     universal_threshold,
 )
@@ -204,3 +206,24 @@ class TestReconstructionDft:
         x = np.random.default_rng(6).normal(size=1000)
         a, details, n = shrink(x, 4)
         assert np.array_equal(idwt(a, details, n), denoise(x, 4))
+
+
+class TestSpectralDwt:
+    """Subbands taken from the signal's rfft against the time-domain DWT."""
+
+    FILTERS = TestReconstructionDft.FILTERS
+    IDS = TestReconstructionDft.IDS
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lo", FILTERS, ids=IDS)
+    # 112 / 16 and 48 / 16 are odd: the last level folds an odd half-length
+    @pytest.mark.parametrize("n", [48, 112, 128, 1040])
+    def test_matches_dwt(self, lo, levels, n):
+        x = np.random.default_rng(n + levels).normal(size=n)
+        a, details = spectral_dwt(np.fft.rfft(x), n, levels,
+                                  analysis_responses(n, lo))
+        want_a, want_details, _ = dwt(x, levels, lo)
+        for got, want in zip([a, *details], [want_a, *want_details],
+                             strict=True):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
