@@ -1,10 +1,11 @@
 """Minimal orthogonal wavelet transform with universal soft thresholding.
 
 Only what the denoising pipeline needs: a periodized multi-level DWT on a
-compactly supported orthogonal (Daubechies) wavelet, its exact inverse, the
-DFT of that inverse taken straight from the subbands' own DFTs, and soft
-thresholding at sigma * sqrt(2 ln n) with the noise scale estimated from the
-finest detail band's median absolute value.
+compactly supported orthogonal (Daubechies) wavelet of a signal whose
+length 2**levels divides, its exact inverse, the subbands taken straight
+from the signal's DFT, the DFT of the inverse taken straight from the
+subbands' own DFTs, and soft thresholding at sigma * sqrt(2 ln n) with the
+noise scale estimated from the finest detail band's median absolute value.
 
 Filter taps are computed at import time by the classic spectral
 factorization of the Daubechies binomial polynomial; the default order of 8
@@ -101,27 +102,26 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 
 def dwt(x: np.ndarray, levels: int, lo: np.ndarray = DEFAULT_LO):
-    """Multi-level periodized DWT; returns (approximation, [d_fine..d_coarse], n)."""
+    """Multi-level periodized DWT of a signal whose length 2**levels divides;
+    returns (approximation, [d_fine..d_coarse])."""
     lo, hi = _filters(np.asarray(lo, dtype=float))
     x = np.asarray(x, dtype=float)
-    n_orig = len(x)
-    block = 1 << levels
-    if n_orig % block:
-        pad = block - n_orig % block
-        x = np.concatenate([x, x[-1] * np.ones(pad)])
+    if len(x) % (1 << levels):
+        raise ValueError(f"a {levels}-level DWT needs a multiple of "
+                         f"{1 << levels} samples, got {len(x)}")
     details = []
     a = x
     for _ in range(levels):
         a, d = _analysis_step(a, lo, hi)
         details.append(d)
-    return a, details, n_orig
+    return a, details
 
 
-def idwt(a: np.ndarray, details, n_orig: int, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
+def idwt(a: np.ndarray, details, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
     lo, hi = _filters(np.asarray(lo, dtype=float))
     for d in reversed(details):
         a = _synthesis_step(a, d, lo, hi)
-    return a[:n_orig]
+    return a
 
 
 def universal_threshold(detail_fine: np.ndarray, n: int) -> float:
@@ -139,13 +139,6 @@ def soft_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
-def shrink(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO):
-    """``dwt`` with every detail band soft-thresholded at the universal
-    threshold; returns (approximation, [d_fine..d_coarse], n)."""
-    a, details, n = dwt(x, levels, lo)
-    return a, shrink_details(details, len(x)), n
-
-
 def shrink_details(details, n: int) -> list[np.ndarray]:
     """The detail bands [d_fine..d_coarse] of an n-sample signal
     soft-thresholded at its universal threshold."""
@@ -155,8 +148,8 @@ def shrink_details(details, n: int) -> list[np.ndarray]:
 
 def denoise(x: np.ndarray, levels: int = 4, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
     """Soft universal-threshold denoising of a 1-D signal."""
-    a, details, n = shrink(x, levels, lo)
-    return idwt(a, details, n, lo)
+    a, details = dwt(x, levels, lo)
+    return idwt(a, shrink_details(details, len(x)), lo)
 
 
 def _level_responses(lo: np.ndarray, hi: np.ndarray, k: np.ndarray, m: int):
@@ -200,7 +193,7 @@ def _fold(response: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 def spectral_dwt(spectrum: np.ndarray, n: int, levels: int,
                  responses: np.ndarray):
-    """``dwt(x, levels)[:2]`` of the n samples x whose rfft is ``spectrum``,
+    """``dwt(x, levels)`` of the n samples x whose rfft is ``spectrum``,
     with 2**levels dividing n and ``responses`` from ``analysis_responses(n)``.
 
     A step on m samples keeps the odd samples of the circular convolution
@@ -242,8 +235,8 @@ def synthesis_responses(n: int, levels: int, start: int, stop: int,
 
 def reconstruction_dft(a: np.ndarray, details, start: int, stop: int,
                        responses) -> np.ndarray:
-    """Bins start..stop-1 of the DFT of ``idwt(a, details, n)`` at its full
-    length n = len(a) * 2**len(details): Y(k) = sum_j S_j(k mod n_j) F_j(k),
+    """Bins start..stop-1 of the DFT of ``idwt(a, details)``, of length
+    n = len(a) * 2**len(details): Y(k) = sum_j S_j(k mod n_j) F_j(k),
     with S_j the DFT of subband j (n_j samples) and F_j the ``responses``
     that ``synthesis_responses`` gives for n, the levels, the bins and the
     filter.  All-zero subbands contribute nothing and are skipped."""

@@ -297,13 +297,13 @@ def _cmd_classify(scenario: Scenario, sweep, fh) -> int:
     else:
         path = source["file"]
         loader = load_trace_bin if str(path).endswith(".bin") else load_trace_csv
-        trace = loader(path)
+        n = capture_length(scenario.capture)
+        trace = loader(path, n)
         if trace.sample_rate != scenario.capture.sample_rate:
             raise ConfigError([
                 f"$.fingerprint.sample_rate_hz: {scenario.capture.sample_rate} Hz, "
                 f"but {path} is sampled at {trace.sample_rate} Hz"
             ])
-        n = capture_length(scenario.capture)
         if len(trace) != n:
             raise ConfigError([
                 f"$.fingerprint.duration_s: {scenario.capture.duration} s is "

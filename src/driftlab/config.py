@@ -22,7 +22,8 @@ from typing import Any, Callable, Optional
 from .chain import ChainContext, TransducerSpec, build_context
 from .crystal import CrystalSpec
 from .effects import BpScenario, ClockSynthConfig, DampingSpec, SubnormalShiftError
-from .fingerprint import UNKNOWN_THRESHOLD, CaptureConfig, load_profile_library
+from .fingerprint import (UNKNOWN_THRESHOLD, CaptureConfig, length_refusal,
+                          load_profile_library)
 from .lamb import MediumSpec, load_media
 from .planner import DIRECTION_BACKWARD, DIRECTION_FORWARD, DriftGoal
 from .rtc import DIVIDER_MAX, MODE_32BIT, MODE_CALENDAR, RtcConfig
@@ -350,6 +351,9 @@ def _fingerprint(trace, confidence_threshold: float, library, **capture) -> dict
         raise ConfigError([f"$.fingerprint.duration_s: {duration} s at {rate} Hz is "
                            f"{samples:.6g} samples, above the {CAPTURE_SAMPLES_MAX} a "
                            "capture may hold"])
+    refusal = length_refusal(round(samples), rate)
+    if refusal:
+        raise ConfigError([f"$.fingerprint.duration_s: {refusal}"])
     try:
         profiles = load_profile_library(library)
     except (OSError, KeyError, ValueError) as exc:

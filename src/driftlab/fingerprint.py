@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -34,8 +35,8 @@ WAVELET_LEVELS = 4
 # wavelet synthesis responses): one entry per band and length, enough for the
 # five carriers of the bundled library with room to spare.
 _BAND_RESPONSES = 8
-# The longest buffer that corrects the circular band-pass of the
-# frequency-domain path (a shorter capture is corrected at its own length).
+# The longest buffer that corrects the circular band-pass of a band (a
+# shorter capture is corrected at its own length).
 # The correction's subbands reach 70 samples past sample 0 and 64 before it
 # at the first level (of 512), 21 and 8 at the fourth (of 64): in every level
 # each end stays in its own half.
@@ -56,11 +57,14 @@ class SscProfile:
     df: float           # fractional frequency offset
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.f0, self.fm, self.df))):
+            raise ValueError(f"profile {self.label!r}: f0, fm and df must be "
+                             f"finite, got {self.f0}, {self.fm}, {self.df}")
         if not self.f0 > self.fm > 0.0:
-            raise ValueError("profiles need f0 > fm > 0")
+            raise ValueError(f"profile {self.label!r}: needs f0 > fm > 0")
         if self.df < 0.0:
             # df = 0 is the unmodulated limit, useful as a fixture
-            raise ValueError("df must be >= 0")
+            raise ValueError(f"profile {self.label!r}: df must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,17 +79,38 @@ class CaptureConfig:
     bandwidth: float = 2e5      # band-pass width around each candidate f0, Hz
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0 or self.duration <= 0.0:
-            raise ValueError("sample_rate and duration must be > 0")
-        if self.scale_a <= 0.0 or self.scale_b <= 0.0:
-            raise ValueError("scaling bounds must be > 0")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be > 0")
+        for name in ("sample_rate", "duration", "scale_a", "scale_b", "bandwidth"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        samples = self.sample_rate * self.duration
+        if not math.isfinite(samples):
+            raise ValueError(f"sample_rate * duration is {samples} samples")
+        refusal = length_refusal(capture_length(self), self.sample_rate)
+        if refusal:
+            raise ValueError(refusal)
 
 
 def capture_length(cfg: CaptureConfig) -> int:
     """Samples in one capture under ``cfg``."""
     return int(round(cfg.sample_rate * cfg.duration))
+
+
+def length_refusal(n: int, sample_rate: float) -> Optional[str]:
+    """Why an n-sample capture at ``sample_rate`` cannot be analysed, or None.
+
+    Each band's subbands come from the capture's own rfft: the DWT needs
+    2**WAVELET_LEVELS to divide n, and from BANDPASS_TAPS samples up the
+    circular band-pass wraps each end of the capture onto the other end
+    only."""
+    block = 1 << WAVELET_LEVELS
+    if n >= BANDPASS_TAPS and n % block == 0:
+        return None
+    shortest = -(-BANDPASS_TAPS // block) * block
+    nearest = sorted({max(n - n % block, shortest), max(n + -n % block, shortest)})
+    return (f"{n} samples at {sample_rate} Hz cannot be analysed: a capture "
+            f"needs a multiple of {block} samples, at least {shortest}; the "
+            "nearest accepted: "
+            + " or ".join(f"{m / sample_rate!r} s ({m} samples)" for m in nearest))
 
 
 def synthesize(profile: SscProfile, cfg: CaptureConfig, seed: int = 0) -> SampledTrace:
@@ -143,20 +168,6 @@ def _bandpass_taps(numtaps: int, lo: float, hi: float,
     return taps / np.sum(taps * np.cos(np.pi * m * 0.5 * (left + right)))
 
 
-def _smooth_length(target: int) -> int:
-    """Smallest 2^i 3^j 5^k >= target: a fast FFT size."""
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            quotient = -(-target // p35)
-            best = min(best, p35 << (quotient - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 @functools.lru_cache(maxsize=_BAND_RESPONSES)
 def _band_response(numtaps: int, lo: float, hi: float, sample_rate: float,
                    size: int) -> np.ndarray:
@@ -174,27 +185,6 @@ def _band_response(numtaps: int, lo: float, hi: float, sample_rate: float,
     return response
 
 
-def _bandpass(x: np.ndarray, sample_rate: float, f0: float, bandwidth: float,
-              numtaps: int) -> np.ndarray:
-    """The centred len(x) samples of the full linear convolution of ``x`` with
-    the band-pass taps: linear phase, zero net delay."""
-    size = _smooth_length(len(x) + numtaps - 1)
-    return _bandpass_spectrum(np.fft.rfft(x, size), len(x), sample_rate, f0,
-                              bandwidth, numtaps)
-
-
-def _bandpass_spectrum(spectrum: np.ndarray, n: int, sample_rate: float,
-                       f0: float, bandwidth: float, numtaps: int) -> np.ndarray:
-    """``_bandpass`` of the n samples whose rfft at the 2-3-5-smooth length
-    >= n + numtaps - 1 is ``spectrum``.  ``numtaps`` is odd, which makes the
-    band-pass zero-phase."""
-    # the full convolution fits, so the circular product does not wrap
-    size = _smooth_length(n + numtaps - 1)
-    response = _band_response(numtaps, f0 - 0.5 * bandwidth,
-                              f0 + 0.5 * bandwidth, sample_rate, size)
-    return np.fft.irfft(spectrum * response, size)[:n]
-
-
 def _check_band(sample_rate: float, f0: float, bandwidth: float) -> None:
     nyquist = 0.5 * sample_rate
     if f0 - 0.5 * bandwidth <= 0.0 or f0 + 0.5 * bandwidth >= nyquist:
@@ -204,26 +194,23 @@ def _check_band(sample_rate: float, f0: float, bandwidth: float) -> None:
 
 
 def denoise(trace: SampledTrace, f0: float, bandwidth: float) -> SampledTrace:
-    """Band-pass around ``f0`` then wavelet-denoise the surviving band."""
+    """Band-pass around ``f0`` then wavelet-denoise the surviving band: the
+    inverse DWT of the band's thresholded subbands."""
+    n = len(trace)
+    refusal = length_refusal(n, trace.sample_rate)
+    if refusal:
+        raise ValueError(refusal)
     _check_band(trace.sample_rate, f0, bandwidth)
-    filtered = _bandpass(trace.samples, trace.sample_rate, f0, bandwidth,
-                         BANDPASS_TAPS)
-    cleaned = _wavelet.denoise(filtered, WAVELET_LEVELS)
+    a, details = _band_subbands(_capture_spectrum(trace.samples), n,
+                                trace.sample_rate, f0, bandwidth)
+    cleaned = _wavelet.idwt(a, _wavelet.shrink_details(details, n))
     return SampledTrace(trace.sample_rate, cleaned, trace.start_time)
-
-
-def _band_spectrum(x: np.ndarray, sample_rate: float, f0: float,
-                   bandwidth: float) -> np.ndarray:
-    spec = np.abs(np.fft.rfft(x))
-    freqs = np.fft.rfftfreq(len(x), 1.0 / sample_rate)
-    mask = (freqs >= f0 - 0.5 * bandwidth) & (freqs <= f0 + 0.5 * bandwidth)
-    return spec[mask]
 
 
 @functools.lru_cache(maxsize=_BAND_RESPONSES)
 def _band_synthesis(n: int, sample_rate: float, f0: float, bandwidth: float):
     """(start, stop, responses) for the band on the rfft grid of n samples,
-    a multiple of 2**WAVELET_LEVELS: the bins ``_band_spectrum`` keeps are
+    a multiple of 2**WAVELET_LEVELS: the bins at f0 +/- bandwidth / 2 are
     start..stop-1, and ``responses`` are their read-only wavelet synthesis
     responses at WAVELET_LEVELS."""
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
@@ -245,37 +232,23 @@ def _analysis_responses(n: int) -> np.ndarray:
     return responses
 
 
-def _frequency_path(n: int) -> bool:
-    """Whether the bands of an n-sample capture are analysed from its
-    spectrum (``_band_subbands``) rather than band-passed and denoised in
-    the time domain.  ``dwt`` pads a length that 2**WAVELET_LEVELS does not
-    divide, and from BANDPASS_TAPS samples up the circular band-pass wraps
-    each end of the capture onto the other end only."""
-    return n >= BANDPASS_TAPS and n % (1 << WAVELET_LEVELS) == 0
-
-
-def _spectrum_size(n: int) -> int:
-    """Length of the rfft of an n-sample capture that every band reads: n on
-    the frequency-domain path, else the padded length of ``_bandpass``."""
-    return n if _frequency_path(n) else _smooth_length(n + BANDPASS_TAPS - 1)
-
-
 def _capture_spectrum(samples: np.ndarray):
-    """What every band of a capture reads: its rfft at ``_spectrum_size``,
-    and its first and last (BANDPASS_TAPS - 1) / 2 samples, the ends that a
-    circular band-pass wraps onto each other."""
-    n = len(samples)
+    """What every band of a capture reads: its rfft, and its first and last
+    (BANDPASS_TAPS - 1) / 2 samples, the ends that a circular band-pass
+    wraps onto each other."""
     c = BANDPASS_TAPS // 2
-    return (np.fft.rfft(samples, _spectrum_size(n)), samples[:c].copy(),
-            samples[n - c:].copy())
+    return (np.fft.rfft(samples), samples[:c].copy(),
+            samples[len(samples) - c:].copy())
 
 
 def _band_subbands(capture, n: int, sample_rate: float, f0: float,
                    bandwidth: float):
-    """``_wavelet.dwt(_bandpass(x, ...), WAVELET_LEVELS)[:2]`` of the capture
-    x that ``_capture_spectrum`` read, where ``_frequency_path(n)``: the
-    band-pass is the product with the band's response on x's own rfft grid,
-    and the subbands come from that spectrum by ``_wavelet.spectral_dwt``."""
+    """``_wavelet.dwt`` at WAVELET_LEVELS of the capture x that
+    ``_capture_spectrum`` read, band-passed around ``f0`` by the centred
+    len(x) samples of its linear convolution with the BANDPASS_TAPS taps, for
+    an n that ``length_refusal`` accepts.  The band-pass is the product with
+    the band's response on x's own rfft grid, and the subbands come from
+    that spectrum by ``_wavelet.spectral_dwt``."""
     spectrum, head, tail = capture
     lo, hi = f0 - 0.5 * bandwidth, f0 + 0.5 * bandwidth
     response = _band_response(BANDPASS_TAPS, lo, hi, sample_rate, n)
@@ -292,7 +265,7 @@ def _band_subbands(capture, n: int, sample_rate: float, f0: float,
     wrapped = np.zeros(min(n, _EDGE_BUFFER))
     wrapped[:c] = np.convolve(tail, taps)[2 * c:]
     wrapped[-c:] = np.convolve(head, taps)[:c]
-    excess_a, excess_details, _ = _wavelet.dwt(wrapped, WAVELET_LEVELS)
+    excess_a, excess_details = _wavelet.dwt(wrapped, WAVELET_LEVELS)
     for s, excess in zip([a, *details], [excess_a, *excess_details]):
         half = len(excess) // 2
         s[:half] -= excess[:half]
@@ -302,17 +275,10 @@ def _band_subbands(capture, n: int, sample_rate: float, f0: float,
 
 def _denoised_band(capture, n: int, sample_rate: float, f0: float,
                    bandwidth: float) -> np.ndarray:
-    """``_band_spectrum(denoise(trace, f0, bandwidth).samples, ...)`` of the
-    n-sample trace that ``_capture_spectrum`` read.  Where
-    ``_frequency_path(n)``, the subbands come from the capture's spectrum and
-    the band's bins straight from the thresholded subbands, with no inverse
-    DWT and no full-length FFT.  Otherwise the time-domain path runs."""
+    """|rfft| of ``denoise(trace, f0, bandwidth).samples`` at the band's bins,
+    for the n-sample trace that ``_capture_spectrum`` read: straight from the
+    thresholded subbands, with no inverse DWT and no full-length FFT."""
     _check_band(sample_rate, f0, bandwidth)
-    if not _frequency_path(n):
-        filtered = _bandpass_spectrum(capture[0], n, sample_rate, f0,
-                                      bandwidth, BANDPASS_TAPS)
-        return _band_spectrum(_wavelet.denoise(filtered, WAVELET_LEVELS),
-                              sample_rate, f0, bandwidth)
     a, details = _band_subbands(capture, n, sample_rate, f0, bandwidth)
     details = _wavelet.shrink_details(details, n)
     synthesis = _band_synthesis(n, sample_rate, f0, bandwidth)
@@ -330,28 +296,17 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 def build_template_bank(library, cfg: CaptureConfig) -> dict[str, np.ndarray]:
     """Noise-free band spectra for every library profile under ``cfg``."""
-    clean_cfg = CaptureConfig(
-        sample_rate=cfg.sample_rate,
-        duration=cfg.duration,
-        snr_db=math.inf,
-        scale_a=cfg.scale_a,
-        scale_b=cfg.scale_b,
-        bandwidth=cfg.bandwidth,
-    )
+    clean_cfg = replace(cfg, snr_db=math.inf)
     n = capture_length(cfg)
     # The held tables are built before the first trace: built among the
     # per-trace arrays, they and their temporaries leave the heap higher
     # (peak RSS of the `fingerprint` benchmark, 2 vCPU: 111 MB built first,
     # 121 MB built among them).
-    frequency = _frequency_path(n)
     for f0 in dict.fromkeys(p.f0 for p in library):
         _band_response(BANDPASS_TAPS, f0 - 0.5 * cfg.bandwidth,
-                       f0 + 0.5 * cfg.bandwidth, cfg.sample_rate,
-                       _spectrum_size(n))
-        if frequency:
-            _band_synthesis(n, cfg.sample_rate, f0, cfg.bandwidth)
-    if frequency:
-        _analysis_responses(n)
+                       f0 + 0.5 * cfg.bandwidth, cfg.sample_rate, n)
+        _band_synthesis(n, cfg.sample_rate, f0, cfg.bandwidth)
+    _analysis_responses(n)
     bank = {}
     for profile in library:
         # Templates ride the same band-pass/denoise pipeline as captures so
@@ -420,16 +375,17 @@ def load_profile_library(path=None) -> list[SscProfile]:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    reader = csv.DictReader(text.splitlines())
     library = []
-    for row in csv.DictReader(text.splitlines()):
-        library.append(
-            SscProfile(
-                label=row["label"].strip(),
-                f0=float(row["f0_hz"]),
-                fm=float(row["fm_hz"]),
-                df=float(row["df_frac"]),
-            )
-        )
+    for row in reader:
+        # a short row reads None for its missing fields: a TypeError
+        try:
+            library.append(SscProfile(label=row["label"].strip(),
+                                      f0=float(row["f0_hz"]),
+                                      fm=float(row["fm_hz"]),
+                                      df=float(row["df_frac"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return library
 
 
@@ -444,7 +400,10 @@ def save_trace_bin(trace: SampledTrace, path) -> None:
         fh.write(trace.samples.astype("<f8").tobytes())
 
 
-def load_trace_bin(path) -> SampledTrace:
+def load_trace_bin(path, max_samples: int) -> SampledTrace:
+    """The trace ``save_trace_bin`` wrote to ``path``; one whose header
+    states more than ``max_samples`` samples is refused before its body is
+    read."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_BIN_MAGIC))
         if magic != _BIN_MAGIC:
@@ -457,13 +416,15 @@ def load_trace_bin(path) -> SampledTrace:
         # unchecked: a regular file's size bounds it, any other stream is
         # read in bounded chunks until it ends.
         status = os.fstat(fh.fileno())
-        if stat.S_ISREG(status.st_mode):
+        regular = stat.S_ISREG(status.st_mode)
+        if regular:
             held = max(status.st_size - fh.tell(), 0) // 8
             if n > held:
                 raise _truncated(path, n, held)
-            data = fh.read(8 * n)
-        else:
-            data = _read_bounded(fh, 8 * n)
+        if n > max_samples:
+            raise ValueError(f"{path}: the header states {n} samples, more "
+                             f"than the {max_samples} expected")
+        data = fh.read(8 * n) if regular else _read_bounded(fh, 8 * n)
         if len(data) != 8 * n:
             raise _truncated(path, n, len(data) // 8)
         samples = np.frombuffer(data, dtype="<f8")
@@ -498,7 +459,9 @@ def save_trace_csv(trace: SampledTrace, path) -> None:
             writer.writerow([repr(float(v))])
 
 
-def load_trace_csv(path) -> SampledTrace:
+def load_trace_csv(path, max_samples: int) -> SampledTrace:
+    """The trace ``save_trace_csv`` wrote to ``path``; reading stops at the
+    sample past ``max_samples``, and such a trace is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -506,6 +469,10 @@ def load_trace_csv(path) -> SampledTrace:
             raise ValueError(f"{path}: not a trace CSV")
         sample_rate, start_time = (float(x) for x in next(reader)[:2])
         next(reader)  # volts header
-        samples = np.array([float(row[0]) for row in reader])
+        samples = np.array([float(row[0])
+                            for row in itertools.islice(reader, max_samples + 1)])
+    if len(samples) > max_samples:
+        raise ValueError(f"{path}: holds more than the {max_samples} samples "
+                         "expected")
     _require_finite(samples, str(path))
     return SampledTrace(sample_rate, samples, start_time)

@@ -129,6 +129,13 @@ CASES: dict[str, tuple] = {
     # the burst cap that ``plan`` has, before the stalls are walked.
     "refuse-simulate-burst-cap-exit-2": ({"attack.burst_duration_s": 1e-8,
                                           "goal.drift_b_s": 1.0}, ["simulate"]),
+    # Captures the band analysis cannot take: one sample past BASE_CONFIG's
+    # 60,000 (16 does not divide it), and 256 samples (below the 272 that
+    # the band-pass needs).  Refused with exit 2 before anything is written.
+    "refuse-classify-60001-samples-exit-2": (
+        {"fingerprint.duration_s": 60001 / 6e6}, ["classify"]),
+    "refuse-classify-256-samples-exit-2": (
+        {"fingerprint.duration_s": 256 / 6e6}, ["classify"]),
     "stdout-simulate-backward": ({}, ["simulate"]),
     "stdout-simulate-forward-32bit": (FORWARD_32BIT, ["simulate"]),
 }

@@ -369,3 +369,33 @@ def simulate_deflation_readings(p0, systolic, diastolic, v0, dp, df):
     reported_s = p0 - v0 * t[i_sys]
     reported_d = p0 - v0 * t[i_dia]
     return reported_s, reported_d
+
+
+# --- one fingerprint band, in the time domain -------------------------------
+
+def band_bandpass(x, sample_rate, f0, bandwidth):
+    """The centred len(x) samples of the linear convolution of ``x`` with the
+    band's window-method taps, by scipy's FFT convolution."""
+    from scipy.signal import fftconvolve
+
+    from driftlab.fingerprint import BANDPASS_TAPS, _bandpass_taps
+    taps = _bandpass_taps(BANDPASS_TAPS, f0 - 0.5 * bandwidth,
+                          f0 + 0.5 * bandwidth, sample_rate)
+    return fftconvolve(x, taps, mode="same")
+
+
+def band_denoise(x, sample_rate, f0, bandwidth):
+    """``fingerprint.denoise`` of the samples ``x``: the band-pass, then the
+    time-domain wavelet shrinkage of the whole band-passed signal."""
+    from driftlab import _wavelet
+    from driftlab.fingerprint import WAVELET_LEVELS
+    return _wavelet.denoise(band_bandpass(x, sample_rate, f0, bandwidth),
+                            WAVELET_LEVELS)
+
+
+def band_bins(cleaned, sample_rate, f0, bandwidth):
+    """|rfft| of the full-length signal ``cleaned`` at the bins whose
+    frequency lies in f0 +/- bandwidth / 2."""
+    freqs = np.fft.rfftfreq(len(cleaned), 1.0 / sample_rate)
+    mask = (freqs >= f0 - 0.5 * bandwidth) & (freqs <= f0 + 0.5 * bandwidth)
+    return np.abs(np.fft.rfft(cleaned))[mask]

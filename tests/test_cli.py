@@ -525,6 +525,24 @@ class TestClassifyCommand:
         assert "Traceback" not in err
         assert out.read_bytes() == b"earlier result\n"
 
+    # Both loaders read the whole file before its length was compared.
+    @pytest.mark.parametrize("fmt, named", [
+        ("csv", "holds more than the 60000 samples expected"),
+        ("bin", "the header states 60001 samples, more than the 60000 expected"),
+    ])
+    def test_trace_longer_than_capture_refused(self, fmt, named, config_path,
+                                               tmp_path, capsys):
+        trace = tmp_path / f"capture.{fmt}"
+        save = save_trace_csv if fmt == "csv" else save_trace_bin
+        save(SampledTrace(6e6, np.random.default_rng(0).normal(size=60001)), trace)
+        out = tmp_path / "cls.csv"
+        path = config_path(overrides={"fingerprint.trace": {"file": str(trace)}})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid input: {trace}: {named}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCaptureBudget:
     def test_huge_capture_refused_before_allocating(self, config_path, tmp_path,
@@ -866,6 +884,26 @@ class TestSchemaRefusals:
         err = capsys.readouterr().err
         assert err.startswith("config error: $.fingerprint.library: cannot read")
         assert "FileNotFoundError" in err
+
+    # df = nan passed the df >= 0 check, and the capture it gave was refused
+    # as a trace of NaN; a short row raised TypeError through the CLI
+    @pytest.mark.parametrize("row, named", [
+        ("a,500000,20000,nan", "line 3: profile 'a': f0, fm and df must be finite"),
+        ("a,500000", "line 3: float() argument must be"),
+    ])
+    def test_bad_library_row_named(self, row, named, config_path, tmp_path,
+                                   capsys):
+        library = tmp_path / "lib.csv"
+        library.write_text(f"label,f0_hz,fm_hz,df_frac\nb,400000,20000,0.005\n{row}\n")
+        out = tmp_path / "cls.csv"
+        path = config_path(overrides={"fingerprint.library": str(library),
+                                      "fingerprint.trace": {"profile": "a"}})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: $.fingerprint.library: cannot read")
+        assert named in err
+        assert "not finite" not in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestNumericFailures:

@@ -165,6 +165,13 @@ def _cross_field_cases():
                                      "fingerprint.duration_s": 16.000001},
         "fingerprint.budget=1e300x1e300": {"fingerprint.sample_rate_hz": 1e300,
                                            "fingerprint.duration_s": 1e300},
+        # 16 samples short of the shortest accepted length, the shortest,
+        # and one sample past the 60,000 of BASE_CONFIG's 0.01 s
+        "fingerprint.length=256": {"fingerprint.duration_s": 256 / 6e6},
+        "fingerprint.length=272": {"fingerprint.duration_s": 272 / 6e6},
+        "fingerprint.length=60001": {"fingerprint.duration_s": 60001 / 6e6},
+        "fingerprint.length=60001 after an error": {
+            "fingerprint.duration_s": 60001 / 6e6, "attack.burst_duration_s": 0.0},
         "fingerprint.budget after an error": {
             "fingerprint.duration_s": 1e9, "attack.burst_duration_s": 0.0},
         "fingerprint.budget before a later error": {

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve, firwin
+from scipy.signal import firwin
 
 from driftlab import _wavelet
 from driftlab.fingerprint import (
@@ -20,19 +21,17 @@ from driftlab.fingerprint import (
     WAVELET_LEVELS,
     _analysis_responses,
     _band_response,
-    _band_spectrum,
     _band_subbands,
     _band_synthesis,
-    _bandpass,
-    _bandpass_spectrum,
     _bandpass_taps,
     _capture_spectrum,
     _denoised_band,
-    _frequency_path,
     _read_bounded,
     build_template_bank,
+    capture_length,
     classify,
     denoise,
+    length_refusal,
     load_profile_library,
     load_trace_bin,
     load_trace_csv,
@@ -42,6 +41,7 @@ from driftlab.fingerprint import (
     synthesize,
 )
 from driftlab.signals import SampledTrace, TWO_PI
+from oracles import band_bandpass, band_bins, band_denoise
 
 # classify() at the criterion-9 setting (6 MHz, 0.1 s, 15 dB, 200 kHz bands),
 # recorded with the earlier FFT-based wavelet filter bank and scipy.signal
@@ -188,6 +188,22 @@ class TestScale:
         assert np.allclose(base.samples, moved.samples, atol=1e-9)
 
 
+class TestCaptureConfig:
+    FIELDS = ["sample_rate", "duration", "scale_a", "scale_b", "bandwidth"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    def test_setting_not_above_zero_refused(self, field, bad):
+        settings_ = dict(sample_rate=6e6, duration=0.01)
+        settings_[field] = bad
+        with pytest.raises(ValueError, match=rf"^{field} must be > 0, got {bad}$"):
+            CaptureConfig(**settings_)
+
+    def test_infinite_sample_count_refused(self):
+        with pytest.raises(ValueError, match=r"sample_rate \* duration is inf "):
+            CaptureConfig(sample_rate=math.inf, duration=0.01)
+
+
 class TestDenoise:
     def test_passband_transparent(self):
         t = np.arange(60000) / 6e6
@@ -228,10 +244,21 @@ class TestDenoise:
         with pytest.raises(ValueError):
             denoise(trace, 2.95e6, 2e5)
 
+    @pytest.mark.parametrize("n", [272, 1008, 1040, 60000])
+    def test_matches_time_domain_reference(self, library, n):
+        x = np.random.default_rng(n).normal(size=n)
+        trace = SampledTrace(6e6, x, start_time=0.25)
+        for f0 in sorted({p.f0 for p in library}):
+            want = band_denoise(x, 6e6, f0, 2e5)
+            got = denoise(trace, f0, 2e5)
+            assert got.start_time == 0.25
+            assert got.samples.shape == want.shape
+            assert np.max(np.abs(got.samples - want)) <= 1e-12 * np.max(np.abs(x))
+
 
 class TestBandpass:
-    """The numpy band-pass against scipy.signal's window-method design and
-    FFT convolution, which it replaced."""
+    """The numpy band-pass taps against scipy.signal's window-method design,
+    which they replaced."""
 
     FS = 6e6
 
@@ -262,44 +289,6 @@ class TestBandpass:
         taps = _bandpass_taps(numtaps, lo, hi, self.FS)
         ref = firwin(numtaps, [lo, hi], pass_zero=False, fs=self.FS)
         np.testing.assert_allclose(taps, ref, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("n", [1, 100, 256, 257, 258, 1000, 60000])
-    def test_filter_matches_fftconvolve_same(self, bands, n):
-        x = np.random.default_rng(n).normal(size=n)
-        for f0 in bands:
-            taps = firwin(BANDPASS_TAPS, [f0 - 1e5, f0 + 1e5], pass_zero=False,
-                          fs=self.FS)
-            ref = fftconvolve(x, taps, mode="same")
-            got = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @given(
-        numtaps=st.integers(min_value=0, max_value=512).map(lambda k: 2 * k + 1),
-        n=st.integers(min_value=1, max_value=5000),
-        f0_frac=st.floats(min_value=0.05, max_value=0.95),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_filter_matches_fftconvolve_same_on_drawn_lengths(self, numtaps, n,
-                                                               f0_frac):
-        # n < numtaps included: the output is still the centred n samples
-        f0 = f0_frac * 0.5 * self.FS
-        x = np.random.default_rng(n).normal(size=n)
-        taps = firwin(numtaps, [f0 - 1e5, f0 + 1e5], pass_zero=False,
-                      fs=self.FS)
-        ref = fftconvolve(x, taps, mode="same")
-        got = _bandpass(x, self.FS, f0, 2e5, numtaps)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_shared_spectrum_gives_the_same_band(self, bands):
-        x = np.random.default_rng(1).normal(size=1000)
-        spectrum = _capture_spectrum(x)[0]
-        for f0 in bands:
-            alone = _bandpass(x, self.FS, f0, 2e5, BANDPASS_TAPS)
-            shared = _bandpass_spectrum(spectrum, len(x), self.FS, f0, 2e5,
-                                        BANDPASS_TAPS)
-            assert np.array_equal(alone, shared)
 
 
 class TestClassify:
@@ -370,47 +359,42 @@ class TestClassify:
 
 class TestDenoisedBand:
     """The band's bins, as ``classify`` takes them from the capture's
-    spectrum, against the time-domain pipeline: denoise, then the
-    full-length rfft and its frequency mask."""
+    spectrum, against the time-domain reference pipeline: the band-pass,
+    ``_wavelet.denoise``, then the full-length rfft and its frequency
+    mask."""
 
     FS = 6e6
 
     @given(
-        n=st.one_of(st.integers(min_value=19, max_value=375).map(lambda k: 16 * k),
-                    st.integers(min_value=300, max_value=6000)),
+        n=st.integers(min_value=17, max_value=375).map(lambda k: 16 * k),
         f0_frac=st.floats(min_value=0.1, max_value=0.9),
         bandwidth=st.floats(min_value=2e4, max_value=5e5),
     )
-    @example(n=256, f0_frac=0.3, bandwidth=2e5)     # the last time-domain
-    @example(n=272, f0_frac=0.3, bandwidth=2e5)     # and the first
-    @example(n=288, f0_frac=0.3, bandwidth=2e5)     # frequency-domain lengths
+    @example(n=272, f0_frac=0.3, bandwidth=2e5)     # the shortest length
+    @example(n=288, f0_frac=0.3, bandwidth=2e5)
     @example(n=1008, f0_frac=0.3, bandwidth=2e5)    # around the longest
     @example(n=1024, f0_frac=0.3, bandwidth=2e5)    # edge buffer
     @example(n=1040, f0_frac=0.3, bandwidth=2e5)
     @settings(max_examples=60, deadline=None)
     def test_matches_time_domain_on_drawn_lengths(self, n, f0_frac, bandwidth):
-        # Lengths with n % 16 != 0 are drawn too; those take the time-domain
-        # path.
         # Rounding in either path scales with the whole spectrum, so the
         # tolerance is relative to its peak: a band the filter leaves near
         # 1e-18 agrees only to the peak's rounding.
         f0 = f0_frac * 0.5 * self.FS
         x = np.random.default_rng(n).normal(size=n)
-        cleaned = denoise(SampledTrace(self.FS, x), f0, bandwidth).samples
-        want = _band_spectrum(cleaned, self.FS, f0, bandwidth)
+        cleaned = band_denoise(x, self.FS, f0, bandwidth)
+        want = band_bins(cleaned, self.FS, f0, bandwidth)
         got = _denoised_band(_capture_spectrum(x), n, self.FS, f0, bandwidth)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= (
             1e-12 * np.max(np.abs(np.fft.rfft(cleaned))))
 
-    @pytest.mark.parametrize("n", [60000, 60001, 120000])
+    @pytest.mark.parametrize("n", [60000, 120000])
     def test_bundled_bands_match_time_domain(self, library, n):
         x = np.random.default_rng(n).normal(size=n)
         capture = _capture_spectrum(x)
         for f0 in sorted({p.f0 for p in library}):
-            want = _band_spectrum(
-                denoise(SampledTrace(self.FS, x), f0, 2e5).samples,
-                self.FS, f0, 2e5)
+            want = band_bins(band_denoise(x, self.FS, f0, 2e5), self.FS, f0, 2e5)
             got = _denoised_band(capture, n, self.FS, f0, 2e5)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -434,24 +418,40 @@ class TestDenoisedBand:
         hi = lo + share * (nyquist - lo)
         f0, bandwidth = 0.5 * (lo + hi), hi - lo
         x = np.random.default_rng(n).normal(size=n)
-        assert _frequency_path(n)
         a, details = _band_subbands(_capture_spectrum(x), n, self.FS, f0,
                                     bandwidth)
-        want_a, want_details, _ = _wavelet.dwt(
-            _bandpass(x, self.FS, f0, bandwidth, BANDPASS_TAPS), WAVELET_LEVELS)
+        want_a, want_details = _wavelet.dwt(
+            band_bandpass(x, self.FS, f0, bandwidth), WAVELET_LEVELS)
         for got, want in zip([a, *details], [want_a, *want_details],
                              strict=True):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("n,frequency", [
+    @pytest.mark.parametrize("n,accepted", [
         (16, False), (240, False), (256, False), (257, False), (272, True),
         (1000, False), (1008, True), (1024, True), (1025, False),
         (1040, True), (60000, True), (60001, False), (600000, True),
         (600008, False),
     ])
-    def test_path_choice(self, n, frequency):
-        assert _frequency_path(n) is frequency
+    def test_length_rule(self, n, accepted):
+        refusal = length_refusal(n, self.FS)
+        assert (refusal is None) is accepted
+        if accepted:
+            assert capture_length(CaptureConfig(self.FS, n / self.FS)) == n
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            CaptureConfig(self.FS, n / self.FS)
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            denoise(SampledTrace(self.FS, np.zeros(n)), 5e5, 2e5)
+        # the durations offered are those of the accepted lengths next to n
+        lengths = range(272, max(n, 272) + 16, 16)
+        below = [m for m in lengths if m <= n][-1:]
+        above = [m for m in lengths if m >= n][:1]
+        durations = re.findall(r"([^ ]+) s \((\d+) samples\)", refusal)
+        assert [int(m) for _, m in durations] == sorted({*below, *above})
+        for duration, m in durations:
+            cfg = CaptureConfig(self.FS, float(duration))
+            assert capture_length(cfg) == int(m)
 
     @staticmethod
     def _mask_bins(n, sample_rate, f0, bandwidth):
@@ -532,9 +532,32 @@ class TestBandResponseTable:
 
 
 class TestIo:
+    # a bound on the trace length that no test trace reaches
+    ANY = 2**64
+
     def test_library_file_shape(self, library):
         assert len(library) == 15
         assert all(p.f0 > p.fm > 0 and p.df > 0 for p in library)
+
+    @pytest.mark.parametrize("row, bad", [
+        ("a,500000,20000,nan", "500000.0, 20000.0, nan"),
+        ("a,500000,20000,inf", "500000.0, 20000.0, inf"),
+        ("a,inf,20000,0.005", "inf, 20000.0, 0.005"),
+        ("a,500000,nan,0.005", "500000.0, nan, 0.005"),
+    ])
+    def test_non_finite_profile_refused(self, tmp_path, row, bad):
+        path = tmp_path / "lib.csv"
+        path.write_text(f"label,f0_hz,fm_hz,df_frac\nb,400000,20000,0.005\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^line 3: profile 'a': f0, fm "
+                           rf"and df must be finite, got {bad}$"):
+            load_profile_library(path)
+
+    @pytest.mark.parametrize("row", ["a,500000", "a,500000,20000,x"])
+    def test_malformed_profile_row_named(self, tmp_path, row):
+        path = tmp_path / "lib.csv"
+        path.write_text(f"label,f0_hz,fm_hz,df_frac\n{row}\n")
+        with pytest.raises(ValueError, match=r"^line 2: "):
+            load_profile_library(path)
 
     @staticmethod
     @contextlib.contextmanager
@@ -565,7 +588,7 @@ class TestIo:
     def test_bin_round_trip(self, tmp_path, source):
         trace = SampledTrace(6e6, np.linspace(-1, 1, 257), start_time=0.5)
         with self._bin(tmp_path, trace, source) as path:
-            back = load_trace_bin(path)
+            back = load_trace_bin(path, 257)
         assert back.sample_rate == trace.sample_rate
         assert back.start_time == 0.5
         assert np.array_equal(back.samples, trace.samples)
@@ -574,7 +597,7 @@ class TestIo:
         trace = SampledTrace(6e6, np.linspace(-1, 1, 33))
         path = tmp_path / "t.csv"
         save_trace_csv(trace, path)
-        back = load_trace_csv(path)
+        back = load_trace_csv(path, 33)
         assert back.sample_rate == trace.sample_rate
         assert np.array_equal(back.samples, trace.samples)
 
@@ -582,7 +605,7 @@ class TestIo:
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTATRACE")
         with pytest.raises(ValueError):
-            load_trace_bin(path)
+            load_trace_bin(path, self.ANY)
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
     @pytest.mark.parametrize("count", [2**40, 2**61, 2**64 - 1, 258])
@@ -593,7 +616,33 @@ class TestIo:
                 pytest.raises(ValueError, match=rf"t\.bin: truncated trace: "
                               rf"the header states {count} samples, the file "
                               rf"holds 257"):
-            load_trace_bin(path)
+            load_trace_bin(path, self.ANY)
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_header_count_beyond_the_bound_refused(self, tmp_path, source):
+        trace = SampledTrace(6e6, np.linspace(-1, 1, 257))
+        with self._bin(tmp_path, trace, source) as path, \
+                pytest.raises(ValueError, match=r"t\.bin: the header states 257 "
+                              r"samples, more than the 256 expected"):
+            load_trace_bin(path, 256)
+
+    def test_bound_checked_before_the_body_is_read(self, tmp_path):
+        # the header claims 258 samples of a 10-sample body: refused for its
+        # count, before the body would show it cut short
+        trace = SampledTrace(6e6, np.linspace(-1, 1, 10))
+        with self._bin(tmp_path, trace, "pipe", 258) as path, \
+                pytest.raises(ValueError, match=r"states 258 samples, more than "
+                              r"the 257 expected"):
+            load_trace_bin(path, 257)
+
+    def test_csv_read_stops_past_the_bound(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_trace_csv(SampledTrace(6e6, np.linspace(-1, 1, 34)), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not a number\n")
+        with pytest.raises(ValueError, match=r"t\.csv: holds more than the 33 "
+                           r"samples expected"):
+            load_trace_csv(path, 33)
 
     @pytest.mark.parametrize("size", [0, 5, 8, 21, 22, 1000])
     def test_bounded_read_stops_at_size_or_end(self, size):
@@ -604,7 +653,7 @@ class TestIo:
         path = tmp_path / "t.bin"
         path.write_bytes(b"DLTRACE1" + bytes(23))
         with pytest.raises(ValueError, match=r"t\.bin: truncated header"):
-            load_trace_bin(path)
+            load_trace_bin(path, self.ANY)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
@@ -616,4 +665,4 @@ class TestIo:
                       else (save_trace_bin, load_trace_bin))
         save(SampledTrace(6e6, samples), path)
         with pytest.raises(ValueError, match=rf"t\.{fmt}: sample 17 "):
-            load(path)
+            load(path, 33)
