@@ -85,6 +85,9 @@ class CaptureConfig:
         samples = self.sample_rate * self.duration
         if not math.isfinite(samples):
             raise ValueError(f"sample_rate * duration is {samples} samples")
+        for name in ("scale_a", "scale_b", "bandwidth"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite, got inf")
         refusal = length_refusal(capture_length(self), self.sample_rate)
         if refusal:
             raise ValueError(refusal)
@@ -138,14 +141,16 @@ def synthesize(profile: SscProfile, cfg: CaptureConfig, seed: int = 0) -> Sample
 
 def scale(trace: SampledTrace, a: float, b: float) -> SampledTrace:
     """Linear map of the trace onto [-a, +b]; endpoints land exactly."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("scaling bounds must be > 0")
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
+        raise ValueError(f"scaling bounds must be > 0 with a finite sum, got {a}, {b}")
     x = trace.samples
     _require_finite(x, "trace")
     x_min = float(x.min())
     x_max = float(x.max())
     if x_max == x_min:
         raise DegenerateTraceError("constant trace cannot be scaled")
+    if not math.isfinite(x_max - x_min):
+        raise ValueError(f"trace: its range, {x_min} to {x_max}, is too wide to scale")
     scaled = -a + (x - x_min) / (x_max - x_min) * (b + a)
     return SampledTrace(trace.sample_rate, scaled, trace.start_time)
 
@@ -309,6 +314,8 @@ def build_template_bank(library, cfg: CaptureConfig) -> dict[str, np.ndarray]:
     _analysis_responses(n)
     bank = {}
     for profile in library:
+        if profile.label in bank:       # the bank is keyed by label
+            raise ValueError(f"profile library repeats the label {profile.label!r}")
         # Templates ride the same band-pass/denoise pipeline as captures so
         # the filter's band-edge shaping cancels out in the correlation; no
         # array of one profile is alive while the next one's are built.
@@ -360,9 +367,11 @@ def classify(
     for f0, profiles in by_f0.items():
         band = _denoised_band(capture, n, cfg.sample_rate, f0, cfg.bandwidth)
         for profile in profiles:
+            if profile.label in confidences:
+                raise ValueError(f"profile library repeats the label {profile.label!r}")
             confidences[profile.label] = _correlation(band, bank[profile.label])
     best = max(confidences, key=lambda k: confidences[k])
-    if confidences[best] < threshold:
+    if not confidences[best] >= threshold:     # a NaN confidence selects nothing
         return None, confidences
     return best, confidences
 
@@ -377,6 +386,7 @@ def load_profile_library(path=None) -> list[SscProfile]:
             text = fh.read()
     reader = csv.DictReader(text.splitlines())
     library = []
+    lines = {}      # label -> its first line
     for row in reader:
         # a short row reads None for its missing fields: a TypeError
         try:
@@ -386,6 +396,10 @@ def load_profile_library(path=None) -> list[SscProfile]:
                                       df=float(row["df_frac"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
+        label = library[-1].label
+        if lines.setdefault(label, reader.line_num) != reader.line_num:
+            raise ValueError(f"line {reader.line_num}: label {label!r} repeats line "
+                             f"{lines[label]}")
     return library
 
 

@@ -11,15 +11,14 @@ that minimises the superposed amplitude.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .rtc import (
-    InjectionBurst,
+    TICK_CHUNK,
     PlanError,
     RtcConfig,
     RtcState,
@@ -82,56 +81,48 @@ class DriftGoal:
             )
 
 
-class BurstTrain(Sequence):
-    """Uniformly spaced bursts, generated lazily.
+class BurstTrain:
+    """Uniformly spaced bursts in closed form.
 
-    Start times step by ``period`` and the signal phase by ``phase_step``
-    per burst, so arbitrarily long trains cost nothing to hold.  A period
-    within a few ulps of the duration is widened by those ulps, so that no
-    burst starts before the previous one ends.
+    Burst i starts at ``start + i * period`` and carries ``signal`` with its
+    phase advanced by ``i * phase_step``, so arbitrarily long trains cost
+    nothing to hold.  A period within a few ulps of the duration is widened
+    by those ulps, so that no burst starts before the previous one ends.
     """
 
     def __init__(self, *, start: float, period: float, duration: float,
                  count: int, amplitude: float, frequency: float,
                  phase0: float, phase_step: float = 0.0):
+        for name, value in (("start", start), ("period", period), ("duration", duration),
+                            ("amplitude", amplitude), ("frequency", frequency),
+                            ("phase0", phase0), ("phase_step", phase_step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if count < 1:
             raise ValueError("count must be >= 1")
         if duration <= 0.0:
             raise ValueError("duration must be > 0")
         if count > 1 and period < duration:
             raise ValueError("bursts overlap: period < duration")
-        self.start = start
+        # Refuses a negative amplitude and a frequency <= 0.
+        self.signal = Sinusoid(amplitude, frequency, phase0)
+        self.start = float(start)
         # Burst i's start, start + i * period, lies within 1 ulp of the
         # largest time in the train and burst i - 1's end within 1.5 ulp;
         # widening may move that time up one binade, doubling its ulp.
         largest = abs(start) + (count - 1) * period + duration
-        self.period = max(period, duration + 8.0 * math.ulp(largest))
-        self.duration = duration
+        self.period = max(float(period), duration + 8.0 * math.ulp(largest))
+        self.duration = float(duration)
         self.count = count
-        self.amplitude = amplitude
-        self.frequency = frequency
-        self.phase0 = wrap_phase(phase0)
-        self.phase_step = phase_step
+        self.phase_step = float(phase_step)
+        end = self.start + (count - 1) * self.period + self.duration
+        phase = self.signal.phase + (count - 1) * self.phase_step
+        if not (math.isfinite(end) and math.isfinite(phase)):
+            raise ValueError(f"the last of {count} bursts overflows: it ends at {end} s "
+                             f"with its phase at {phase} rad")
 
     def __len__(self) -> int:
         return self.count
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self.count))]
-        if i < 0:
-            i += self.count
-        if not 0 <= i < self.count:
-            raise IndexError(i)
-        return InjectionBurst(
-            start=self.start + i * self.period,
-            duration=self.duration,
-            signal=Sinusoid(
-                self.amplitude,
-                self.frequency,
-                wrap_phase(self.phase0 + i * self.phase_step),
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,8 @@ class AttackPlan:
 
     @property
     def span(self) -> float:
-        last = self.bursts[-1]
-        return last.start + last.duration - self.bursts[0].start
+        t = self.bursts
+        return t.start + (t.count - 1) * t.period + t.duration - t.start
 
 
 def plan_backward(
@@ -205,8 +196,6 @@ def plan_forward(
         raise ValueError("plan_forward needs a forward goal")
     if not 0.0 < delta < math.pi:
         raise PlanError(f"phase step must lie in (0, pi), got {delta}")
-    if t1 <= 0.0:
-        raise ValueError("burst duration must be > 0")
     a, b = goal.window, goal.drift
     k = math.ceil(TWO_PI * b / delta)
     if a <= k * t1:
@@ -229,20 +218,18 @@ def plan_forward(
 
 
 def export_plan_jsonl(plan: AttackPlan, fh) -> None:
-    """One burst per line: start_s, duration_s, phase_rad, amplitude_v."""
-    for burst in plan.bursts:
-        fh.write(
-            json.dumps(
-                {
-                    "start_s": burst.start,
-                    "duration_s": burst.duration,
-                    "phase_rad": burst.signal.phase,
-                    "amplitude_v": burst.signal.amplitude,
-                },
-                sort_keys=True,
-            )
-        )
-        fh.write("\n")
+    """One burst per line, the bytes ``json.dumps(..., sort_keys=True)`` gives:
+    it writes the train's finite floats with ``float.__repr__``.  One wrap of
+    the phase is enough: ``fmod`` in a ``Sinusoid`` keeps [0, 2 pi) as it is."""
+    t = plan.bursts
+    head = (f'{{"amplitude_v": {t.signal.amplitude!r}, "duration_s": {t.duration!r}, '
+            '"phase_rad": ')
+    start, period, phase0, phase_step = t.start, t.period, t.signal.phase, t.phase_step
+    for first in range(0, t.count, TICK_CHUNK):
+        fh.write("".join(
+            f'{head}{wrap_phase(phase0 + i * phase_step)!r}, '
+            f'"start_s": {start + i * period!r}}}\n'
+            for i in range(first, min(first + TICK_CHUNK, t.count))))
 
 
 @dataclass(frozen=True)
@@ -310,7 +297,7 @@ def _stall_train_runs(bursts, state: RtcState) -> bool:
     return (
         bursts.phase_step == 0.0
         and bursts.start >= state.wall_time
-        and not _leads(wrap_phase(bursts.phase0 - state.osc_phase))
+        and not _leads(wrap_phase(bursts.signal.phase - state.osc_phase))
         and bursts.duration >= math.ulp(abs(bursts.start) + (bursts.count - 1) * bursts.period)
     )
 
@@ -324,7 +311,7 @@ def stall_gap(plan: AttackPlan, config: RtcConfig, until: Optional[float] = None
     if not _stall_train_runs(train, state):
         raise ValueError("stall_gap needs a train of stall bursts")
     return _stall_train(state, config, train.start, train.count, train.period,
-                        train.duration, train[0].signal, until, None)[1]
+                        train.duration, train.signal, until, None)[1]
 
 
 def forward_offsets(plan: AttackPlan, config: RtcConfig,
@@ -338,7 +325,7 @@ def forward_offsets(plan: AttackPlan, config: RtcConfig,
     if state is None:
         state = initial_state(config)
     train = plan.bursts
-    offset = wrap_phase(train.phase0 - state.osc_phase)
+    offset = wrap_phase(train.signal.phase - state.osc_phase)
     lag, kept = _train_offsets(offset, train.phase_step, train.count, train.duration,
                                config.convergence_time_constant)
     return offset, offset - lag * float(kept(train.count - 1.0))
@@ -385,20 +372,18 @@ def simulate_plan(
         raise TypeError(f"simulate_plan runs a BurstTrain, not a {type(train).__name__}")
     if state is None:
         state = initial_state(config)
-    start_wall = state.wall_time
-    start_rtc = state.rtc_time
-    start_counter = state.counter
+    start_wall, start_rtc, start_counter = state.wall_time, state.rtc_time, state.counter
     events: list[TickEvent] = []
     if sink is None and collect_ticks:
         sink = tick_collector(events)
 
     if _stall_train_runs(train, state):
         # No stall moves the phase, so every burst arrives at one offset.
-        first = last = wrap_phase(train.phase0 - state.osc_phase)
+        first = last = wrap_phase(train.signal.phase - state.osc_phase)
         state = _stall_train(state, config, train.start, train.count, train.period,
-                             train.duration, train[0].signal, until, sink)[0]
+                             train.duration, train.signal, until, sink)[0]
     else:
-        _check_frequency("burst", train[0].signal, config)
+        _check_frequency("burst", train.signal, config)
         first, last = forward_offsets(plan, config, state)
         state = _advance(state, config, train.start, train.count, train.period,
                          train.duration, first, train.phase_step, sink).state

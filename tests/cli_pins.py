@@ -5,8 +5,8 @@ with overrides, or the ``perfbench`` base scenario file), a subcommand and
 its extra arguments.  ``record`` runs ``cli.main`` in-process with ``--out``
 in a scratch directory, or for the cases in ``TO_STDOUT`` with none, and
 returns the exit code, the stderr text and the output: its text, or for
-``simulate`` (whose tables run to tens of thousands of rows) its sha256,
-row count and ``end`` row.  ``tests/test_cli_pins.py`` compares every case
+``simulate`` and the cases in ``HASHED`` (whose outputs run to thousands of
+lines) its sha256, row count and ``end`` row.  ``tests/test_cli_pins.py`` compares every case
 with ``data/cli_pins.json``.
 
 A refactor must leave these outputs unchanged.
@@ -136,11 +136,19 @@ CASES: dict[str, tuple] = {
         {"fingerprint.duration_s": 60001 / 6e6}, ["classify"]),
     "refuse-classify-256-samples-exit-2": (
         {"fingerprint.duration_s": 256 / 6e6}, ["classify"]),
+    # 525 forward bursts whose phases wrap past 2 pi 131 times.
+    "plan-forward-32bit": (FORWARD_32BIT, ["plan"]),
+    # 7,150 forward bursts: more lines than one 4,096-line chunk.
+    "plan-forward-7150-bursts": ({
+        "goal": {"direction": "forward", "window_a_s": 30.0, "drift_b_s": 0.1},
+    }, ["plan"]),
     "stdout-simulate-backward": ({}, ["simulate"]),
     "stdout-simulate-forward-32bit": (FORWARD_32BIT, ["simulate"]),
 }
 # Cases that write to standard output instead of ``--out``.
 TO_STDOUT = {"stdout-simulate-backward", "stdout-simulate-forward-32bit"}
+# ``plan`` cases stored by hash, as ``simulate`` outputs are.
+HASHED = {"plan-forward-32bit", "plan-forward-7150-bursts"}
 
 
 def _scenario(overrides: dict) -> dict:
@@ -177,7 +185,7 @@ def record(name: str) -> dict:
     result = {"exit": code, "stderr": stderr.getvalue()}
     if not to_stdout:
         result["stdout"] = stdout.getvalue()
-    if text and tail[0] == "simulate":
+    if text and (tail[0] == "simulate" or name in HASHED):
         lines = text.splitlines()
         result["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         result["rows"] = len(lines)

@@ -157,13 +157,50 @@ def ledger(state, config, n, quiet, time_of, **changes):
     return state, ticks, largest
 
 
-# --- a plan run burst by burst ------------------------------------------------
+# --- a plan burst by burst ----------------------------------------------------
+
+def bursts(train):
+    """Every burst of a ``planner.BurstTrain``, as ``InjectionBurst``s: burst
+    i starts at ``start + i * period`` with its phase at ``signal.phase + i *
+    phase_step``, wrapped."""
+    from driftlab.rtc import InjectionBurst
+    from driftlab.signals import Sinusoid, wrap_phase
+
+    signal = train.signal
+    return [
+        InjectionBurst(
+            start=train.start + i * train.period,
+            duration=train.duration,
+            signal=Sinusoid(signal.amplitude, signal.frequency,
+                            wrap_phase(signal.phase + i * train.phase_step)),
+        )
+        for i in range(train.count)
+    ]
+
+
+def per_burst_jsonl(plan, fh):
+    """``planner.export_plan_jsonl`` burst by burst: one ``json.dumps`` of a
+    dict, with sorted keys, for each of ``bursts(plan.bursts)``."""
+    for burst in bursts(plan.bursts):
+        fh.write(
+            json.dumps(
+                {
+                    "start_s": burst.start,
+                    "duration_s": burst.duration,
+                    "phase_rad": burst.signal.phase,
+                    "amplitude_v": burst.signal.amplitude,
+                },
+                sort_keys=True,
+            )
+        )
+        fh.write("\n")
+
 
 def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,
               sink=None):
     """``planner.simulate_plan`` burst by burst: the reference both of its
     closed-form kernels, the stall train and the phase-advance train, are
-    held to.  Takes any sequence of bursts and returns a ``PlanRun``.
+    held to.  Runs ``bursts(plan.bursts)`` and returns a ``PlanRun``.
 
     Each burst meets the offset between its signal's phase and the
     oscillation's.  A burst that leads (``rtc._leads``) runs as one
@@ -184,10 +221,10 @@ def plan_loop(plan, config, state=None, *, until=None, collect_ticks=True,
     events = []
     if sink is None and collect_ticks:
         sink = tick_collector(events)
-    phase_step = getattr(plan.bursts, "phase_step", 0.0)
+    phase_step = plan.bursts.phase_step
     planned, forward = phase_step or math.pi, phase_step != 0.0
     prediction_error = 0.0
-    for i, burst in enumerate(plan.bursts):
+    for i, burst in enumerate(bursts(plan.bursts)):
         delta = wrap_phase(burst.signal.phase - state.osc_phase)
         gap = wrap_phase(delta - planned)
         prediction_error = max(prediction_error, min(gap, TWO_PI - gap))

@@ -497,6 +497,21 @@ class TestClassifyCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # x_max - x_min overflowed: exit 0 with nan for all 15 confidences and
+    # synthetic-01 selected
+    def test_trace_too_wide_to_scale_refused(self, config_path, tmp_path, capsys):
+        trace = tmp_path / "capture.bin"
+        samples = np.full(60000, 1.5e308)
+        samples[1::2] = -1.5e308
+        save_trace_bin(SampledTrace(6e6, samples), trace)
+        out = tmp_path / "cls.csv"
+        path = config_path(overrides={"fingerprint.trace": {"file": str(trace)}})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("invalid input: trace: its range, -1.5e+308 to 1.5e+308, "
+                       "is too wide to scale\n")
+        assert not out.exists()
+
     def test_sample_rate_mismatch_named(self, config_path, tmp_path, capsys):
         trace = tmp_path / "capture.bin"
         samples = np.random.default_rng(0).normal(size=30000)
@@ -890,6 +905,8 @@ class TestSchemaRefusals:
     @pytest.mark.parametrize("row, named", [
         ("a,500000,20000,nan", "line 3: profile 'a': f0, fm and df must be finite"),
         ("a,500000", "line 3: float() argument must be"),
+        # the later row replaced the earlier one in the bank and the table
+        ("b,1000000,20000,0.005", "line 3: label 'b' repeats line 2"),
     ])
     def test_bad_library_row_named(self, row, named, config_path, tmp_path,
                                    capsys):

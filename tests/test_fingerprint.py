@@ -175,6 +175,24 @@ class TestScale:
         with pytest.raises(ValueError, match="sample 1 "):
             scale(SampledTrace(10.0, np.array([0.0, math.nan, 1.0])), 50.0, 50.0)
 
+    # x_max - x_min overflowed, and every scaled sample was nan
+    def test_range_that_overflows_rejected(self):
+        trace = SampledTrace(10.0, np.array([1.5e308, -1.5e308, 1.5e308]))
+        with pytest.raises(ValueError, match=r"^trace: its range, -1\.5e\+308 to "
+                           r"1\.5e\+308, is too wide to scale$"):
+            scale(trace, 50.0, 50.0)
+        assert scale(SampledTrace(10.0, np.array([8e307, -8e307])), 1.0, 1.0
+                     ).samples.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 50.0), (50.0, math.inf),
+                                      (math.nan, 50.0), (50.0, -math.inf),
+                                      (0.0, 50.0), (1e308, 1e308)])
+    def test_bounds_not_positive_with_a_finite_sum_rejected(self, a, b):
+        trace = SampledTrace(10.0, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"scaling bounds must be > 0 with a finite sum, got {a}, {b}")):
+            scale(trace, a, b)
+
     @given(
         c=st.floats(min_value=0.1, max_value=10.0),
         d=st.floats(min_value=-5.0, max_value=5.0),
@@ -198,6 +216,11 @@ class TestCaptureConfig:
         settings_[field] = bad
         with pytest.raises(ValueError, match=rf"^{field} must be > 0, got {bad}$"):
             CaptureConfig(**settings_)
+
+    @pytest.mark.parametrize("field", ["scale_a", "scale_b", "bandwidth"])
+    def test_infinite_setting_refused(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got inf$"):
+            CaptureConfig(sample_rate=6e6, duration=0.01, **{field: math.inf})
 
     def test_infinite_sample_count_refused(self):
         with pytest.raises(ValueError, match=r"sample_rate \* duration is inf "):
@@ -348,6 +371,35 @@ class TestClassify:
         trace = SampledTrace(6e6, np.random.default_rng(0).normal(size=30000))
         with pytest.raises(ValueError, match=r"30000 samples.*expect 60000"):
             classify(trace, library, FAST_CFG)
+
+    def test_nan_confidence_selects_nothing(self, library):
+        # A NaN confidence compared false with the threshold and was selected.
+        pair = library[:2]
+        trace = synthesize(pair[0], FAST_CFG, seed=5)
+        bank = {label: band * math.nan
+                for label, band in build_template_bank(pair, FAST_CFG).items()}
+        label, confidences = classify(trace, pair, FAST_CFG, bank=bank)
+        assert label is None
+        assert all(math.isnan(c) for c in confidences.values())
+
+    def test_trace_too_wide_to_scale_rejected(self, library):
+        samples = np.full(60000, 1.5e308)
+        samples[1::2] = -1.5e308
+        with pytest.raises(ValueError, match="too wide to scale"):
+            classify(SampledTrace(6e6, samples), library, FAST_CFG)
+
+    def test_repeated_label_refused(self, library):
+        pair = [SscProfile("a", f0=5e5, fm=2e4, df=0.008),
+                SscProfile("a", f0=1e6, fm=2e4, df=0.008)]
+        trace = synthesize(pair[1], FAST_CFG, seed=5)
+        named = "^profile library repeats the label 'a'$"
+        with pytest.raises(ValueError, match=named):
+            build_template_bank(pair, FAST_CFG)
+        with pytest.raises(ValueError, match=named):
+            classify(trace, pair, FAST_CFG)
+        bank = build_template_bank(pair[1:], FAST_CFG)
+        with pytest.raises(ValueError, match=named):
+            classify(trace, pair, FAST_CFG, bank=bank)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_capture_rejected(self, library, bad):
@@ -550,6 +602,13 @@ class TestIo:
         path.write_text(f"label,f0_hz,fm_hz,df_frac\nb,400000,20000,0.005\n{row}\n")
         with pytest.raises(ValueError, match=rf"^line 3: profile 'a': f0, fm "
                            rf"and df must be finite, got {bad}$"):
+            load_profile_library(path)
+
+    def test_repeated_label_names_both_lines(self, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text("label,f0_hz,fm_hz,df_frac\na,500000,20000,0.005\n"
+                        "b,400000,20000,0.005\n a ,1000000,20000,0.005\n")
+        with pytest.raises(ValueError, match=r"^line 4: label 'a' repeats line 2$"):
             load_profile_library(path)
 
     @pytest.mark.parametrize("row", ["a,500000", "a,500000,20000,x"])

@@ -12,7 +12,7 @@ from driftlab import rtc
 from driftlab.rtc import InjectionBurst, RtcConfig, RtcState, initial_state, run_uniform_train
 from driftlab.signals import Sinusoid, wrap_phase
 
-from oracles import ledger
+from oracles import bursts as listed_bursts, ledger
 from test_rtc import F, _bits, _phase_gap, _through_sink, _train_bursts
 
 # Every time in a drawn run is a whole number of cycles of the 32,768 Hz
@@ -165,7 +165,7 @@ class EngineCuts(RuleBasedStateMachine):
                                   duration=duration, delta=delta, start=bursts.start,
                                   sink=rtc.tick_collector(ticks)).state
         cut, cut_ticks = state, []
-        for burst in bursts:
+        for burst in listed_bursts(bursts):
             cut, more = _through_sink(rtc.apply_phase_advance, cut, cfg, burst)
             cut_ticks += more
         assert (cut.wall_time, cut.counter, cut.rtc_time, cut.frozen) == (

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import time
@@ -39,7 +40,8 @@ from driftlab.rtc import (
 )
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
-from oracles import load_plan_jsonl, plan_loop, stall_train_crossings
+from oracles import (bursts, load_plan_jsonl, per_burst_jsonl, plan_loop,
+                     stall_train_crossings)
 from test_rtc import _opposing, _phase_gap, _start
 
 F = 32768.0
@@ -69,7 +71,7 @@ class TestPlanBackward:
         assert plan.bursts.count == 12
         assert plan.bursts.period == pytest.approx(0.5 + 24.0 / 11.0)
         assert len(plan.bursts) == 12
-        assert plan.bursts[0].signal.phase == pytest.approx(math.pi)
+        assert plan.bursts.signal.phase == pytest.approx(math.pi)
 
     def test_single_burst_degenerate(self):
         # ceil(0.4 / 0.5) is one burst, which leaves no pause to spread.
@@ -88,7 +90,8 @@ class TestPlanBackward:
 
     def test_bursts_sorted_disjoint(self):
         plan = plan_backward(_backward_goal(), 0.5, amplitude=0.05)
-        for first, second in zip(plan.bursts, plan.bursts[1:]):
+        listed = bursts(plan.bursts)
+        for first, second in zip(listed, listed[1:]):
             assert second.start >= first.end
 
     @given(
@@ -141,7 +144,7 @@ class TestPlanForward:
 
     def test_phase_steps_by_delta(self):
         plan = plan_forward(_forward_goal(1.0, 2.0), 1e-5, 1.0, amplitude=0.005)
-        phases = [b.signal.phase for b in plan.bursts[:4]]
+        phases = [b.signal.phase for b in bursts(plan.bursts)[:4]]
         for i, phase in enumerate(phases):
             assert phase == pytest.approx(wrap_phase((i + 1) * 1.0), abs=1e-12)
 
@@ -212,7 +215,7 @@ class TestPlanForward:
         plan = plan_forward(_forward_goal(1.0, 1.0), 1e-5, math.pi / 2,
                             amplitude=0.005)
         with pytest.raises(TypeError, match="BurstTrain, not a list"):
-            simulate_plan(replace(plan, bursts=list(plan.bursts)), RtcConfig())
+            simulate_plan(replace(plan, bursts=bursts(plan.bursts)), RtcConfig())
 
     def test_hundred_thousand_short_bursts(self):
         # 1e-5 s bursts, under five time constants; the loop takes about
@@ -516,10 +519,10 @@ class TestForwardTrain:
         assume(not isinstance(whole, int))
         train, j = plan.bursts, 1 + int(cut * (case["count"] - 2))
         head = _forward_plan(train.start, j, train.period, train.duration,
-                             train.phase_step, train.phase0)
+                             train.phase_step, train.signal.phase)
         tail = _forward_plan(train.start + j * train.period, train.count - j,
                              train.period, train.duration, train.phase_step,
-                             train.phase0 + j * train.phase_step)
+                             train.signal.phase + j * train.phase_step)
         first, split = _run(simulate_plan, head, cfg, state, None)
         second, more = _run(simulate_plan, tail, cfg, first.state, None)
         _close(second, split + more, whole, ticks)
@@ -538,8 +541,8 @@ class TestBurstTrain:
         train = BurstTrain(start=start, period=duration + pause, duration=duration,
                            count=count, amplitude=0.005, frequency=F, phase0=0.0)
         assert train.period >= duration + pause
-        ends = [b.end for b in train[:-1]]
-        assert all(b.start >= end for b, end in zip(train[1:], ends))
+        listed = bursts(train)
+        assert all(b.start >= a.end for a, b in zip(listed, listed[1:]))
 
     def test_pause_below_an_ulp_matches_the_loop(self):
         # A pause below an ulp of t1, and t1 under five time constants: the
@@ -577,11 +580,103 @@ class TestPlanExport:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 12
         with open(path) as fh:
-            bursts = load_plan_jsonl(fh, frequency=F)
-        for orig, loaded in zip(plan.bursts, bursts):
+            loaded_bursts = load_plan_jsonl(fh, frequency=F)
+        for orig, loaded in zip(bursts(plan.bursts), loaded_bursts):
             assert loaded.start == orig.start
             assert loaded.duration == orig.duration
             assert loaded.signal == orig.signal
+
+    # Counts on both sides of one and two 4,096-line chunks; steps of 0, and
+    # steps either way that wrap; first phases on either side of 0 and of
+    # 2 pi; periods a few ulps above the duration, which the train widens.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.one_of(st.sampled_from([1, 4095, 4096, 4097, 8193]),
+                        st.integers(1, 40)),
+        start=st.floats(1e-9, 1e5),
+        duration=st.floats(1e-7, 1.0),
+        gap=st.one_of(st.integers(0, 4), st.floats(0.0, 10.0)),
+        phase0=st.one_of(
+            st.sampled_from([0.0, 5e-324, -5e-324, -1e-15, TWO_PI - 1e-15,
+                             math.nextafter(TWO_PI, 0.0), TWO_PI, TWO_PI + 1e-15]),
+            st.floats(-1e-9, 1e-9), st.floats(TWO_PI - 1e-9, TWO_PI + 1e-9)),
+        phase_step=st.one_of(st.just(0.0),
+                             st.floats(1e-3, math.pi, exclude_max=True),
+                             st.floats(-math.pi, -1e-3)),
+        amplitude=st.floats(0.0, 1.0),
+    )
+    def test_writer_matches_the_per_burst_reference(self, count, start, duration,
+                                                    gap, phase0, phase_step,
+                                                    amplitude):
+        # An integer gap is that many ulps of the duration; a float one, a
+        # pause of that many durations.
+        period = (duration + gap * math.ulp(duration) if isinstance(gap, int)
+                  else duration * (1.0 + gap))
+        plan = AttackPlan(BurstTrain(start=start, period=period, duration=duration,
+                                     count=count, amplitude=amplitude, frequency=F,
+                                     phase0=phase0, phase_step=phase_step))
+        got, want = io.StringIO(), io.StringIO()
+        export_plan_jsonl(plan, got)
+        per_burst_jsonl(plan, want)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().count("\n") == count
+
+    def test_integer_fields_print_as_floats(self):
+        plan = AttackPlan(BurstTrain(start=0, period=2, duration=1, count=2,
+                                     amplitude=1, frequency=F, phase0=0))
+        fh = io.StringIO()
+        export_plan_jsonl(plan, fh)
+        assert fh.getvalue() == (
+            '{"amplitude_v": 1.0, "duration_s": 1.0, "phase_rad": 0.0, "start_s": 0.0}\n'
+            '{"amplitude_v": 1.0, "duration_s": 1.0, "phase_rad": 0.0, "start_s": 2.0}\n')
+
+
+TRAIN = dict(start=0.0, period=1.0, duration=0.5, count=3, amplitude=0.005,
+             frequency=F, phase0=0.0, phase_step=0.0)
+
+
+class TestBurstTrainRefusals:
+    @pytest.mark.parametrize("name", ["start", "period", "duration", "amplitude",
+                                      "frequency", "phase0", "phase_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            BurstTrain(**{**TRAIN, name: value})
+
+    @pytest.mark.parametrize("amplitude", [-1e-300, -1.0])
+    def test_negative_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="^amplitude must be >= 0"):
+            BurstTrain(**{**TRAIN, "amplitude": amplitude})
+
+    @pytest.mark.parametrize("frequency", [0.0, -0.0, -32768.0])
+    def test_frequency_not_above_zero(self, frequency):
+        with pytest.raises(ValueError, match="^frequency must be > 0"):
+            BurstTrain(**{**TRAIN, "frequency": frequency})
+
+    @pytest.mark.parametrize("change", [
+        dict(start=1e308, period=1e308),
+        dict(period=1e308, duration=1e308, count=2),
+        dict(start=1.7e308, duration=1e308, count=1),
+        # |start| + duration overflows, so the widened period is inf.
+        dict(start=-1.7e308, duration=1.7e308, count=1),
+    ])
+    def test_last_end_overflows(self, change):
+        with pytest.raises(ValueError, match=r"^the last of \d bursts overflows: it ends "
+                           r"at (inf|nan) s with its phase at 0\.0 rad$"):
+            BurstTrain(**{**TRAIN, **change})
+
+    def test_last_phase_overflows(self):
+        with pytest.raises(ValueError, match=r"^the last of 3 bursts overflows: it ends "
+                           r"at 2\.5 s with its phase at inf rad$"):
+            BurstTrain(**{**TRAIN, "phase_step": 1e308})
+        BurstTrain(**{**TRAIN, "phase_step": 1e308, "count": 1})
+
+    def test_fields_become_floats(self):
+        train = BurstTrain(**{**TRAIN, "start": 1, "period": np.float64(2.0),
+                              "duration": 1, "phase_step": 0})
+        values = (train.start, train.period, train.duration, train.phase_step,
+                  train.signal.amplitude, train.signal.frequency, train.signal.phase)
+        assert all(type(v) is float for v in values)
 
 
 @pytest.fixture(scope="module")

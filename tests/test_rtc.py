@@ -28,6 +28,7 @@ from driftlab.rtc import (
 from driftlab.signals import TWO_PI, Sinusoid, wrap_phase
 
 from oracles import burst_crossing_time, count_upward_crossings, crossing_times
+from oracles import bursts as listed_bursts
 
 F = 32768.0
 CAL = RtcConfig()  # calendar mode: 0.08 V amplitude, 0.04 V threshold
@@ -358,8 +359,8 @@ class TestPhaseAdvance:
 
 
 def _train_bursts(state, count, period, duration, delta, start):
-    """The bursts of a uniform train led by ``state``'s phase, as a plan
-    builds them."""
+    """A uniform ``BurstTrain`` led by ``state``'s phase, as a plan builds
+    it."""
     return BurstTrain(start=start, period=period, duration=duration, count=count,
                       amplitude=0.005, frequency=F,
                       phase0=state.osc_phase + delta, phase_step=delta)
@@ -370,8 +371,8 @@ def _phase_gap(a, b):
     return abs(wrap_phase(a - b + math.pi) - math.pi)
 
 
-def _burst_loop(state, cfg, bursts):
-    for burst in bursts:
+def _burst_loop(state, cfg, train):
+    for burst in listed_bursts(train):
         state = apply_phase_advance(state, cfg, burst)
     return state
 
@@ -562,7 +563,7 @@ class TestOneCrossingKernel:
 
         # A switch's jump edge is one crossing at the switching time, so a
         # tick there is the divider's next.
-        signal = bursts[0].signal
+        signal, first = bursts.signal, listed_bursts(bursts)[0]
         for before, after in ((state, signal), (with_injection(state, cfg, signal), None)):
             got, ticks = _through_sink(with_injection, before, cfg, after)
             assert got == with_injection(before, cfg, after)
@@ -570,9 +571,9 @@ class TestOneCrossingKernel:
             assert _bits(ticks) == _bits([TickEvent(
                 before.wall_time, before.rtc_time + cfg.tick_period)] * ticked)
 
-        got, ticks = _through_sink(apply_phase_advance, state, cfg, bursts[0])
-        want, listed = apply_phase_advance_with_events(state, cfg, bursts[0])
-        assert got == want == apply_phase_advance(state, cfg, bursts[0])
+        got, ticks = _through_sink(apply_phase_advance, state, cfg, first)
+        want, listed = apply_phase_advance_with_events(state, cfg, first)
+        assert got == want == apply_phase_advance(state, cfg, first)
         assert _bits(ticks) == _bits(listed)
 
         train["period"] = bursts.period
