@@ -2,10 +2,10 @@
 
 Only what the denoising pipeline needs: a periodized multi-level DWT on a
 compactly supported orthogonal (Daubechies) wavelet of a signal whose
-length 2**levels divides, its exact inverse, the subbands taken straight
-from the signal's DFT, the DFT of the inverse taken straight from the
-subbands' own DFTs, and soft thresholding at sigma * sqrt(2 ln n) with the
-noise scale estimated from the finest detail band's median absolute value.
+length 2**levels divides, its exact inverse, the subbands straight from the
+signal's DFT, the inverse's DFT straight from the subbands' DFTs, and soft
+thresholding at sigma * sqrt(2 ln n), sigma from the finest detail band's
+median magnitude: one selection, not np.median's slower multi-index one.
 
 Filter taps are computed at import time by the classic spectral
 factorization of the Daubechies binomial polynomial; the default order of 8
@@ -125,9 +125,17 @@ def idwt(a: np.ndarray, details, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
 
 
 def universal_threshold(detail_fine: np.ndarray, n: int) -> float:
-    """sigma * sqrt(2 ln n) with sigma from the finest detail band."""
-    sigma = np.median(np.abs(detail_fine)) / 0.6745
-    return sigma * math.sqrt(2.0 * math.log(max(n, 2)))
+    """sigma * sqrt(2 ln n), sigma = median|d| / 0.6745 from the finest detail
+    band d (left unchanged); NaN if d holds one.  One selection at the middle
+    gives np.median's bits: np.median also selects the last index (its NaN
+    check), and numpy's multi-index partition is several times slower."""
+    mags = np.abs(detail_fine)
+    h = len(mags) // 2
+    mags.partition(h)   # mags[:h] <= mags[h] <= mags[h + 1:], NaN sorting last
+    median = mags[h] if len(mags) % 2 else (mags[:h].max() + mags[h]) / 2.0
+    if np.isnan(mags[h:].max()):
+        median = np.nan
+    return median / 0.6745 * math.sqrt(2.0 * math.log(max(n, 2)))
 
 
 def soft_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:

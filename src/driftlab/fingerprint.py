@@ -82,6 +82,8 @@ class CaptureConfig:
         for name in ("sample_rate", "duration", "scale_a", "scale_b", "bandwidth"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.snr_db > -math.inf:     # NaN or -inf; +inf means no noise
+            raise ValueError(f"snr_db must be finite or inf, got {self.snr_db}")
         samples = self.sample_rate * self.duration
         if not math.isfinite(samples):
             raise ValueError(f"sample_rate * duration is {samples} samples")

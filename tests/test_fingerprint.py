@@ -222,6 +222,17 @@ class TestCaptureConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got inf$"):
             CaptureConfig(sample_rate=6e6, duration=0.01, **{field: math.inf})
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_snr_that_is_not_a_level_refused(self, bad):
+        # synthesize reads both as +inf would be read: no noise at all
+        with pytest.raises(ValueError,
+                           match=rf"^snr_db must be finite or inf, got {bad}$"):
+            CaptureConfig(sample_rate=6e6, duration=0.01, snr_db=bad)
+
+    @pytest.mark.parametrize("snr_db", [-300.0, -0.0, 15.0, 1e300, math.inf])
+    def test_finite_or_noise_free_snr_accepted(self, snr_db):
+        assert CaptureConfig(6e6, 0.01, snr_db=snr_db).snr_db == snr_db
+
     def test_infinite_sample_count_refused(self):
         with pytest.raises(ValueError, match=r"sample_rate \* duration is inf "):
             CaptureConfig(sample_rate=math.inf, duration=0.01)

@@ -1,8 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from driftlab import fingerprint
 from driftlab._wavelet import (
     DEFAULT_LO,
     analysis_responses,
@@ -70,6 +75,28 @@ class TestTransform:
         assert energy == pytest.approx((x ** 2).sum(), rel=1e-10)
 
 
+# Ties come from a few drawn values repeated; the specials are the zeros, the
+# smallest normal and subnormals, and values near 1e308 whose pairwise sum
+# (np.median's mean of the two middle values) overflows.
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+             1e308, -1.5e308, 1.7976931348623157e308, math.inf]
+_VALUES = st.one_of(st.sampled_from(_SPECIALS), st.floats(allow_nan=False),
+                    st.floats(-1e-307, 1e-307),
+                    st.floats(1e308, 1.7976931348623157e308))
+
+
+@st.composite
+def _detail_bands(draw):
+    """Odd and even lengths from 1, with a NaN at one place or none."""
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=4) | st.just([]))
+    values = st.sampled_from(pool) if pool else _VALUES
+    x = draw(hnp.arrays(np.float64, st.integers(1, 600), elements=values))
+    nan_at = draw(st.none() | st.integers(0, len(x) - 1))
+    if nan_at is not None:
+        x[nan_at] = math.nan
+    return x
+
+
 class TestThresholding:
     def test_soft_threshold_shrinks_toward_zero(self):
         x = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
@@ -94,6 +121,31 @@ class TestThresholding:
             expected = sigma * math.sqrt(2.0 * math.log(4096))
             assert thr == pytest.approx(expected, rel=0.15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=_detail_bands(), n=st.integers(0, 1 << 40))
+    @example(x=np.array([1e308, 1.5e308]), n=4)
+    @example(x=np.array([-0.0, 0.0, 5e-324, -5e-324]), n=8)
+    @example(x=np.array([2.0, math.nan, 1.0]), n=6)
+    def test_universal_threshold_is_np_median_bit_for_bit(self, x, n):
+        before = x.tobytes()
+        with np.errstate(over="ignore"):
+            got = universal_threshold(x, n)
+            want = (np.median(np.abs(x)) / 0.6745
+                    * math.sqrt(2.0 * math.log(max(n, 2))))
+        assert x.tobytes() == before
+        if np.isnan(x).any():
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_universal_threshold_on_a_criterion_9_band(self):
+        d = criterion9_detail()
+        before = d.copy()
+        got = universal_threshold(d, 2 * len(d))
+        want = np.median(np.abs(d)) / 0.6745 * math.sqrt(2.0 * math.log(2 * len(d)))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(d, before)
+
     def test_denoise_reduces_noise_on_smooth_signal(self):
         rng = np.random.default_rng(2)
         t = np.arange(4096) / 4096.0
@@ -101,6 +153,23 @@ class TestThresholding:
         noisy = clean + 0.3 * rng.normal(size=4096)
         out = denoise(noisy, 4)
         assert np.std(out - clean) < 0.5 * np.std(noisy - clean)
+
+
+@functools.lru_cache(maxsize=1)
+def criterion9_detail() -> np.ndarray:
+    """The finest detail band (300,000 samples) of the first bundled
+    profile's band in a criterion-9 capture: 6 MHz, 0.1 s, 15 dB SNR,
+    seed 100, scaled as ``classify`` scales it."""
+    cfg = fingerprint.CaptureConfig(sample_rate=6e6, duration=0.1, snr_db=15.0,
+                                    bandwidth=2e5)
+    profile = fingerprint.load_profile_library()[0]
+    trace = fingerprint.scale(fingerprint.synthesize(profile, cfg, seed=100),
+                              cfg.scale_a, cfg.scale_b)
+    _, details = fingerprint._band_subbands(
+        fingerprint._capture_spectrum(trace.samples),
+        fingerprint.capture_length(cfg), cfg.sample_rate, profile.f0,
+        cfg.bandwidth)
+    return details[0]
 
 
 def _periodized_matrix(taps, n):
