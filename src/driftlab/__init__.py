@@ -28,8 +28,6 @@ from .lamb import (
     LambMode,
     MediumSpec,
     load_media,
-    mode_coefficients,
-    propagation_delay,
     solve_dispersion,
     surface_displacement,
 )

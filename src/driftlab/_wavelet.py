@@ -2,8 +2,9 @@
 
 Only what the denoising pipeline needs: a periodized multi-level DWT on a
 compactly supported orthogonal (Daubechies) wavelet of a signal whose
-length 2**levels divides, its exact inverse, the subbands straight from the
-signal's DFT, the inverse's DFT straight from the subbands' DFTs, and soft
+length 2**levels divides, and its exact inverse, both computed in the
+frequency domain (one transform: the subbands straight from the signal's
+DFT, the inverse's DFT straight from the subbands' DFTs), and soft
 thresholding at sigma * sqrt(2 ln n), sigma from the finest detail band's
 median magnitude: one selection, not np.median's slower multi-index one.
 
@@ -60,67 +61,29 @@ DEFAULT_LO = daubechies_lowpass(8)
 def _filters(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = lo[::-1].copy()
     hi[1::2] *= -1.0
-    if len(lo) % 2:
-        # a zero tap keeps the polyphase split even and the sums unchanged
-        lo, hi = np.append(lo, 0.0), np.append(hi, 0.0)
     return lo, hi
-
-
-def _analysis_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Periodized filter bank y[k] = sum_m f[m] x[(2k + 1 - m) mod n] in
-    # polyphase form: y[k] = sum_r f[2r] x_odd[k - r] + f[2r + 1] x_even[k - r],
-    # indices mod n/2.  Each phase gets a circular lead of width - 1 samples
-    # (``np.pad`` in wrap mode repeats phases shorter than that), so a "valid"
-    # convolution yields exactly n/2 outputs.  One phase is extended at a
-    # time to keep the peak footprint low.
-    lead = len(lo) // 2 - 1
-    phase = np.pad(x[1::2], (lead, 0), mode="wrap")
-    a = np.convolve(phase, lo[0::2], "valid")
-    d = np.convolve(phase, hi[0::2], "valid")
-    del phase
-    phase = np.pad(x[0::2], (lead, 0), mode="wrap")
-    a += np.convolve(phase, lo[1::2], "valid")
-    d += np.convolve(phase, hi[1::2], "valid")
-    return a, d
-
-
-def _synthesis_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Adjoint of the analysis step: out[2i] = sum_r f[2r + 1] s[i + r] and
-    # out[2i + 1] = sum_r f[2r] s[i + r], summed over the subbands s = a, d
-    # with their filters f = lo, hi, indices mod n/2: a correlation, so the
-    # phase taps run reversed over a circular trail of width - 1 samples.
-    # One subband is extended at a time to keep the peak footprint low.
-    trail = len(lo) // 2 - 1
-    out = np.empty(2 * len(a))
-    s = np.pad(a, (0, trail), mode="wrap")
-    out[0::2] = np.convolve(s, lo[-1::-2], "valid")
-    out[1::2] = np.convolve(s, lo[-2::-2], "valid")
-    s = np.pad(d, (0, trail), mode="wrap")
-    out[0::2] += np.convolve(s, hi[-1::-2], "valid")
-    out[1::2] += np.convolve(s, hi[-2::-2], "valid")
-    return out
 
 
 def dwt(x: np.ndarray, levels: int, lo: np.ndarray = DEFAULT_LO):
     """Multi-level periodized DWT of a signal whose length 2**levels divides;
-    returns (approximation, [d_fine..d_coarse])."""
-    lo, hi = _filters(np.asarray(lo, dtype=float))
+    returns (approximation, [d_fine..d_coarse]), by ``spectral_dwt``."""
     x = np.asarray(x, dtype=float)
-    if len(x) % (1 << levels):
+    n = len(x)
+    if n % (1 << levels):
         raise ValueError(f"a {levels}-level DWT needs a multiple of "
-                         f"{1 << levels} samples, got {len(x)}")
-    details = []
-    a = x
-    for _ in range(levels):
-        a, d = _analysis_step(a, lo, hi)
-        details.append(d)
-    return a, details
+                         f"{1 << levels} samples, got {n}")
+    return spectral_dwt(np.fft.rfft(x), n, levels, analysis_responses(n, lo))
 
 
 def idwt(a: np.ndarray, details, lo: np.ndarray = DEFAULT_LO) -> np.ndarray:
-    lo, hi = _filters(np.asarray(lo, dtype=float))
+    """Inverse of ``dwt``, one synthesis step at a time: the irfft of
+    ``reconstruction_dft`` of the approximation and the next detail band."""
+    a = np.asarray(a, dtype=float)
     for d in reversed(details):
-        a = _synthesis_step(a, d, lo, hi)
+        m = 2 * len(a)
+        responses = synthesis_responses(m, 1, 0, m // 2 + 1, lo)
+        a = np.fft.irfft(reconstruction_dft(a, [np.asarray(d, dtype=float)],
+                                            0, m // 2 + 1, responses), m)
     return a
 
 
@@ -201,12 +164,14 @@ def _fold(response: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 def spectral_dwt(spectrum: np.ndarray, n: int, levels: int,
                  responses: np.ndarray):
-    """``dwt(x, levels)`` of the n samples x whose rfft is ``spectrum``,
-    with 2**levels dividing n and ``responses`` from ``analysis_responses(n)``.
+    """Periodized ``levels``-level DWT of the n samples x whose rfft is
+    ``spectrum``, with 2**levels dividing n and ``responses`` from
+    ``analysis_responses(n)``: (approximation, [d_fine..d_coarse]).
 
     A step on m samples keeps the odd samples of the circular convolution
-    with f, so a subband's DFT is 1/2 w**k [F(k) S(k) - conj(F(m/2 - k)
-    S(m/2 - k))] with w = exp(2 pi i / m), for k = 0..m/4 on the rfft grid
+    with f, y[k] = sum_t f[t] x[(2k + 1 - t) mod m], so a subband's DFT is
+    1/2 w**k [F(k) S(k) - conj(F(m/2 - k) S(m/2 - k))] with
+    w = exp(2 pi i / m), for k = 0..m/4 on the rfft grid
     (Vaidyanathan, Multirate Systems and Filter Banks, 1993, sec. 4.1).  The
     approximation's spectrum feeds the next level; only the subbands return
     to the time domain."""
@@ -243,11 +208,12 @@ def synthesis_responses(n: int, levels: int, start: int, stop: int,
 
 def reconstruction_dft(a: np.ndarray, details, start: int, stop: int,
                        responses) -> np.ndarray:
-    """Bins start..stop-1 of the DFT of ``idwt(a, details)``, of length
-    n = len(a) * 2**len(details): Y(k) = sum_j S_j(k mod n_j) F_j(k),
-    with S_j the DFT of subband j (n_j samples) and F_j the ``responses``
-    that ``synthesis_responses`` gives for n, the levels, the bins and the
-    filter.  All-zero subbands contribute nothing and are skipped."""
+    """Bins start..stop-1 of the DFT of the subbands' inverse periodized
+    DWT, of length n = len(a) * 2**len(details): Y(k) = sum_j S_j(k mod n_j)
+    F_j(k), with S_j the DFT of subband j (n_j samples) and F_j the
+    ``responses`` that ``synthesis_responses`` gives for n, the levels, the
+    bins and the filter.  All-zero subbands contribute nothing and are
+    skipped."""
     k = np.arange(start, stop)
     out = np.zeros(len(k), dtype=complex)
     for s, f in zip([a, *details], responses, strict=True):

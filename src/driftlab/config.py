@@ -22,8 +22,8 @@ from typing import Any, Callable, Optional
 from .chain import ChainContext, TransducerSpec, build_context
 from .crystal import CrystalSpec
 from .effects import BpScenario, ClockSynthConfig, DampingSpec, SubnormalShiftError
-from .fingerprint import (UNKNOWN_THRESHOLD, CaptureConfig, length_refusal,
-                          load_profile_library)
+from .fingerprint import (SNR_DB_MAX, UNKNOWN_THRESHOLD, CaptureConfig,
+                          length_refusal, load_profile_library)
 from .lamb import MediumSpec, load_media
 from .planner import DIRECTION_BACKWARD, DIRECTION_FORWARD, DriftGoal
 from .rtc import DIVIDER_MAX, MODE_32BIT, MODE_CALENDAR, RtcConfig
@@ -266,7 +266,8 @@ SCHEMA: dict[str, tuple[Field, ...]] = {
     "$.fingerprint": (
         _positive("sample_rate_hz", "sample_rate", 6e6),
         _positive("duration_s", "duration", 0.1),
-        Field("snr_db", "snr_db", CaptureConfig.snr_db),
+        Field("snr_db", "snr_db", CaptureConfig.snr_db, ge=-SNR_DB_MAX,
+              le=SNR_DB_MAX),
         _positive("scale_a_mv", "scale_a", CaptureConfig.scale_a),
         _positive("scale_b_mv", "scale_b", CaptureConfig.scale_b),
         _positive("bandwidth_hz", "bandwidth", CaptureConfig.bandwidth),

@@ -31,6 +31,9 @@ from .signals import TWO_PI, SampledTrace
 UNKNOWN_THRESHOLD = 0.6
 BANDPASS_TAPS = 257
 WAVELET_LEVELS = 4
+# The largest |snr_db|: ``synthesize`` divides a signal power <= 1 by
+# 10**(snr_db / 10), which stays in [1e-308, 1e308] (3,083 dB overflows).
+SNR_DB_MAX = 3080.0
 # Held per-band tables (zero-phase band responses, and band bins with their
 # wavelet synthesis responses): one entry per band and length, enough for the
 # five carriers of the bundled library with room to spare.
@@ -82,8 +85,9 @@ class CaptureConfig:
         for name in ("sample_rate", "duration", "scale_a", "scale_b", "bandwidth"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.snr_db > -math.inf:     # NaN or -inf; +inf means no noise
-            raise ValueError(f"snr_db must be finite or inf, got {self.snr_db}")
+        if not (abs(self.snr_db) <= SNR_DB_MAX or self.snr_db == math.inf):
+            raise ValueError(f"snr_db must be within +/-{SNR_DB_MAX} dB or inf "
+                             f"(no noise), got {self.snr_db}")
         samples = self.sample_rate * self.duration
         if not math.isfinite(samples):
             raise ValueError(f"sample_rate * duration is {samples} samples")

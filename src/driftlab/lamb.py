@@ -263,11 +263,6 @@ def _null_space_coefficients(
     return normalize_mode_vector(vec[0], vec[1])
 
 
-def mode_coefficients(mode: LambMode, medium: MediumSpec) -> tuple[complex, complex]:
-    """Null-space direction of the boundary system at the solved root."""
-    return _null_space_coefficients(medium, mode.omega, mode.k_a)
-
-
 def _surface_response(alpha: complex, beta: complex, k_a: float,
                       coeff_a: complex, coeff_b: complex) -> complex:
     # Out-of-plane displacement coefficient at the surface (x = 0).
@@ -351,16 +346,6 @@ def _solve(medium: MediumSpec, f: float) -> LambMode:
         lambda_amp=abs(resp),
         phi_offset=math.atan2(resp.imag, resp.real) + 0.5 * math.pi,
     )
-
-
-def propagation_delay(medium: MediumSpec, f: float, z: float) -> float:
-    """Travel time of the guided wave over ``z`` metres."""
-    if z < 0.0:
-        raise ValueError("distance must be >= 0")
-    if z == 0.0:
-        return 0.0
-    mode = solve_dispersion(medium, f)
-    return z / mode.c_s
 
 
 def displacement_wave(

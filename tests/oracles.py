@@ -408,6 +408,79 @@ def simulate_deflation_readings(p0, systolic, diastolic, v0, dp, df):
     return reported_s, reported_d
 
 
+# --- the periodized DWT, in the time domain ---------------------------------
+
+def _td_filters(lo):
+    lo = np.asarray(lo, dtype=float)
+    hi = lo[::-1].copy()
+    hi[1::2] *= -1.0
+    if len(lo) % 2:
+        # a zero tap keeps the polyphase split even and the sums unchanged
+        lo, hi = np.append(lo, 0.0), np.append(hi, 0.0)
+    return lo, hi
+
+
+def _td_analysis_step(x, lo, hi):
+    # Periodized filter bank y[k] = sum_m f[m] x[(2k + 1 - m) mod n] in
+    # polyphase form: y[k] = sum_r f[2r] x_odd[k - r] + f[2r + 1] x_even[k - r],
+    # indices mod n/2.  Each phase gets a circular lead of width - 1 samples
+    # (``np.pad`` in wrap mode repeats phases shorter than that), so a "valid"
+    # convolution yields exactly n/2 outputs.
+    lead = len(lo) // 2 - 1
+    odd = np.pad(x[1::2], (lead, 0), mode="wrap")
+    even = np.pad(x[0::2], (lead, 0), mode="wrap")
+    a = (np.convolve(odd, lo[0::2], "valid")
+         + np.convolve(even, lo[1::2], "valid"))
+    d = (np.convolve(odd, hi[0::2], "valid")
+         + np.convolve(even, hi[1::2], "valid"))
+    return a, d
+
+
+def _td_synthesis_step(a, d, lo, hi):
+    # Adjoint of the analysis step: out[2i] = sum_r f[2r + 1] s[i + r] and
+    # out[2i + 1] = sum_r f[2r] s[i + r], summed over the subbands s = a, d
+    # with their filters f = lo, hi, indices mod n/2: a correlation, so the
+    # phase taps run reversed over a circular trail of width - 1 samples.
+    trail = len(lo) // 2 - 1
+    out = np.zeros(2 * len(a))
+    for s, f in ((a, lo), (d, hi)):
+        s = np.pad(s, (0, trail), mode="wrap")
+        out[0::2] += np.convolve(s, f[-1::-2], "valid")
+        out[1::2] += np.convolve(s, f[-2::-2], "valid")
+    return out
+
+
+def td_dwt(x, levels, lo=None):
+    """``_wavelet.dwt`` by the polyphase filter bank, level by level:
+    (approximation, [d_fine..d_coarse])."""
+    from driftlab._wavelet import DEFAULT_LO
+    lo, hi = _td_filters(DEFAULT_LO if lo is None else lo)
+    a = np.asarray(x, dtype=float)
+    assert len(a) % (1 << levels) == 0
+    details = []
+    for _ in range(levels):
+        a, d = _td_analysis_step(a, lo, hi)
+        details.append(d)
+    return a, details
+
+
+def td_idwt(a, details, lo=None):
+    """``_wavelet.idwt`` by the polyphase filter bank's adjoint."""
+    from driftlab._wavelet import DEFAULT_LO
+    lo, hi = _td_filters(DEFAULT_LO if lo is None else lo)
+    for d in reversed(details):
+        a = _td_synthesis_step(a, d, lo, hi)
+    return a
+
+
+def td_denoise(x, levels):
+    """``_wavelet.denoise`` on the time-domain transform: the universal soft
+    threshold on every detail band between ``td_dwt`` and ``td_idwt``."""
+    from driftlab._wavelet import shrink_details
+    a, details = td_dwt(x, levels)
+    return td_idwt(a, shrink_details(details, len(x)))
+
+
 # --- one fingerprint band, in the time domain -------------------------------
 
 def band_bandpass(x, sample_rate, f0, bandwidth):
@@ -424,10 +497,9 @@ def band_bandpass(x, sample_rate, f0, bandwidth):
 def band_denoise(x, sample_rate, f0, bandwidth):
     """``fingerprint.denoise`` of the samples ``x``: the band-pass, then the
     time-domain wavelet shrinkage of the whole band-passed signal."""
-    from driftlab import _wavelet
     from driftlab.fingerprint import WAVELET_LEVELS
-    return _wavelet.denoise(band_bandpass(x, sample_rate, f0, bandwidth),
-                            WAVELET_LEVELS)
+    return td_denoise(band_bandpass(x, sample_rate, f0, bandwidth),
+                      WAVELET_LEVELS)
 
 
 def band_bins(cleaned, sample_rate, f0, bandwidth):

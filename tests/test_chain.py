@@ -54,6 +54,17 @@ class TestChain:
             0.055 / context.mode.c_s
         )
 
+    def test_propagation_delay_zero_distance(self, context):
+        transducer = replace(context.transducer, position=0.0)
+        assert replace(context, transducer=transducer).propagation_delay() == 0.0
+
+    def test_propagation_delay_linear_in_distance(self, context):
+        def delay(z):
+            transducer = replace(context.transducer, position=z)
+            return replace(context, transducer=transducer).propagation_delay()
+
+        assert delay(0.2) == pytest.approx(2.0 * delay(0.1), rel=1e-12)
+
     @pytest.mark.parametrize("crystal", [
         CrystalSpec(tip_mass=1e300),                       # nan amplitude
         CrystalSpec(thickness=2.2250738585072014e-308),    # inf amplitude

@@ -461,6 +461,27 @@ class TestClassifyCommand:
         selected = [r for r in rows[1:-1] if r[2] == "true"]
         assert len(selected) == 1 and selected[0][0] == "synthetic-04"
 
+    @pytest.mark.parametrize("snr_db", [-3080.0, 3080.0])
+    def test_snr_at_the_bounds_classifies(self, snr_db, config_path, tmp_path):
+        # -3,080 dB is all noise: nothing is selected, but the run answers
+        out = tmp_path / "cls.csv"
+        path = config_path(overrides={"fingerprint.snr_db": snr_db})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 0
+        rows = _rows(out)
+        assert rows[-1][2] == "result" and len(rows) == 17
+
+    @pytest.mark.parametrize("snr_db", [3081.0, -3081.0, 4000.0, -4000.0,
+                                        1e308, -1e308])
+    def test_snr_outside_the_float_range_refused(self, snr_db, config_path,
+                                                 tmp_path, capsys):
+        out = tmp_path / "cls.csv"
+        path = config_path(overrides={"fingerprint.snr_db": snr_db})
+        assert main(["classify", "--config", path, "--out", str(out)]) == 2
+        bound = "<= 3080.0" if snr_db > 0 else ">= -3080.0"
+        assert capsys.readouterr().err == (
+            f"config error: $.fingerprint.snr_db: must be {bound}, got {snr_db}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
     def test_non_finite_trace_refused(self, fmt, bad, config_path, tmp_path,

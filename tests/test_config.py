@@ -57,7 +57,7 @@ NUMBERS = {
         "burst_duration_s", "single_duration_t1_s", "phase_step_rad")},
     **{f"fingerprint.{key}": GT0 for key in (
         "sample_rate_hz", "duration_s", "scale_a_mv", "scale_b_mv", "bandwidth_hz")},
-    "fingerprint.snr_db": (),
+    "fingerprint.snr_db": ((">=", -3080.0), ("<=", 3080.0)),
     "fingerprint.confidence_threshold": GE0 + (("<=", 1.0),),
     **{f"bp.{key}": GT0 for key in (
         "initial_pressure_mmhg", "systolic_mmhg", "diastolic_mmhg",

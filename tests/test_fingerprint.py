@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import firwin
 
-from driftlab import _wavelet
 from driftlab.fingerprint import (
     BANDPASS_TAPS,
     CaptureConfig,
@@ -41,7 +40,7 @@ from driftlab.fingerprint import (
     synthesize,
 )
 from driftlab.signals import SampledTrace, TWO_PI
-from oracles import band_bandpass, band_bins, band_denoise
+from oracles import band_bandpass, band_bins, band_denoise, td_dwt
 
 # classify() at the criterion-9 setting (6 MHz, 0.1 s, 15 dB, 200 kHz bands),
 # recorded with the earlier FFT-based wavelet filter bank and scipy.signal
@@ -225,13 +224,29 @@ class TestCaptureConfig:
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_snr_that_is_not_a_level_refused(self, bad):
         # synthesize reads both as +inf would be read: no noise at all
-        with pytest.raises(ValueError,
-                           match=rf"^snr_db must be finite or inf, got {bad}$"):
+        with pytest.raises(ValueError, match=rf"^snr_db must be within "
+                           rf"\+/-3080.0 dB or inf \(no noise\), got {bad}$"):
             CaptureConfig(sample_rate=6e6, duration=0.01, snr_db=bad)
 
-    @pytest.mark.parametrize("snr_db", [-300.0, -0.0, 15.0, 1e300, math.inf])
+    # past the bounds 10**(snr / 10) overflows (from 3,083 dB), or the
+    # noise's scale does (from about -3,086 dB)
+    @pytest.mark.parametrize("bad", [3081.0, -3081.0, 4000.0, -4000.0, 1e308,
+                                     -1e308])
+    def test_snr_outside_the_float_range_refused(self, bad):
+        with pytest.raises(ValueError, match=rf"^snr_db must be within "
+                           rf"\+/-3080.0 dB or inf \(no noise\), "
+                           rf"got {re.escape(str(bad))}$"):
+            CaptureConfig(sample_rate=6e6, duration=0.01, snr_db=bad)
+
+    @pytest.mark.parametrize("snr_db", [-3080.0, -300.0, -0.0, 15.0, 3080.0,
+                                        math.inf])
     def test_finite_or_noise_free_snr_accepted(self, snr_db):
         assert CaptureConfig(6e6, 0.01, snr_db=snr_db).snr_db == snr_db
+
+    @pytest.mark.parametrize("snr_db", [-3080.0, 3080.0])
+    def test_snr_at_the_bounds_gives_a_finite_capture(self, library, snr_db):
+        trace = synthesize(library[0], CaptureConfig(6e6, 0.01, snr_db=snr_db))
+        assert np.isfinite(trace.samples).all()
 
     def test_infinite_sample_count_refused(self):
         with pytest.raises(ValueError, match=r"sample_rate \* duration is inf "):
@@ -423,7 +438,7 @@ class TestClassify:
 class TestDenoisedBand:
     """The band's bins, as ``classify`` takes them from the capture's
     spectrum, against the time-domain reference pipeline: the band-pass,
-    ``_wavelet.denoise``, then the full-length rfft and its frequency
+    ``oracles.td_denoise``, then the full-length rfft and its frequency
     mask."""
 
     FS = 6e6
@@ -483,7 +498,7 @@ class TestDenoisedBand:
         x = np.random.default_rng(n).normal(size=n)
         a, details = _band_subbands(_capture_spectrum(x), n, self.FS, f0,
                                     bandwidth)
-        want_a, want_details = _wavelet.dwt(
+        want_a, want_details = td_dwt(
             band_bandpass(x, self.FS, f0, bandwidth), WAVELET_LEVELS)
         for got, want in zip([a, *details], [want_a, *want_details],
                              strict=True):

@@ -17,10 +17,8 @@ from driftlab.lamb import (
     dispersion_residual,
     displacement_wave,
     load_media,
-    mode_coefficients,
     mode_matrix,
     normalize_mode_vector,
-    propagation_delay,
     solve_dispersion,
     surface_displacement,
 )
@@ -266,15 +264,17 @@ class TestChunkedScan:
 
 
 class TestModeCoefficients:
+    """The solve's ``LambMode.coeff_a`` and ``coeff_b``."""
+
     def test_null_space_annihilated(self, acrylic, acrylic_mode):
-        a, b = mode_coefficients(acrylic_mode, acrylic)
+        a, b = acrylic_mode.coeff_a, acrylic_mode.coeff_b
         m = mode_matrix(acrylic, acrylic_mode.omega, acrylic_mode.k_a)
         vec = np.array([a, b])
         assert np.linalg.norm(m @ vec) < 1e-6
         assert max(abs(a), abs(b)) == pytest.approx(1.0)
 
     def test_scale_invariant_normalisation(self, acrylic, acrylic_mode):
-        a, b = mode_coefficients(acrylic_mode, acrylic)
+        a, b = acrylic_mode.coeff_a, acrylic_mode.coeff_b
         a2, b2 = normalize_mode_vector(2.0 * a, 2.0 * b)
         assert a2 == pytest.approx(a, abs=1e-15)
         assert b2 == pytest.approx(b, abs=1e-15)
@@ -283,11 +283,9 @@ class TestModeCoefficients:
         assert b3 == pytest.approx(b, abs=1e-15)
 
     def test_off_root_rejected(self, acrylic, acrylic_mode):
-        from dataclasses import replace
-
-        bogus = replace(acrylic_mode, k_a=acrylic_mode.k_a * 1.5)
         with pytest.raises(InconsistentModeError):
-            mode_coefficients(bogus, acrylic)
+            lamb._null_space_coefficients(acrylic, acrylic_mode.omega,
+                                          acrylic_mode.k_a * 1.5)
 
 
 class TestSurfaceDisplacement:
@@ -347,18 +345,3 @@ class TestSurfaceDisplacement:
             prestress=0.1, quiescent_ok=True,
         )
         assert quiet == 0.1
-
-
-class TestPropagationDelay:
-    def test_zero_distance(self, acrylic):
-        assert propagation_delay(acrylic, F_OSC, 0.0) == 0.0
-
-    def test_linear_in_distance(self, acrylic):
-        d1 = propagation_delay(acrylic, F_OSC, 0.1)
-        d2 = propagation_delay(acrylic, F_OSC, 0.2)
-        assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-
-    def test_matches_solved_velocity(self, acrylic, acrylic_mode):
-        assert propagation_delay(acrylic, F_OSC, 0.2) == pytest.approx(
-            0.2 / acrylic_mode.c_s, rel=1e-12
-        )

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from driftlab import fingerprint
+from driftlab import _wavelet, fingerprint
 from driftlab._wavelet import (
     DEFAULT_LO,
     analysis_responses,
@@ -21,6 +21,7 @@ from driftlab._wavelet import (
     synthesis_responses,
     universal_threshold,
 )
+from oracles import td_dwt, td_idwt
 
 
 class TestFilters:
@@ -49,7 +50,8 @@ class TestFilters:
 
 
 class TestTransform:
-    @pytest.mark.parametrize("n", [64, 4096])
+    # 600,000 samples is a criterion-9 capture (0.1 s at 6 MHz)
+    @pytest.mark.parametrize("n", [64, 4096, 600_000])
     def test_perfect_reconstruction(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
@@ -188,16 +190,21 @@ def _dense_pair(n, lo=DEFAULT_LO):
     return _periodized_matrix(lo, n), _periodized_matrix(hi, n)
 
 
+# The transform under test and the time-domain reference that the band tests
+# lean on, both held to the dense matrices.
+@pytest.mark.parametrize("dwt,idwt", [
+    (_wavelet.dwt, _wavelet.idwt), (td_dwt, td_idwt),
+], ids=["spectral", "time-domain"])
 class TestAgainstDenseReference:
-    """The polyphase steps against dense periodized-convolution matrices:
-    analysis applies (L, H) level by level, synthesis their transposes.
-    Lengths 2, 8 and 16 give phases shorter than the 8-tap db8 phase
-    filters, so the circular extension wraps more than once."""
+    """The DWT against dense periodized-convolution matrices: analysis
+    applies (L, H) level by level, synthesis their transposes.  Lengths 2, 8
+    and 16 give subbands shorter than the 16-tap db8 filters, so the
+    periodization wraps more than once."""
 
     CASES = [(2, 1), (8, 3), (16, 4), (64, 4), (4096, 4)]
 
     @pytest.mark.parametrize("n,levels", CASES)
-    def test_dwt_matches_dense(self, n, levels):
+    def test_dwt_matches_dense(self, dwt, idwt, n, levels):
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         ref = x
@@ -212,7 +219,7 @@ class TestAgainstDenseReference:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n,levels", CASES)
-    def test_idwt_matches_dense_adjoint(self, n, levels):
+    def test_idwt_matches_dense_adjoint(self, dwt, idwt, n, levels):
         rng = np.random.default_rng(n + 1)
         details = [rng.normal(size=n >> (j + 1)) for j in range(levels)]
         a = rng.normal(size=n >> levels)
@@ -227,7 +234,7 @@ class TestAgainstDenseReference:
     @pytest.mark.parametrize("lo", [
         daubechies_lowpass(1), daubechies_lowpass(3), np.array([0.3, 0.5, 0.2]),
     ], ids=["db1", "db3", "odd-length"])
-    def test_other_filter_lengths(self, lo):
+    def test_other_filter_lengths(self, dwt, idwt, lo):
         x = np.random.default_rng(len(lo)).normal(size=16)
         low, high = _dense_pair(16, lo)
         a, (d,) = dwt(x, 1, lo)
@@ -241,9 +248,9 @@ class TestAgainstDenseReference:
 
 class TestReconstructionDft:
     """Bins of the reconstruction's DFT from the subbands' own DFTs, against
-    the DFT of ``idwt``'s time-domain output.  n = 112 = 7 * 16, so at every
-    level the subband length is even and the full range of bins wraps past
-    n_j / 2 of each subband."""
+    the DFT of the time-domain reference ``td_idwt``.  n = 112 = 7 * 16, so
+    at every level the subband length is even and the full range of bins
+    wraps past n_j / 2 of each subband."""
 
     N = 112
     FILTERS = [daubechies_lowpass(1), daubechies_lowpass(3), DEFAULT_LO,
@@ -261,7 +268,7 @@ class TestReconstructionDft:
     @pytest.mark.parametrize("start,stop", [(0, N), (5, 61), (50, 57)])
     def test_matches_dft_of_idwt(self, lo, levels, start, stop):
         a, details = self._subbands(self.N, levels, levels)
-        want = np.fft.fft(idwt(a, details, lo))[start:stop]
+        want = np.fft.fft(td_idwt(a, details, lo))[start:stop]
         responses = synthesis_responses(self.N, levels, start, stop, lo)
         got = reconstruction_dft(a, details, start, stop, responses)
         assert got.shape == want.shape
@@ -272,14 +279,15 @@ class TestReconstructionDft:
         a, details = self._subbands(self.N, 4, 9)
         details[0][:] = 0.0
         details[3][:] = 0.0
-        want = np.fft.fft(idwt(a, details, lo))
+        want = np.fft.fft(td_idwt(a, details, lo))
         responses = synthesis_responses(self.N, 4, 0, self.N, lo)
         got = reconstruction_dft(a, details, 0, self.N, responses)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSpectralDwt:
-    """Subbands taken from the signal's rfft against the time-domain DWT."""
+    """Subbands taken from the signal's rfft against the time-domain
+    reference ``td_dwt``."""
 
     FILTERS = TestReconstructionDft.FILTERS
     IDS = TestReconstructionDft.IDS
@@ -292,7 +300,7 @@ class TestSpectralDwt:
         x = np.random.default_rng(n + levels).normal(size=n)
         a, details = spectral_dwt(np.fft.rfft(x), n, levels,
                                   analysis_responses(n, lo))
-        want_a, want_details = dwt(x, levels, lo)
+        want_a, want_details = td_dwt(x, levels, lo)
         for got, want in zip([a, *details], [want_a, *want_details],
                              strict=True):
             assert got.shape == want.shape
